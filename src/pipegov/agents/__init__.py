@@ -21,7 +21,6 @@ from .monitoring import (
     EWMA_MIN_SAMPLES,
     EWMA_SIGMA_FLOOR,
     WATCHED_METRICS,
-    WINDOW,
     AnomalyDetector,
     AnomalyFlag,
     EwmaState,
@@ -64,7 +63,6 @@ __all__ = [
     "StubBackend",
     "UnknownIncidentClass",
     "WATCHED_METRICS",
-    "WINDOW",
     "make_backend",
     "optimize_propose",
     "recovery_candidates",

@@ -15,7 +15,6 @@ EWMA_ALPHA = 0.2
 EWMA_K = 3.0
 EWMA_SIGMA_FLOOR = 1.0
 EWMA_MIN_SAMPLES = 5
-WINDOW = 20
 
 WATCHED_METRICS = ("freshness_lag", "queue_depth", "ingress")
 

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .agents.backends import BackendError, make_backend
+from .agents.backends import BackendError, ReasoningBackend, make_backend
 from .core.actions import ProposedAction
 from .harness.baseline import BaselineConfig, derive_baseline_allocations
 from .harness.metrics import aggregate_comparisons, compare, compute_metrics
@@ -191,25 +191,35 @@ def _replay_audit(path: str, quiet: bool) -> int:
 # ----------------------------------------------------------------------
 # run / compare
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _prepare_experiment(
+    args: argparse.Namespace,
+) -> tuple[ScenarioSpec, PolicyDocument, ReasoningBackend, list[int]] | None:
+    """Scenario, policy, backend and seeds for run/compare; None after reporting a problem."""
+
     try:
         spec = _load_scenario(args.scenario)
         policy = _load_policy(args.policy)
     except (ScenarioError, PolicyError) as exc:
         _err(str(exc))
-        return 1
+        return None
     issues = validate_scenario(spec)
     if issues:
         for issue in issues:
             _err(f"{args.scenario}: {issue.code}: {issue.subject}: {issue.message}")
-        return 1
+        return None
     try:
         backend = make_backend(args.backend)
     except (BackendError, OSError, json.JSONDecodeError) as exc:
         _err(f"backend: {exc}")
-        return 1
+        return None
+    return spec, policy, backend, args.seed if args.seed else [spec.seed]
 
-    seeds = args.seed if args.seed else [spec.seed]
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    prepared = _prepare_experiment(args)
+    if prepared is None:
+        return 1
+    spec, policy, backend, seeds = prepared
     try:
         for seed in seeds:
             run_spec = reseed(spec, seed)
@@ -237,24 +247,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_scenario(args.scenario)
-        policy = _load_policy(args.policy)
-    except (ScenarioError, PolicyError) as exc:
-        _err(str(exc))
+    prepared = _prepare_experiment(args)
+    if prepared is None:
         return 1
-    issues = validate_scenario(spec)
-    if issues:
-        for issue in issues:
-            _err(f"{args.scenario}: {issue.code}: {issue.subject}: {issue.message}")
-        return 1
-    try:
-        backend = make_backend(args.backend)
-    except (BackendError, OSError, json.JSONDecodeError) as exc:
-        _err(f"backend: {exc}")
-        return 1
-
-    seeds = args.seed if args.seed else [spec.seed]
+    spec, policy, backend, seeds = prepared
     comparisons = []
     try:
         for seed in seeds:

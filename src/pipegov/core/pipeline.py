@@ -78,16 +78,6 @@ class PipelineSpec:
     schedule_period: int | None = None  # batch only, ticks
     tags: tuple[str, ...] = ()
 
-    def stage_map(self) -> dict[str, StageSpec]:
-        return {s.id: s for s in self.stages}
-
-    def sink_id(self) -> str:
-        downstreamed = {u for s in self.stages for u in s.upstream}
-        sinks = [s.id for s in self.stages if s.id not in downstreamed]
-        if len(sinks) != 1:
-            raise ValueError(f"pipeline {self.id!r} does not have exactly one sink")
-        return sinks[0]
-
     def to_dict(self) -> dict:
         out: dict = {
             "id": self.id,

@@ -4,7 +4,6 @@ from .baseline import (
     DEFAULT_HEADROOM,
     BaselineConfig,
     derive_baseline_allocations,
-    static_control_tick,
 )
 from .metrics import (
     COMPARED_METRICS,
@@ -45,6 +44,5 @@ __all__ = [
     "percentile_nearest_rank",
     "reseed",
     "run_experiment",
-    "static_control_tick",
     "write_run_artifacts",
 ]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from ..core.pipeline import ResourceModel
 from ..scenario.arrivals import generate_arrivals
 from ..scenario.model import ScenarioSpec
-from ..simkernel.kernel import step
-from ..simkernel.world import SimWorld, build_world
+from ..simkernel.kernel import check_accounting, step
+from ..simkernel.world import build_world
 
 DEFAULT_HEADROOM = 1.5
 
@@ -97,6 +97,7 @@ def derive_baseline_allocations(
                 units = math.ceil(processed / base_rates[pid][sid])
                 if units > peak_units[pid][sid]:
                     peak_units[pid][sid] = units
+    check_accounting(world)
 
     allocations: dict[str, dict[str, int]] = {}
     for pipeline in spec.pipelines:
@@ -106,14 +107,3 @@ def derive_baseline_allocations(
             stage_allocs[stage.id] = max(stage.min_alloc, min(stage.max_alloc, want))
         allocations[pipeline.id] = stage_allocs
     return allocations
-
-
-def static_control_tick(controller, world: SimWorld, t: int, applied_faults=(), prev_report=None):
-    """One control cycle of the retry/escalate baseline.
-
-    The baseline has no reasoning phases, so this is exactly the shared
-    chassis tick: detect, close, sweep unclaimed incidents into retries
-    or operator escalation, validate, execute.
-    """
-
-    return controller.tick(world, t, list(applied_faults), prev_report)

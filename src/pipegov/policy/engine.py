@@ -31,15 +31,6 @@ RULE_SCALE_STEP = "cost.max_scale_step"
 RULE_BUDGET = "cost.budget_per_window"
 RULE_APPROVAL = "actions.approval_required"
 
-ALL_RULES = (
-    RULE_ALLOW_LIST,
-    RULE_STRATEGIES,
-    RULE_QUARANTINE,
-    RULE_SCALE_STEP,
-    RULE_BUDGET,
-    RULE_APPROVAL,
-)
-
 
 class Verdict(str, Enum):
     ALLOW = "Allow"

@@ -2,7 +2,9 @@
 
 One ``step`` call advances the world by one tick:
 
-1. verify record accounting (fail loudly, not silently)
+1. verify record accounting over the running queue totals (fail loudly,
+   not silently); ``check_accounting`` adds a full recount of every queue
+   and runs at the end of each experiment and calibration
 2. mature pending health recoveries
 3. enqueue arrivals, honouring upstream-delay suppression and release
 4. fire batch triggers (a suppressed dataset fails the scheduled run)
@@ -112,14 +114,29 @@ def compute_tick_cost(world: SimWorld, materialized_this_tick: int = 0) -> float
     )
 
 
-def check_accounting(world: SimWorld) -> None:
-    for pid in world.pipeline_ids():
+def _check_conservation(world: SimWorld, pids: list[str]) -> None:
+    for pid in pids:
         p = world.pipelines[pid]
         if not p.accounting_holds():
             raise InconsistentWorld(
                 f"pipeline {pid}: ingress {p.ingress} != materialized {p.materialized} "
                 f"+ queued {p.queued()} + quarantined {p.quarantined} + dropped {p.dropped}"
             )
+
+
+def check_accounting(world: SimWorld) -> None:
+    """Recount every queue against its running total, then check conservation."""
+
+    pids = world.pipeline_ids()
+    for pid in pids:
+        for sid, stage in world.pipelines[pid].stages.items():
+            recount = stage.queue.recount()
+            if recount != stage.queue.records:
+                raise InconsistentWorld(
+                    f"pipeline {pid} stage {sid}: queue total {stage.queue.records} "
+                    f"!= recount {recount}"
+                )
+    _check_conservation(world, pids)
 
 
 def _enqueue(p: PipelineState, tick: int, count: int) -> int:
@@ -140,39 +157,16 @@ def _divert_quarantined(p: PipelineState) -> int:
     drift = p.pending_drift
     if drift is None or not drift.quarantine_mode:
         return 0
-    moved = 0
-    for sid in p.topo:
-        stage = p.stages[sid]
-        kept: list[Cohort] = []
-        for cohort in stage.queue:
-            if cohort.partition == drift.partition:
-                moved += cohort.count
-            else:
-                kept.append(cohort)
-        if moved:
-            stage.queue.clear()
-            stage.queue.extend(kept)
+    moved = sum(p.stages[sid].queue.remove_partition(drift.partition) for sid in p.topo)
     p.quarantined += moved
     return moved
-
-
-def _tagged_records(p: PipelineState, partition: str) -> int:
-    return sum(
-        c.count for s in p.stages.values() for c in s.queue if c.partition == partition
-    )
-
-
-def _clear_tags(p: PipelineState, partition: str) -> None:
-    for stage in p.stages.values():
-        for cohort in stage.queue:
-            if cohort.partition == partition:
-                cohort.partition = None
 
 
 def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     """Advance the world one tick. Fault state must already be injected."""
 
-    check_accounting(world)
+    pids = world.pipeline_ids()
+    _check_conservation(world, pids)
     t = world.tick
     failures: list[dict] = list(world.pending_failures)
     transitions: list[dict] = list(world.pending_transitions)
@@ -183,7 +177,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     capacity_now = world.effective_capacity(t)
 
     # 1. recoveries mature
-    for pid in world.pipeline_ids():
+    for pid in pids:
         p = world.pipelines[pid]
         if p.recover_at is not None and t >= p.recover_at:
             old = p.health
@@ -199,7 +193,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     # 2. arrivals, suppression, release, batch triggers
     ingress_now: dict[str, int] = {}
     suppressed_now: dict[str, bool] = {}
-    for pid in world.pipeline_ids():
+    for pid in pids:
         p = world.pipelines[pid]
         raw = arrivals.get(pid, 0)
         active_suppression = p.suppress_until is not None and t < p.suppress_until
@@ -250,7 +244,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             failures.append({"tick": t, "pipeline": pid, "kind": "missing_input", "stage": p.topo[0]})
 
     # 3. quarantine diversion and drift-window resolution
-    for pid in world.pipeline_ids():
+    for pid in pids:
         p = world.pipelines[pid]
         drift = p.pending_drift
         if drift is None:
@@ -261,73 +255,58 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
                 transitions.append(
                     {"tick": t, "pipeline": pid, "event": "quarantined", "records": moved, "partition": drift.partition}
                 )
-            if t > drift.window_end and _tagged_records(p, drift.partition) == 0:
+            # diversion left nothing tagged queued, so a closed window resolves it
+            if t > drift.window_end:
                 p.pending_drift = None
                 transitions.append(
                     {"tick": t, "pipeline": pid, "event": "drift_resolved", "partition": drift.partition}
                 )
 
-    # 4. contention from busy allocation
-    busy_alloc = 0
-    for pid in world.pipeline_ids():
-        p = world.pipelines[pid]
-        if not p.processing_allowed(t):
-            continue
-        for sid in p.topo:
-            stage = p.stages[sid]
-            if stage.queue:
-                busy_alloc += stage.alloc
-    if busy_alloc > capacity_now:
-        factor = capacity_now / busy_alloc
-    else:
-        factor = 1.0
+    # 4. contention from busy allocation; health and pauses are settled for
+    # the rest of the tick, so each pipeline's processing gate is read once.
+    allowed = {pid for pid in pids if world.pipelines[pid].processing_allowed(t)}
+    busy_alloc = sum(
+        s.alloc for pid in allowed for s in world.pipelines[pid].stages.values() if s.queue
+    )
+    factor = capacity_now / busy_alloc if busy_alloc > capacity_now else 1.0
 
-    # 5. processing
+    # 5. per pipeline: process queues, take checkpoints, and sample
+    failure_counts: dict[str, int] = {}
+    for f in failures:
+        failure_counts[f["pipeline"]] = failure_counts.get(f["pipeline"], 0) + 1
     materialized_now = 0
-    rates: dict[str, int] = {}
-    processed_total: dict[str, int] = {}
-    capacity_total: dict[str, int] = {}
+    samples: dict[str, PipelineSample] = {}
     stage_processed: dict[str, dict[str, int]] = {}
-    for pid in world.pipeline_ids():
+    for pid in pids:
         p = world.pipelines[pid]
         pipeline_rates: list[int] = []
-        processed_total[pid] = 0
-        capacity_total[pid] = 0
+        processed_total = 0
+        capacity_total = 0
         stage_processed[pid] = {}
-        allowed = p.processing_allowed(t)
         for sid in p.topo:
             stage = p.stages[sid]
             rate = (
                 _contended_rate(stage.spec.base_rate, stage.alloc, capacity_now, busy_alloc)
-                if allowed
+                if pid in allowed
                 else 0
             )
             pipeline_rates.append(rate)
-            if not allowed or rate <= 0:
+            if rate <= 0:
                 continue
-            if stage.queue:
-                capacity_total[pid] += rate
-            remaining = rate
-            processed_cohorts: list[Cohort] = []
-            while remaining > 0 and stage.queue:
-                head = stage.queue[0]
-                take = min(head.count, remaining)
-                if take == head.count:
-                    stage.queue.popleft()
-                else:
-                    head.count -= take
-                remaining -= take
-                processed_cohorts.append(Cohort(head.arrival_tick, take, head.partition))
-            done = rate - remaining
+            before = stage.queue.records
+            processed_cohorts = stage.queue.take_head(rate)
+            if processed_cohorts:  # the stage had work, so its whole rate was on offer
+                capacity_total += rate
+            done = before - stage.queue.records
             if done == 0:
                 continue
             stage_processed[pid][sid] = done
-            processed_total[pid] += done
+            processed_total += done
             if stage.downstream:
                 # Route each processed cohort to the least-loaded downstream
                 # queue (ties by id order): conservation-preserving routing.
                 for cohort in processed_cohorts:
-                    target_id = min(stage.downstream, key=lambda d: (p.stages[d].depth(), d))
+                    target_id = min(stage.downstream, key=lambda d: (p.stages[d].queue.records, d))
                     p.stages[target_id].queue.append(cohort)
                     stage.forwarded_since_checkpoint[target_id] = (
                         stage.forwarded_since_checkpoint.get(target_id, 0) + cohort.count
@@ -336,39 +315,23 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
                 for cohort in processed_cohorts:
                     p.materialized += cohort.count
                     materialized_now += cohort.count
-                    lag = t - cohort.arrival_tick
-                    p.lag_histogram[lag] = p.lag_histogram.get(lag, 0) + cohort.count
                     if cohort.arrival_tick > p.newest_materialized_arrival:
                         p.newest_materialized_arrival = cohort.arrival_tick
                     p.materialized_since_checkpoint.append(cohort)
-        rates[pid] = min(pipeline_rates) if pipeline_rates else 0
 
-    # 6. checkpoints
-    for pid in world.pipeline_ids():
-        p = world.pipelines[pid]
-        for sid in p.topo:
-            stage = p.stages[sid]
-            if t > 0 and t % stage.spec.checkpoint_interval == 0:
-                stage.forwarded_since_checkpoint.clear()
-                stage.last_checkpoint_tick = t
-        sink = p.sink_stage()
-        if t > 0 and t % sink.spec.checkpoint_interval == 0:
-            p.materialized_since_checkpoint.clear()
+        if t > 0:
+            for stage in p.stages.values():
+                if t % stage.spec.checkpoint_interval == 0:
+                    stage.forwarded_since_checkpoint.clear()
+            if t % p.sink_stage().spec.checkpoint_interval == 0:
+                p.materialized_since_checkpoint.clear()
 
-    # 7. price and snapshot
-    cost = compute_tick_cost(world, materialized_now)
-    samples: dict[str, PipelineSample] = {}
-    failure_counts: dict[str, int] = {}
-    for f in failures:
-        failure_counts[f["pipeline"]] = failure_counts.get(f["pipeline"], 0) + 1
-    for pid in world.pipeline_ids():
-        p = world.pipelines[pid]
         util = 0.0
-        if capacity_total[pid] > 0:
-            util = min(1.0, processed_total[pid] / capacity_total[pid])
+        if capacity_total > 0:
+            util = min(1.0, processed_total / capacity_total)
         samples[pid] = PipelineSample(
             queue_depth=p.queued(),
-            effective_rate=rates[pid],
+            effective_rate=min(pipeline_rates) if pipeline_rates else 0,
             freshness_lag=t - p.newest_materialized_arrival,
             failure_count=failure_counts.get(pid, 0),
             utilization=util,
@@ -377,6 +340,9 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             health=p.health.value,
             suppressed=suppressed_now[pid],
         )
+
+    # 6. price and snapshot
+    cost = compute_tick_cost(world, materialized_now)
     snapshot = TelemetrySnapshot(
         tick=t,
         pipelines=samples,
@@ -423,19 +389,7 @@ def _pull_back_forwarded(p: PipelineState, stage: StageState) -> int:
 
     pulled = 0
     for target_id, count in sorted(stage.forwarded_since_checkpoint.items()):
-        target = p.stages[target_id]
-        to_pull = min(count, target.depth())
-        taken: list[Cohort] = []
-        while to_pull > 0 and target.queue:
-            tail = target.queue[-1]
-            take = min(tail.count, to_pull)
-            if take == tail.count:
-                target.queue.pop()
-            else:
-                tail.count -= take
-            to_pull -= take
-            taken.append(Cohort(tail.arrival_tick, take, tail.partition))
-        for cohort in reversed(taken):
+        for cohort in p.stages[target_id].queue.take_tail(count):
             stage.queue.append(cohort)
             pulled += cohort.count
     stage.forwarded_since_checkpoint.clear()
@@ -548,7 +502,7 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
         if p.health is Health.FAILING and p.failing_cause == "schema_drift":
             p.recover_at = t + world.constants.quarantine_latency
             p.recover_to = Health.HEALTHY
-        if world.tick > drift.window_end and _tagged_records(p, drift.partition) == 0:
+        if world.tick > drift.window_end:  # nothing tagged is left queued
             p.pending_drift = None
         world.pending_transitions.append(
             {"tick": t, "pipeline": action.pipeline, "event": "quarantine", "records": moved, "partition": drift.partition}
@@ -578,8 +532,11 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
         if drift is not None and not drift.quarantine_mode:
             # Resuming past a drift accepts the new schema: tagged records
             # become ordinary work (auto-mapped at read time).
-            accepted = _tagged_records(p, drift.partition)
-            _clear_tags(p, drift.partition)
+            for stage in p.stages.values():
+                for cohort in stage.queue:
+                    if cohort.partition == drift.partition:
+                        accepted += cohort.count
+                        cohort.partition = None
             try:
                 p.schema = apply_delta(p.schema, drift.delta)
             except SchemaError:

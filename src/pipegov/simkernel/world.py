@@ -10,11 +10,18 @@ valid only while, for every pipeline:
 Records withheld by an upstream delay are not ingress until they are
 released (or declared dropped), which keeps the equation exact at every
 tick.
+
+Each stage queue is a ``CohortQueue`` that keeps a running total of the
+records it holds, updated by every mutation it offers, so ``depth()`` and
+``queued()`` cost O(stages) rather than O(cohorts). The kernel checks the
+equation over these totals on every tick; ``check_accounting`` also
+re-sums every queue and rejects a total that disagrees with its cohorts.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,6 +47,71 @@ class Cohort:
     arrival_tick: int
     count: int
     partition: str | None = None
+
+
+class CohortQueue:
+    """FIFO of cohorts with a running total of the records it holds.
+
+    ``records`` equals the sum of cohort counts as long as cohorts are only
+    added and removed through these methods; ``recount`` re-sums them.
+    """
+
+    __slots__ = ("_cohorts", "records")
+
+    def __init__(self) -> None:
+        self._cohorts: deque[Cohort] = deque()
+        self.records = 0
+
+    def __len__(self) -> int:
+        return len(self._cohorts)
+
+    def __iter__(self) -> Iterator[Cohort]:
+        return iter(self._cohorts)
+
+    def recount(self) -> int:
+        return sum(c.count for c in self._cohorts)
+
+    def append(self, cohort: Cohort) -> None:
+        self._cohorts.append(cohort)
+        self.records += cohort.count
+
+    def take_head(self, limit: int) -> list[Cohort]:
+        """Remove up to ``limit`` records from the front, oldest first."""
+
+        return self._take(limit, 0)
+
+    def take_tail(self, limit: int) -> list[Cohort]:
+        """Remove up to ``limit`` records from the back, returned in queue order."""
+
+        taken = self._take(limit, -1)
+        taken.reverse()
+        return taken
+
+    def _take(self, limit: int, end: int) -> list[Cohort]:
+        cohorts = self._cohorts
+        pop = cohorts.popleft if end == 0 else cohorts.pop
+        taken: list[Cohort] = []
+        remaining = limit
+        while remaining > 0 and cohorts:
+            edge = cohorts[end]
+            if edge.count <= remaining:
+                taken.append(pop())
+                remaining -= edge.count
+            else:
+                edge.count -= remaining
+                taken.append(Cohort(edge.arrival_tick, remaining, edge.partition))
+                remaining = 0
+        self.records -= limit - remaining
+        return taken
+
+    def remove_partition(self, partition: str) -> int:
+        """Drop every cohort tagged ``partition``; returns the records dropped."""
+
+        removed = sum(c.count for c in self._cohorts if c.partition == partition)
+        if removed:
+            self._cohorts = deque(c for c in self._cohorts if c.partition != partition)
+            self.records -= removed
+        return removed
 
 
 @dataclass(slots=True)
@@ -81,15 +153,14 @@ class SimConstants:
 class StageState:
     spec: StageSpec
     alloc: int
-    queue: deque[Cohort] = field(default_factory=deque)
+    queue: CohortQueue = field(default_factory=CohortQueue)
     downstream: tuple[str, ...] = ()
-    last_checkpoint_tick: int = 0
     # forwarded record counts per downstream stage since the last checkpoint;
     # Replay pulls these back out of downstream queue tails.
     forwarded_since_checkpoint: dict[str, int] = field(default_factory=dict)
 
     def depth(self) -> int:
-        return sum(c.count for c in self.queue)
+        return self.queue.records
 
 
 @dataclass
@@ -131,7 +202,6 @@ class PipelineState:
     # rollback support and freshness bookkeeping
     materialized_since_checkpoint: list[Cohort] = field(default_factory=list)
     newest_materialized_arrival: int = 0
-    lag_histogram: dict[int, int] = field(default_factory=dict)
 
     def queued(self) -> int:
         return sum(s.depth() for s in self.stages.values())

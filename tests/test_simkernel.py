@@ -24,9 +24,11 @@ from pipegov.simkernel import (
     Cohort,
     Health,
     IllegalTransition,
+    InconsistentWorld,
     InvalidTarget,
     PendingDrift,
     SimConstants,
+    SimWorld,
     apply_action,
     build_world,
     check_accounting,
@@ -209,6 +211,24 @@ class TestRecoveryActions:
             step(world, {})
         assert p.health is Health.HEALTHY
 
+    def test_replay_pulls_back_downstream_tail_in_order(self):
+        world = _world(stages=2)
+        p = world.pipelines["p"]
+        for tick in range(3):
+            p.stages["s1"].queue.append(Cohort(tick, 10))
+            p.ingress += 10
+        p.stages["s0"].forwarded_since_checkpoint["s1"] = 25
+        p.health = Health.FAILING
+        p.failing_cause = "task_failure"
+        p.failing_stage = "s0"
+        result = apply_action(world, _op(ActionKind.REPLAY))
+        assert result.effects["requeued"] == 25
+        cohorts = {sid: [(c.arrival_tick, c.count) for c in s.queue] for sid, s in p.stages.items()}
+        assert cohorts == {"s0": [(0, 5), (1, 10), (2, 10)], "s1": [(0, 5)]}
+        assert (p.stages["s0"].depth(), p.stages["s1"].depth()) == (25, 5)
+        assert p.stages["s0"].forwarded_since_checkpoint == {}
+        check_accounting(world)
+
     def test_replay_fails_while_input_missing(self):
         world = _world()
         p = world.pipelines["p"]
@@ -372,3 +392,129 @@ class TestDeterminismAndAccounting:
     def test_constants_round_trip(self):
         constants = SimConstants(replay_latency=7, release_span=4)
         assert SimConstants.from_dict(constants.to_dict()) == constants
+
+
+def _diamond_world() -> SimWorld:
+    """s0 fans out to s1 and s2, which both feed the sink s3."""
+
+    schema = Schema(columns=(Column("a", Dtype.INT64),))
+    upstream = {"s0": (), "s1": ("s0",), "s2": ("s0",), "s3": ("s1", "s2")}
+    stages = tuple(
+        StageSpec(id=sid, upstream=up, base_rate=10, min_alloc=1, max_alloc=4, checkpoint_interval=40)
+        for sid, up in upstream.items()
+    )
+    spec = PipelineSpec(
+        id="p", kind=PipelineKind.STREAMING, stages=stages, schema=schema, freshness_target=10
+    )
+    return build_world(
+        [spec],
+        ResourceModel(capacity=8, unit_price=0.5, storage_price=0.01),
+        allocations={"p": {sid: 2 for sid in upstream}},
+    )
+
+
+def _assert_queue_totals(world) -> None:
+    for p in world.pipelines.values():
+        for sid, stage in p.stages.items():
+            assert stage.depth() == sum(c.count for c in stage.queue), sid
+
+
+class TestQueueTotals:
+    # action kind -> draw weight; Halt and Defer are rare so that the
+    # pipeline spends most ticks processing or failing.
+    KINDS = {
+        ActionKind.SCALE_UP: 2,
+        ActionKind.SCALE_DOWN: 2,
+        ActionKind.REPLAY: 4,
+        ActionKind.ROLLBACK: 2,
+        ActionKind.PARTIAL_RECOMPUTE: 2,
+        ActionKind.QUARANTINE_PARTITION: 3,
+        ActionKind.RESUME: 3,
+        ActionKind.DEFER: 1,
+        ActionKind.HALT: 1,
+    }
+
+    def test_totals_match_recount_under_every_action(self):
+        rng = random.Random(17)
+        world = _diamond_world()
+        p = world.pipelines["p"]
+        applied: dict[ActionKind, int] = {}
+        pulled_back = 0
+        partitions: list[str] = []
+        for t in range(800):
+            if t % 45 == 3 and p.pending_drift is None:
+                partitions.append(f"pt-{t}")
+                p.pending_drift = PendingDrift(
+                    partition=partitions[-1],
+                    delta=SchemaDelta((DropColumn("a"),)),
+                    incompatible=True,
+                    opened_tick=t,
+                    window_end=t + 15,
+                )
+            if t % 23 == 7 and p.health is Health.HEALTHY:
+                p.health = Health.FAILING
+                p.failing_cause = "task_failure"
+                p.failing_stage = rng.choice(p.topo[:3])
+            for _ in range(rng.randint(0, 2)):
+                kind = rng.choices(list(self.KINDS), weights=list(self.KINDS.values()))[0]
+                kw: dict = {}
+                if kind in (ActionKind.SCALE_UP, ActionKind.SCALE_DOWN):
+                    kw = {"delta_units": rng.randint(1, 2), "stage": rng.choice([None, *p.topo])}
+                elif kind is ActionKind.PARTIAL_RECOMPUTE:
+                    kw = {"partition": rng.choice(partitions or ["pt-none"])}
+                try:
+                    outcome = apply_action(world, _op(kind, **kw))
+                except (IllegalTransition, InvalidTarget):
+                    pass
+                else:
+                    if outcome.applied:
+                        applied[kind] = applied.get(kind, 0) + 1
+                        if kind is ActionKind.REPLAY:
+                            pulled_back += outcome.effects.get("requeued", 0)
+                _assert_queue_totals(world)
+            step(world, {"p": rng.randint(0, 60)})
+            _assert_queue_totals(world)
+        check_accounting(world)
+        assert set(applied) == set(self.KINDS)
+        assert pulled_back > 0
+        assert p.quarantined > 0
+
+    def test_desynced_total_is_named(self):
+        world = _world(stages=2)
+        step(world, {"p": 100})
+        world.pipelines["p"].stages["s1"].queue.records += 1
+        with pytest.raises(InconsistentWorld, match="pipeline p stage s1"):
+            check_accounting(world)
+
+    def test_quarantine_diverts_per_stage(self):
+        world = _world(stages=2)
+        p = world.pipelines["p"]
+        layout = {
+            "s0": [(0, 30, "pt-x"), (1, 20, None), (2, 10, "pt-x"), (3, 5, None)],
+            "s1": [(0, 7, None), (1, 40, "pt-x"), (2, 9, None)],
+        }
+        for sid, cohorts in layout.items():
+            for tick, count, partition in cohorts:
+                p.stages[sid].queue.append(Cohort(tick, count, partition))
+                p.ingress += count
+        p.pending_drift = PendingDrift(
+            partition="pt-x",
+            delta=SchemaDelta((DropColumn("a"),)),
+            incompatible=True,
+            opened_tick=0,
+            window_end=5,
+        )
+        result = apply_action(world, _op(ActionKind.QUARANTINE_PARTITION, partition="pt-x"))
+        assert result.effects["quarantined"] == 80
+        assert p.quarantined == 80
+        remaining = {
+            sid: [(c.arrival_tick, c.count, c.partition) for c in stage.queue]
+            for sid, stage in p.stages.items()
+        }
+        assert remaining == {
+            "s0": [(1, 20, None), (3, 5, None)],
+            "s1": [(0, 7, None), (2, 9, None)],
+        }
+        assert p.stages["s0"].depth() == 25
+        assert p.stages["s1"].depth() == 16
+        check_accounting(world)
