@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..core.pipeline import ResourceModel
-from ..scenario.arrivals import generate_arrivals
+from ..scenario.arrivals import arrival_trace, generate_arrivals
 from ..scenario.model import ScenarioSpec
 from ..simkernel.kernel import check_accounting, step
 from ..simkernel.world import build_world
@@ -88,8 +88,10 @@ def derive_baseline_allocations(
     peak_units: dict[str, dict[str, int]] = {
         p.id: {s.id: 1 for s in p.stages} for p in spec.pipelines
     }
+    # Draws go through this module's name, which perfbench's tracer wraps.
+    trace = arrival_trace(spec, generate_arrivals)
     for t in range(spec.horizon):
-        report = step(world, generate_arrivals(spec, t))
+        report = step(world, trace.at(t))
         for pid, stages in report.stage_processed.items():
             for sid, processed in stages.items():
                 if processed <= 0:

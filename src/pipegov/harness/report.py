@@ -5,6 +5,12 @@ no timestamps, no environment data, sorted keys, fixed float repr — so
 reruns can be diffed and the determinism acceptance check can compare
 files directly. Writers require the output directory to exist; the CLI
 creates it before delegating.
+
+``telemetry.csv`` (about 310,000 rows per canonical run) is streamed into
+the open file one series at a time: the csv module quotes the
+``scope,metric`` prefix once per series, and each row is formatted as
+``f"{prefix}{tick},{value!r}"``, which is what ``csv.writer`` emits for
+ints and floats.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import csv
 import io
 import json
 import os
+from collections.abc import Iterable, Iterator
 
+from ..telemetry.metrics import MetricStore
 from .metrics import AggregateComparison, ComparisonReport, MetricsReport
 from .runner import RunResult
 
@@ -22,13 +30,17 @@ class IoFailure(Exception):
     """An artifact could not be written."""
 
 
-def _write_text(path: str, text: str) -> str:
+def _write_chunks(path: str, chunks: Iterable[str]) -> str:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def _write_text(path: str, text: str) -> str:
+    return _write_chunks(path, (text,))
 
 
 def _require_dir(out_dir: str) -> None:
@@ -145,14 +157,18 @@ def write_run_artifacts(result: RunResult, out_dir: str) -> list[str]:
     }
     written.append(_write_text(os.path.join(out_dir, "run.json"), _json_text(summary)))
 
-    rows: list[list] = []
-    for scope, name in result.store.series_keys():
-        for tick, value in result.store.series(scope, name):
-            rows.append([scope, name, tick, value])
     written.append(
-        _write_text(
-            os.path.join(out_dir, "telemetry.csv"),
-            _csv_text(["scope", "metric", "tick", "value"], rows),
-        )
+        _write_chunks(os.path.join(out_dir, "telemetry.csv"), _telemetry_chunks(result.store))
     )
     return written
+
+
+def _telemetry_chunks(store: MetricStore) -> Iterator[str]:
+    """telemetry.csv as one header chunk plus one chunk per series."""
+
+    yield "scope,metric,tick,value\n"
+    for scope, name in store.series_keys():
+        prefix = _csv_text([scope, name], [])[:-1] + ","
+        yield "".join(
+            [f"{prefix}{tick},{value!r}\n" for tick, value in store.series(scope, name)]
+        )

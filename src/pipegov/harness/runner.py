@@ -1,9 +1,10 @@
 """Experiment runner: one scenario, one controller, one deterministic run.
 
 The per-tick cycle is fixed: inject scheduled faults, run the control
-loop (which sees the faults and the previous tick's telemetry), generate
-arrivals, advance the simulation kernel, then record telemetry. Repeat
-for the scenario horizon. Everything downstream — metrics, comparisons,
+loop (which sees the faults and the previous tick's telemetry), take the
+tick's arrivals from the scenario's arrival trace (drawn once per
+scenario hash and shared with calibration), advance the simulation
+kernel, then record telemetry. Repeat for the scenario horizon. Everything downstream — metrics, comparisons,
 reports — consumes the RunResult this produces.
 """
 
@@ -16,7 +17,7 @@ from ..agents.bundle import OutcomeMemory
 from ..agents.controller import Controller, OperatorModel
 from ..core.actions import Actor
 from ..policy.model import PolicyDocument
-from ..scenario.arrivals import generate_arrivals
+from ..scenario.arrivals import arrival_trace, generate_arrivals
 from ..scenario.faults import inject_faults
 from ..scenario.model import ScenarioSpec, scenario_hash, validate_scenario
 from ..simkernel.kernel import check_accounting, step
@@ -127,11 +128,13 @@ def run_experiment(
     prev_report: TickReport | None = None
     total_cost = 0.0
     flags_total = 0
+    # Draws go through this module's name, which perfbench's tracer wraps.
+    trace = arrival_trace(spec, generate_arrivals)
     for t in range(spec.horizon):
         applied = inject_faults(spec, world, t)
         control = loop.tick(world, t, applied, prev_report)
         flags_total += len(control.flags)
-        report = step(world, generate_arrivals(spec, t))
+        report = step(world, trace.at(t))
         loop.observe_report(report)
         for pid, sample in report.snapshot.pipelines.items():
             store.record_sample(pid, "freshness_lag", t, float(sample.freshness_lag))

@@ -1,6 +1,6 @@
 """Workload traces and scripted fault injection."""
 
-from pipegov.scenario.arrivals import generate_arrivals, tick_rng
+from pipegov.scenario.arrivals import arrival_trace, generate_arrivals, tick_rng
 from pipegov.scenario.canonical import canonical_scenario, default_policy, default_policy_dict
 from pipegov.scenario.drift import NoEligibleChange, mutate_schema
 from pipegov.scenario.faults import UnknownPipeline, inject_faults
@@ -25,6 +25,7 @@ __all__ = [
     "ScenarioError",
     "ScenarioSpec",
     "UnknownPipeline",
+    "arrival_trace",
     "canonical_scenario",
     "default_policy",
     "default_policy_dict",

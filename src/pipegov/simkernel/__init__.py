@@ -9,7 +9,6 @@ from pipegov.simkernel.kernel import (
     apply_action,
     check_accounting,
     compute_tick_cost,
-    effective_rate,
     step,
 )
 from pipegov.simkernel.world import (
@@ -46,6 +45,5 @@ __all__ = [
     "check_accounting",
     "build_world",
     "compute_tick_cost",
-    "effective_rate",
     "step",
 ]

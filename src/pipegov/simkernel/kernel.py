@@ -79,15 +79,12 @@ class ActionOutcome:
         return self.status == "applied"
 
 
-def effective_rate(base_rate: int, alloc: int, contention_factor: float) -> int:
-    return math.floor(base_rate * alloc * contention_factor)
-
-
 def _contended_rate(base_rate: int, alloc: int, capacity: int, busy_alloc: int) -> int:
     """Rate under fair-share contention, in exact integer arithmetic.
 
-    Equivalent to effective_rate with factor = capacity / busy_alloc but
-    immune to float rounding when the product is an exact integer.
+    The rate is floor(base_rate * alloc * capacity / busy_alloc) once busy
+    allocation exceeds capacity, computed without a float factor so an
+    exact product never rounds down.
     """
 
     if busy_alloc <= capacity:

@@ -16,6 +16,7 @@ that the terminal summary echoes after the run:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import defaultdict
@@ -274,6 +275,35 @@ def test_criterion_1_determinism(canonical_compare_dirs):
         summary = json.loads((first / "comparison.json").read_text())
         assert summary["seed"] == 42
         assert summary["scenario_hash"].startswith("b933264430ab")
+
+
+# SHA-256 of every artifact of ``compare`` on the canonical scenario and
+# policy (seed 42), recorded with numpy 2.4.6 before the arrival trace and
+# the streamed telemetry.csv writer replaced per-tick draws and csv.writer.
+# Criterion 1 compares two runs of the same code; these pin the bytes
+# themselves, so a formatter or sampler change cannot pass unnoticed.
+CANONICAL_COMPARE_SHA256 = {
+    "comparison.json": "78817b6c6eff5f4c1bfbd123da133f46a31a430725b02fda6ceafcd2598873d5",
+    "cost_bars.csv": "59fa492c29fe2421b7832934830978249d8cce7de18d9507e511716589554be6",
+    "metrics.csv": "a33020041d6d686fb835d66eaaea8166f099479a1d4ebfef1530dc2a5aec5576",
+    "mttr_bars.csv": "9634a91eca827d915e91bb8a407c17f6b7fa7380c1e9c6505bb4f266ad9ccff5",
+    "agentic/audit.jsonl": "120b8efd07ead917f94b71b48017d42cf2b993380834e4275034b747342544a4",
+    "agentic/run.json": "683a5ec2b1cc26a07573be3dc4e6da76280a053a2619b0670b8857d742633d0b",
+    "agentic/telemetry.csv": "58f928443672436b6cd196ee8c00391bac88bee427e5cf7b753a81f9f53a84a2",
+    "static/audit.jsonl": "a4d1db3901c4bec4542f72ae19d448f6049ca6c557b54051aea5526a2cd37fcc",
+    "static/run.json": "548b9697411d990cdc67aadee8f7a4b946b59ece5cbd8ca9362714604aa6229a",
+    "static/telemetry.csv": "0eaf4245d77397571426e3e151c2f0be16ea7faf6bbd2be53d668128ee4eb2fd",
+}
+
+
+def test_canonical_artifacts_match_recorded_digests(canonical_compare_dirs):
+    first = canonical_compare_dirs[0]
+    digests = {
+        p.relative_to(first).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in first.rglob("*")
+        if p.is_file()
+    }
+    assert digests == CANONICAL_COMPARE_SHA256
 
 
 def test_criterion_2_policy_safety(fuzz_runs, tmp_path):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
+import math
+import os
 
 import pytest
 
@@ -13,6 +18,7 @@ from pipegov.harness import (
     reseed,
     run_experiment,
 )
+from pipegov.harness.report import IoFailure, write_run_artifacts
 from pipegov.policy import parse_policy
 from pipegov.scenario import (
     FaultEvent,
@@ -21,7 +27,7 @@ from pipegov.scenario import (
     default_policy_dict,
     scenario_hash,
 )
-from pipegov.telemetry.metrics import CLUSTER_SCOPE
+from pipegov.telemetry.metrics import CLUSTER_SCOPE, MetricStore
 
 from conftest import make_mini_scenario, make_stream_pipeline
 
@@ -251,3 +257,59 @@ class TestModeEquivalence:
         assert static.counters == nul.counters
         assert self._comparable_audit(static) == self._comparable_audit(nul)
         assert static.anomaly_flags == 0
+
+
+class TestTelemetryCsv:
+    """telemetry.csv is streamed, not built with csv.writer; the bytes must
+    be what csv.writer would have written for the same rows."""
+
+    SERIES = {
+        ("cluster", "cost"): [(0, 3), (1, 2.0), (2, -0.5), (3, 1e-7), (4, -1234.5678)],
+        ('we,ird "scope"', "queue_depth"): [(0, math.nan), (5, math.inf), (9, -math.inf)],
+        ("p", "ingress"): [(0, 0.0), (1, -0.0), (2, 12345678901234567890), (3, 0.1 + 0.2)],
+    }
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        spec = make_mini_scenario(horizon=20)
+        run = run_experiment(spec, parse_policy(default_policy_dict()), controller="static")
+        store = MetricStore()
+        for (scope, name), samples in self.SERIES.items():
+            for tick, value in samples:
+                store.record_sample(scope, name, tick, value)
+        return dataclasses.replace(run, store=store)
+
+    def test_bytes_match_csv_writer(self, result, tmp_path):
+        write_run_artifacts(result, str(tmp_path))
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["scope", "metric", "tick", "value"])
+        for scope, name in sorted(self.SERIES):
+            for tick, value in self.SERIES[(scope, name)]:
+                writer.writerow([scope, name, tick, value])
+        written = (tmp_path / "telemetry.csv").read_bytes()
+        assert written == reference.getvalue().encode("utf-8")
+        assert b'"we,ird ""scope""",queue_depth,0,nan\n' in written
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="root ignores directory permissions",
+    )
+    def test_read_only_directory_raises_io_failure(self, result, tmp_path):
+        tmp_path.chmod(0o500)
+        try:
+            with pytest.raises(IoFailure):
+                write_run_artifacts(result, str(tmp_path))
+        finally:
+            tmp_path.chmod(0o700)
+
+    def test_unopenable_file_raises_io_failure(self, result, tmp_path):
+        (tmp_path / "telemetry.csv").mkdir()
+        with pytest.raises(IoFailure, match="telemetry.csv"):
+            write_run_artifacts(result, str(tmp_path))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_raises_io_failure(self, result, tmp_path):
+        os.symlink("/dev/full", tmp_path / "telemetry.csv")
+        with pytest.raises(IoFailure, match="telemetry.csv"):
+            write_run_artifacts(result, str(tmp_path))

@@ -13,11 +13,13 @@ from pipegov.core import (
     classify_delta,
     schema_delta,
 )
+from pipegov.harness import reseed
 from pipegov.scenario import (
     FaultEvent,
     FaultKind,
     ScenarioSpec,
     UnknownPipeline,
+    arrival_trace,
     canonical_scenario,
     generate_arrivals,
     inject_faults,
@@ -28,7 +30,7 @@ from pipegov.scenario.model import ArrivalModel, BatchModel
 from pipegov.simkernel import Health, build_world, check_accounting, step
 
 import oracles
-from conftest import make_stream_pipeline
+from conftest import make_batch_pipeline, make_mini_scenario, make_stream_pipeline
 
 
 def _stream_world(fault_schedule=(), base_rate: int = 100):
@@ -92,6 +94,85 @@ class TestArrivals:
         assert list(a) != list(b)
         again = tick_rng(42, 0).poisson(100, size=5)
         assert list(a) == list(again)
+
+
+def _burst_and_batch_spec():
+    return ScenarioSpec(
+        horizon=450,
+        seed=5,
+        resource_model=ResourceModel(capacity=32, unit_price=0.5, storage_price=0.0),
+        pipelines=(make_stream_pipeline(pid="s"), make_batch_pipeline(pid="b", schedule_period=100)),
+        arrival_models={"s": ArrivalModel(base_rate=40.0, bursts=((120, 180, 4.0),))},
+        batch_models={"b": BatchModel(dataset_size=2500, schedule_period=100)},
+    )
+
+
+def _batch_only_spec():
+    return ScenarioSpec(
+        horizon=450,
+        seed=5,
+        resource_model=ResourceModel(capacity=32, unit_price=0.5, storage_price=0.0),
+        pipelines=(make_batch_pipeline(pid="b", schedule_period=70),),
+        batch_models={"b": BatchModel(dataset_size=900, schedule_period=70)},
+    )
+
+
+class TestArrivalTrace:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            pytest.param(lambda: reseed(canonical_scenario(), 1), id="canonical-seed-1"),
+            pytest.param(lambda: reseed(canonical_scenario(), 2), id="canonical-seed-2"),
+            pytest.param(_burst_and_batch_spec, id="burst-and-batch"),
+            pytest.param(_batch_only_spec, id="batch-only"),
+        ],
+    )
+    def test_every_tick_equals_a_fresh_draw(self, make_spec):
+        spec = make_spec()
+        trace = arrival_trace(spec)
+        for t in range(spec.horizon):
+            got, want = trace.at(t), generate_arrivals(spec, t)
+            assert got == want, t
+            assert list(got) == list(want), t
+
+    def test_ticks_outside_the_horizon_are_rejected(self):
+        trace = arrival_trace(_burst_and_batch_spec())
+        for t in (-1, 450):
+            with pytest.raises(IndexError):
+                trace.at(t)
+
+    def test_reseeding_misses_the_memo(self):
+        spec = make_mini_scenario(horizon=50, seed=7)
+        other = reseed(spec, 8)
+        seeds_drawn = []
+
+        def counting(s, t):
+            seeds_drawn.append(s.seed)
+            return generate_arrivals(s, t)
+
+        arrival_trace(other, counting)
+        seeds_drawn.clear()
+        trace = arrival_trace(spec, counting)
+        assert seeds_drawn == [7] * 50
+        assert arrival_trace(spec, counting) is trace
+        assert seeds_drawn == [7] * 50
+
+        reseeded = arrival_trace(other, counting)
+        assert seeds_drawn == [7] * 50 + [8] * 50
+        assert reseeded is not trace
+        for t in range(other.horizon):
+            assert reseeded.at(t) == generate_arrivals(other, t)
+
+    def test_mutating_a_returned_dict_leaves_the_trace_intact(self):
+        spec = _burst_and_batch_spec()
+        trace = arrival_trace(spec)
+        counts = trace.at(100)
+        counts["s"] += 1_000
+        counts["b"] = -1
+        counts["extra"] = 3
+        assert trace.at(100) == generate_arrivals(spec, 100)
+        arrival_trace(spec).at(100).clear()
+        assert arrival_trace(spec).at(100) == generate_arrivals(spec, 100)
 
 
 class TestUpstreamDelay:

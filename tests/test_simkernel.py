@@ -33,10 +33,10 @@ from pipegov.simkernel import (
     build_world,
     check_accounting,
     compute_tick_cost,
-    effective_rate,
     step,
 )
 from pipegov.core.schema import DropColumn, SchemaDelta
+from pipegov.simkernel.kernel import _contended_rate
 
 
 def _pipeline(pid: str = "p", base_rate: int = 10, max_alloc: int = 8, stages: int = 1) -> PipelineSpec:
@@ -66,15 +66,19 @@ def _op(kind: ActionKind, pipeline: str = "p", **kw) -> ApprovedAction:
     return ApprovedAction(action=action, decision_ref=1)
 
 
-class TestEffectiveRate:
+class TestContendedRate:
     def test_uncontended(self):
-        assert effective_rate(10, 4, 1.0) == 40
+        assert _contended_rate(10, 4, 64, 64) == 40
 
     def test_contention_factor_floors(self):
-        assert effective_rate(10, 4, 0.8) == 32
+        # 64 units of capacity against 80 busy: factor 0.8.
+        assert _contended_rate(10, 4, 64, 80) == 32
+        # 2560 * 64 / 96 = 26.67 rounds down.
+        assert _contended_rate(10, 4, 64, 96) == 26
 
     def test_zero_alloc_means_zero_rate(self):
-        assert effective_rate(10, 0, 1.0) == 0
+        assert _contended_rate(10, 0, 64, 0) == 0
+        assert _contended_rate(10, 0, 64, 80) == 0
 
 
 class TestStepProcessing:
