@@ -19,6 +19,14 @@ One chassis serves both controller modes. Every tick it:
 The static baseline is therefore literally this class with the agent
 set empty: identical detection, identical fallback, identical policy
 gate, identical audit trail.
+
+The audit log is the only record of what happened; the per-tick
+ControlReport carries just the proposals and anomaly flags. Bookkeeping
+for each open incident (who claims it, which remedies policy denied,
+retry budget, last applied remedy, pending approval, pre-delay ingress
+baseline) lives in one record that is created when the incident opens
+and dropped when it closes, so nothing carries over to the next
+incident on the same pipeline.
 """
 
 from __future__ import annotations
@@ -43,9 +51,20 @@ from ..simkernel.kernel import (
     InvalidTarget,
     apply_action,
 )
-from ..simkernel.world import Health, SimWorld, TickReport
+from ..simkernel.world import (
+    Health,
+    PipelineSample,
+    SimWorld,
+    TelemetrySnapshot,
+    TickReport,
+)
 from ..telemetry.audit import AuditLog
-from ..telemetry.incidents import CLUSTER_PIPELINE, IncidentClass, IncidentRegistry
+from ..telemetry.incidents import (
+    CLUSTER_PIPELINE,
+    Incident,
+    IncidentClass,
+    IncidentRegistry,
+)
 from ..telemetry.metrics import MetricStore, UnknownSeries
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
 from .bundle import CandidateAction, ObservationBundle, OutcomeMemory
@@ -65,6 +84,13 @@ AGENT_PHASES = (
 
 _OPERATOR_CLAIM = "operator"
 
+# Kernel failure events that open (or re-mark as failed) an incident.
+_FAILURE_CLASSES = {
+    "task_failure": IncidentClass.TRANSIENT_TASK_FAILURE,
+    "missing_input": IncidentClass.UPSTREAM_DELAY,
+    "schema_drift": IncidentClass.SCHEMA_INCOMPATIBLE,
+}
+
 
 @dataclass(frozen=True)
 class OperatorModel:
@@ -76,9 +102,18 @@ class OperatorModel:
 
 
 @dataclass
-class _RetryState:
-    used: int = 0
-    next_at: int = 0
+class _IncidentControl:
+    """The controller's bookkeeping for one open incident."""
+
+    claim: str | None = None  # actor value, or _OPERATOR_CLAIM
+    denied: set[str] = field(default_factory=set)  # action kinds policy denied
+    failed: bool = False  # a task failed; the retry fallback may act
+    retries_used: int = 0
+    retry_next_at: int = 0
+    last_applied: str | None = None  # action kind; the resolution on close
+    last_action_tick: int | None = None
+    approval_pending: bool = False
+    delay_baseline: float | None = None  # ingress EWMA when an UpstreamDelay opened
 
 
 @dataclass(frozen=True)
@@ -102,10 +137,7 @@ class ControlReport:
 
     tick: int
     proposals: tuple[ProposedAction, ...]
-    outcomes: tuple[dict, ...]
     flags: tuple[AnomalyFlag, ...]
-    opened: tuple[str, ...]
-    closed: tuple[str, ...]
     interventions_total: int
 
 
@@ -137,18 +169,10 @@ class Controller:
         self._builtin = BuiltinBackend()
         self._detector = AnomalyDetector()
         self._action_seq = 0
-        self._seen_incidents: set[str] = set()
-        self._claims: dict[str, str] = {}
-        self._denied: dict[str, set[str]] = {}
-        self._failed: set[str] = set()
-        self._retries: dict[str, _RetryState] = {}
-        self._last_applied: dict[str, str] = {}
-        self._last_action_tick: dict[str, int] = {}
-        self._approval_pending: set[str] = set()
+        self._incidents: dict[str, _IncidentControl] = {}  # open incidents only
         self._approvals: list[_PendingApproval] = []
         self._operator_tasks: list[_OperatorTask] = []
         self._ingress_ewma: dict[str, float] = {}
-        self._delay_baseline: dict[str, float] = {}
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
@@ -165,43 +189,40 @@ class Controller:
     ) -> ControlReport:
         """Run one control cycle. Called after fault injection, before step."""
 
-        outcomes: list[dict] = []
         flags: list[AnomalyFlag] = []
-        opened: list[str] = []
-        closed: list[str] = []
         proposals: list[ProposedAction] = []
 
         if prev_report is not None:
             self._fold_statistics(prev_report)
 
-        self._run_due_approvals(world, t, outcomes)
-        self._run_due_operator_tasks(world, t, outcomes)
-        self._detect(world, t, applied_faults, prev_report, opened, outcomes)
-        self._close_matured(world, t, prev_report, closed, outcomes)
+        self._run_due_approvals(world, t)
+        self._run_due_operator_tasks(world, t)
+        self._detect(world, t, applied_faults, prev_report)
+        self._close_matured(world, t, prev_report)
 
         if self.agents_enabled:
-            flags.extend(self._monitoring_phase(t, prev_report, outcomes))
-            parts = self._bundle_parts(world, t, prev_report, applied_faults)
+            if prev_report is None:
+                snapshot = _zero_snapshot(world)
+            else:
+                snapshot = prev_report.snapshot.to_dict()
+                flags = self._monitoring_phase(t, snapshot)
+            parts = self._bundle_parts(world, t, snapshot, applied_faults)
             for actor in AGENT_PHASES[1:]:
                 bundle = self._build_bundle(t, actor, parts)
-                candidates = self._decide(bundle, outcomes)
-                for candidate in candidates:
-                    action = self._screen_candidate(world, t, actor, candidate, outcomes)
+                for candidate in self._decide(bundle):
+                    action = self._screen_candidate(world, t, actor, candidate)
                     if action is not None:
                         proposals.append(action)
 
-        self._fallback_sweep(world, t, proposals, outcomes)
+        self._fallback_sweep(world, t, proposals)
 
         for action in proposals:
-            self._validate_and_execute(world, t, action, outcomes)
+            self._validate_and_execute(world, t, action)
 
         return ControlReport(
             tick=t,
             proposals=tuple(proposals),
-            outcomes=tuple(outcomes),
             flags=tuple(flags),
-            opened=tuple(opened),
-            closed=tuple(closed),
             interventions_total=self.interventions,
         )
 
@@ -232,24 +253,25 @@ class Controller:
     # incident detection and closure
 
     def _note_incident(
-        self,
-        incident_id: str,
-        opened: list[str],
-        outcomes: list[dict],
-        t: int,
-    ) -> None:
-        if incident_id in self._seen_incidents:
-            return
-        self._seen_incidents.add(incident_id)
-        incident = self.registry.get(incident_id)
+        self, pipeline: str, incident_class: IncidentClass, t: int
+    ) -> _IncidentControl:
+        """Open (or coalesce into) an incident and return its control record."""
+
+        incident = self.registry.open_incident(pipeline, incident_class, t)
+        record = self._incidents.get(incident.id)
+        if record is not None:
+            return record
+        record = _IncidentControl()
+        if incident_class is IncidentClass.UPSTREAM_DELAY:
+            record.delay_baseline = self._ingress_ewma.get(pipeline, 0.0)
+        self._incidents[incident.id] = record
         payload = {
             "kind": "outcome",
             "event": "incident_opened",
             "incident": incident.to_dict(),
         }
         self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
-        outcomes.append(payload)
-        opened.append(incident_id)
+        return record
 
     def _detect(
         self,
@@ -257,58 +279,31 @@ class Controller:
         t: int,
         applied_faults: list[FaultEvent],
         prev_report: TickReport | None,
-        opened: list[str],
-        outcomes: list[dict],
     ) -> None:
         for event in applied_faults:
             if event.kind is FaultKind.SCHEMA_DRIFT:
-                pipeline = world.pipelines[event.pipeline]
-                if pipeline.pending_drift is not None:
-                    inc = self.registry.open_incident(
+                if world.pipelines[event.pipeline].pending_drift is not None:
+                    self._note_incident(
                         event.pipeline, IncidentClass.SCHEMA_INCOMPATIBLE, t
                     )
-                    self._note_incident(inc.id, opened, outcomes, t)
             elif event.kind is FaultKind.UPSTREAM_DELAY:
-                inc = self.registry.open_incident(
-                    event.pipeline, IncidentClass.UPSTREAM_DELAY, t
-                )
-                self._delay_baseline.setdefault(
-                    inc.id, self._ingress_ewma.get(event.pipeline, 0.0)
-                )
-                self._note_incident(inc.id, opened, outcomes, t)
+                self._note_incident(event.pipeline, IncidentClass.UPSTREAM_DELAY, t)
             elif event.kind is FaultKind.RESOURCE_CONTENTION:
-                inc = self.registry.open_incident(
+                self._note_incident(
                     CLUSTER_PIPELINE, IncidentClass.RESOURCE_CONTENTION, t
                 )
-                self._note_incident(inc.id, opened, outcomes, t)
             elif event.kind is FaultKind.TRANSIENT_TASK_FAILURE:
-                inc = self.registry.open_incident(
+                self._note_incident(
                     event.pipeline, IncidentClass.TRANSIENT_TASK_FAILURE, t
-                )
-                self._failed.add(inc.id)
-                self._note_incident(inc.id, opened, outcomes, t)
+                ).failed = True
 
         if prev_report is None:
             return
 
         for failure in prev_report.failures:
-            pid = failure["pipeline"]
-            kind = failure["kind"]
-            if kind == "task_failure":
-                inc = self.registry.open_incident(
-                    pid, IncidentClass.TRANSIENT_TASK_FAILURE, t
-                )
-            elif kind == "missing_input":
-                inc = self.registry.open_incident(pid, IncidentClass.UPSTREAM_DELAY, t)
-                self._delay_baseline.setdefault(inc.id, self._ingress_ewma.get(pid, 0.0))
-            elif kind == "schema_drift":
-                inc = self.registry.open_incident(
-                    pid, IncidentClass.SCHEMA_INCOMPATIBLE, t
-                )
-            else:
-                continue
-            self._failed.add(inc.id)
-            self._note_incident(inc.id, opened, outcomes, t)
+            incident_class = _FAILURE_CLASSES.get(failure["kind"])
+            if incident_class is not None:
+                self._note_incident(failure["pipeline"], incident_class, t).failed = True
 
         tolerance = self.policy.freshness.breach_tolerance
         for pid, sample in prev_report.snapshot.pipelines.items():
@@ -316,22 +311,16 @@ class Controller:
             if target is None:
                 continue
             if sample.freshness_lag > target + tolerance:
-                inc = self.registry.open_incident(pid, IncidentClass.FRESHNESS_BREACH, t)
-                self._note_incident(inc.id, opened, outcomes, t)
+                self._note_incident(pid, IncidentClass.FRESHNESS_BREACH, t)
 
     def _close_matured(
-        self,
-        world: SimWorld,
-        t: int,
-        prev_report: TickReport | None,
-        closed: list[str],
-        outcomes: list[dict],
+        self, world: SimWorld, t: int, prev_report: TickReport | None
     ) -> None:
         prev_snap = prev_report.snapshot if prev_report is not None else None
         for incident in list(self.registry.open_incidents()):
             if incident.detected_tick >= t:
                 continue
-            cls = IncidentClass(incident.incident_class)
+            cls = incident.incident_class
             done = False
             if cls is IncidentClass.SCHEMA_INCOMPATIBLE:
                 p = world.pipelines[incident.pipeline]
@@ -356,7 +345,7 @@ class Controller:
                     done = prev_snap.pipelines[incident.pipeline].freshness_lag <= target
             if not done:
                 continue
-            resolution = self._last_applied.get(incident.id)
+            resolution = self._incidents.pop(incident.id).last_applied
             self.registry.close_incident(incident.id, t, resolution)
             duration = t - incident.detected_tick
             if resolution is not None:
@@ -367,38 +356,18 @@ class Controller:
                 "incident": incident.to_dict(),
             }
             self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
-            outcomes.append(payload)
-            closed.append(incident.id)
-            self._forget_incident(incident.id)
-
-    def _forget_incident(self, incident_id: str) -> None:
-        self._claims.pop(incident_id, None)
-        self._denied.pop(incident_id, None)
-        self._failed.discard(incident_id)
-        self._retries.pop(incident_id, None)
-        self._last_applied.pop(incident_id, None)
-        self._last_action_tick.pop(incident_id, None)
-        self._approval_pending.discard(incident_id)
-        self._delay_baseline.pop(incident_id, None)
 
     # ------------------------------------------------------------------
     # agent phases
 
-    def _monitoring_phase(
-        self, t: int, prev_report: TickReport | None, outcomes: list[dict]
-    ) -> list[AnomalyFlag]:
-        if prev_report is None:
-            return []
-        flags = self._detector.observe_snapshot(t, prev_report.snapshot.to_dict())
+    def _monitoring_phase(self, t: int, snapshot: dict) -> list[AnomalyFlag]:
+        flags = self._detector.observe_snapshot(t, snapshot)
         for flag in flags:
             payload = {"kind": "outcome", "event": "anomaly_flag", "flag": flag.to_dict()}
             self.audit.append(t, Actor.MONITORING_AGENT, payload, self.policy.version)
-            outcomes.append(payload)
         return flags
 
-    def _decide(
-        self, bundle: ObservationBundle, outcomes: list[dict]
-    ) -> list[CandidateAction]:
+    def _decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
         try:
             candidates = self.backend.decide(bundle)
             if not isinstance(candidates, list) or not all(
@@ -414,16 +383,10 @@ class Controller:
                 "error": str(exc),
             }
             self.audit.append(bundle.tick, Actor.POLICY_ENGINE, payload, self.policy.version)
-            outcomes.append(payload)
             return self._builtin.decide(bundle)
 
     def _screen_candidate(
-        self,
-        world: SimWorld,
-        t: int,
-        actor: Actor,
-        candidate: CandidateAction,
-        outcomes: list[dict],
+        self, world: SimWorld, t: int, actor: Actor, candidate: CandidateAction
     ) -> ProposedAction | None:
         def violation(reason: str) -> None:
             payload = {
@@ -434,7 +397,6 @@ class Controller:
                 "error": reason,
             }
             self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
-            outcomes.append(payload)
 
         try:
             kind = ActionKind(candidate.kind)
@@ -450,12 +412,15 @@ class Controller:
         if kind in SCALING_KINDS and candidate.delta_units <= 0:
             violation("scaling candidate requires positive delta_units")
             return None
-        incident_id = candidate.incident_id
-        if incident_id is not None:
-            owner = self._claims.get(incident_id)
-            if owner not in (None, actor.value):
+        record = None
+        if candidate.incident_id is not None:
+            record = self._incidents.get(candidate.incident_id)
+            if record is None:
+                violation(f"no open incident {candidate.incident_id!r}")
+                return None
+            if record.claim not in (None, actor.value):
                 return None  # someone else is already handling it
-            if kind.value in self._denied.get(incident_id, set()):
+            if kind.value in record.denied:
                 return None  # policy already denied this remedy
         action = self._next_action(
             t,
@@ -467,10 +432,10 @@ class Controller:
             delta_units=candidate.delta_units,
             condition=candidate.condition,
             justification=candidate.rationale,
-            incident_id=incident_id,
+            incident_id=candidate.incident_id,
         )
-        if incident_id is not None:
-            self._claims[incident_id] = actor.value
+        if record is not None:
+            record.claim = actor.value
         return action
 
     def _next_action(
@@ -506,34 +471,31 @@ class Controller:
     # fallback: bounded retries, then a human
 
     def _fallback_sweep(
-        self, world: SimWorld, t: int, proposals: list[ProposedAction], outcomes: list[dict]
+        self, world: SimWorld, t: int, proposals: list[ProposedAction]
     ) -> None:
         for incident in self.registry.open_incidents():
-            owner = self._claims.get(incident.id)
-            cls = IncidentClass(incident.incident_class)
+            record = self._incidents[incident.id]
+            cls = incident.incident_class
             if cls is IncidentClass.SCHEMA_INCOMPATIBLE:
-                if owner is None:
-                    self._enqueue_operator_task(
-                        t, ActionKind.RESUME, incident.pipeline, incident.id, outcomes
-                    )
+                if record.claim is None:
+                    self._enqueue_operator_task(t, ActionKind.RESUME, incident, record)
             elif cls in (
                 IncidentClass.TRANSIENT_TASK_FAILURE,
                 IncidentClass.UPSTREAM_DELAY,
             ):
-                if incident.id not in self._failed:
+                if not record.failed:
                     continue
-                if owner not in (None, Actor.BASELINE.value):
+                if record.claim not in (None, Actor.BASELINE.value):
                     continue
                 pipeline = world.pipelines[incident.pipeline]
                 if pipeline.health is not Health.FAILING:
                     continue
-                state = self._retries.setdefault(incident.id, _RetryState(next_at=t))
-                if t < state.next_at:
+                if t < record.retry_next_at:
                     continue
-                if state.used < self.operator.max_retries:
-                    state.used += 1
-                    state.next_at = t + self.operator.retry_backoff
-                    self._claims[incident.id] = Actor.BASELINE.value
+                if record.retries_used < self.operator.max_retries:
+                    record.retries_used += 1
+                    record.retry_next_at = t + self.operator.retry_backoff
+                    record.claim = Actor.BASELINE.value
                     proposals.append(
                         self._next_action(
                             t,
@@ -541,42 +503,35 @@ class Controller:
                             ActionKind.REPLAY,
                             incident.pipeline,
                             justification=(
-                                f"automatic retry {state.used}/{self.operator.max_retries}"
+                                f"automatic retry {record.retries_used}"
+                                f"/{self.operator.max_retries}"
                             ),
                             incident_id=incident.id,
                         )
                     )
                 else:
-                    self._enqueue_operator_task(
-                        t, ActionKind.REPLAY, incident.pipeline, incident.id, outcomes
-                    )
+                    self._enqueue_operator_task(t, ActionKind.REPLAY, incident, record)
 
     def _enqueue_operator_task(
-        self,
-        t: int,
-        kind: ActionKind,
-        pipeline: str,
-        incident_id: str,
-        outcomes: list[dict],
+        self, t: int, kind: ActionKind, incident: Incident, record: _IncidentControl
     ) -> None:
         due = t + self.operator.operator_delay
-        self._operator_tasks.append(_OperatorTask(due, kind, pipeline, incident_id))
-        self._claims[incident_id] = _OPERATOR_CLAIM
+        self._operator_tasks.append(
+            _OperatorTask(due, kind, incident.pipeline, incident.id)
+        )
+        record.claim = _OPERATOR_CLAIM
         self.interventions += 1
         payload = {
             "kind": "outcome",
             "event": "operator_task_enqueued",
-            "incident_id": incident_id,
-            "pipeline": pipeline,
+            "incident_id": incident.id,
+            "pipeline": incident.pipeline,
             "fix": kind.value,
             "due_tick": due,
         }
         self.audit.append(t, Actor.OPERATOR, payload, self.policy.version)
-        outcomes.append(payload)
 
-    def _run_due_operator_tasks(
-        self, world: SimWorld, t: int, outcomes: list[dict]
-    ) -> None:
+    def _run_due_operator_tasks(self, world: SimWorld, t: int) -> None:
         due = [task for task in self._operator_tasks if task.due <= t]
         if not due:
             return
@@ -593,12 +548,12 @@ class Controller:
                 justification="scheduled operator intervention",
                 incident_id=task.incident_id,
             )
-            self._validate_and_execute(world, t, action, outcomes)
+            self._validate_and_execute(world, t, action)
 
     # ------------------------------------------------------------------
     # approvals
 
-    def _run_due_approvals(self, world: SimWorld, t: int, outcomes: list[dict]) -> None:
+    def _run_due_approvals(self, world: SimWorld, t: int) -> None:
         due = [appr for appr in self._approvals if appr.due <= t]
         if not due:
             return
@@ -614,10 +569,11 @@ class Controller:
                 "citations": ["actions.approval_required"],
                 "explanation": "operator approval granted after review delay",
             }
-            record = self.audit.append(t, Actor.OPERATOR, grant, self.policy.version)
-            if action.incident_id is not None:
-                self._approval_pending.discard(action.incident_id)
-            self._apply(world, t, action, record.seq, outcomes)
+            granted = self.audit.append(t, Actor.OPERATOR, grant, self.policy.version)
+            record = self._incidents.get(action.incident_id)
+            if record is not None:  # None once the incident has closed
+                record.approval_pending = False
+            self._apply(world, t, action, granted.seq)
 
     # ------------------------------------------------------------------
     # validation and execution
@@ -675,7 +631,7 @@ class Controller:
         )
 
     def _validate_and_execute(
-        self, world: SimWorld, t: int, action: ProposedAction, outcomes: list[dict]
+        self, world: SimWorld, t: int, action: ProposedAction
     ) -> None:
         proposal_payload = {"kind": "proposal", "action": action.to_dict()}
         self.audit.append(t, action.agent, proposal_payload, self.policy.version)
@@ -691,31 +647,26 @@ class Controller:
             "citations": list(decision.rule_citations),
             "explanation": decision.explanation,
         }
-        record = self.audit.append(t, Actor.POLICY_ENGINE, decision_payload, self.policy.version)
+        decided = self.audit.append(t, Actor.POLICY_ENGINE, decision_payload, self.policy.version)
 
+        record = self._incidents.get(action.incident_id)
         if decision.verdict is Verdict.ALLOW:
-            self._apply(world, t, action, record.seq, outcomes)
+            self._apply(world, t, action, decided.seq)
         elif decision.verdict is Verdict.REQUIRE_APPROVAL:
             self._approvals.append(
-                _PendingApproval(t + self.operator.operator_delay, action, record.seq)
+                _PendingApproval(t + self.operator.operator_delay, action, decided.seq)
             )
             self.interventions += 1
-            if action.incident_id is not None:
-                self._approval_pending.add(action.incident_id)
-                self._claims[action.incident_id] = action.agent.value
-        else:  # Deny
-            if action.incident_id is not None:
-                self._denied.setdefault(action.incident_id, set()).add(action.kind.value)
-                if self._claims.get(action.incident_id) == action.agent.value:
-                    del self._claims[action.incident_id]
+            if record is not None:
+                record.approval_pending = True
+                record.claim = action.agent.value
+        elif record is not None:  # Deny
+            record.denied.add(action.kind.value)
+            if record.claim == action.agent.value:
+                record.claim = None
 
     def _apply(
-        self,
-        world: SimWorld,
-        t: int,
-        action: ProposedAction,
-        decision_ref: int,
-        outcomes: list[dict],
+        self, world: SimWorld, t: int, action: ProposedAction, decision_ref: int
     ) -> None:
         try:
             result = apply_action(world, ApprovedAction(action, decision_ref))
@@ -730,51 +681,26 @@ class Controller:
             "result": result.to_dict(),
         }
         self.audit.append(t, action.agent, payload, self.policy.version)
-        outcomes.append(payload)
 
-        incident_id = action.incident_id
+        # None when there is no incident, or an approval landed after it closed.
+        record = self._incidents.get(action.incident_id)
         if result.applied:
             if action.kind in SCALING_KINDS:
                 self._alloc_changed_at[action.pipeline] = t
-            if incident_id is not None:
-                incident = self.registry.get(incident_id)
+            if action.incident_id is not None:
+                incident = self.registry.get(action.incident_id)
                 self.memory.record_attempt(
-                    IncidentClass(incident.incident_class).value, action.kind.value
+                    incident.incident_class.value, action.kind.value
                 )
-                self._last_applied[incident_id] = action.kind.value
-                self._last_action_tick[incident_id] = t
-                self._claims[incident_id] = action.agent.value
-        elif incident_id is not None:
-            if self._claims.get(incident_id) == action.agent.value:
-                del self._claims[incident_id]
+            if record is not None:
+                record.last_applied = action.kind.value
+                record.last_action_tick = t
+                record.claim = action.agent.value
+        elif record is not None and record.claim == action.agent.value:
+            record.claim = None
 
     # ------------------------------------------------------------------
     # observation bundles
-
-    def _zero_snapshot(self, world: SimWorld) -> dict:
-        capacity = world.effective_capacity(world.tick)
-        pipelines = {}
-        for pid in sorted(world.pipelines):
-            p = world.pipelines[pid]
-            pipelines[pid] = {
-                "queue_depth": 0,
-                "effective_rate": 0,
-                "freshness_lag": 0,
-                "failure_count": 0,
-                "utilization": 0.0,
-                "allocation": p.allocation_total(),
-                "ingress": 0,
-                "health": p.health.value,
-                "suppressed": False,
-            }
-        return {
-            "tick": -1,
-            "pipelines": pipelines,
-            "total_cost": 0.0,
-            "capacity": capacity,
-            "capacity_headroom": capacity,
-            "contention_factor": 1.0,
-        }
 
     def _series_window(self, pid: str, name: str, window: int) -> list[float]:
         try:
@@ -786,30 +712,25 @@ class Controller:
         self,
         world: SimWorld,
         t: int,
-        prev_report: TickReport | None,
+        snapshot: dict,
         applied_faults: list[FaultEvent],
     ) -> dict:
         """Assemble the per-tick observation state shared by every agent."""
 
-        snapshot = (
-            prev_report.snapshot.to_dict()
-            if prev_report is not None
-            else self._zero_snapshot(world)
-        )
-
         delay_by_pipeline: dict[str, dict] = {}
         incidents: list[dict] = []
         for incident in self.registry.open_incidents():
+            record = self._incidents[incident.id]
             view = incident.to_dict()
-            view["claimed_by"] = self._claims.get(incident.id)
-            view["approval_pending"] = incident.id in self._approval_pending
-            view["failed"] = incident.id in self._failed
-            view["last_action_tick"] = self._last_action_tick.get(incident.id)
+            view["claimed_by"] = record.claim
+            view["approval_pending"] = record.approval_pending
+            view["failed"] = record.failed
+            view["last_action_tick"] = record.last_action_tick
             incidents.append(view)
-            if incident.incident_class == IncidentClass.UPSTREAM_DELAY.value:
-                baseline = self._delay_baseline.get(incident.id)
-                if baseline is not None:
-                    delay_by_pipeline[incident.pipeline] = {"baseline_ingress": baseline}
+            if record.delay_baseline is not None:
+                delay_by_pipeline[incident.pipeline] = {
+                    "baseline_ingress": record.delay_baseline
+                }
 
         pipelines: dict[str, dict] = {}
         series: dict[str, dict[str, list[float]]] = {}
@@ -897,3 +818,31 @@ class Controller:
             memory=parts["memory"],
             faults=parts["faults"],
         )
+
+
+def _zero_snapshot(world: SimWorld) -> dict:
+    """The snapshot agents see before the first step: no traffic, no cost."""
+
+    capacity = world.effective_capacity(world.tick)
+    samples = {
+        pid: PipelineSample(
+            queue_depth=0,
+            effective_rate=0,
+            freshness_lag=0,
+            failure_count=0,
+            utilization=0.0,
+            allocation=p.allocation_total(),
+            ingress=0,
+            health=p.health.value,
+            suppressed=False,
+        )
+        for pid, p in world.pipelines.items()
+    }
+    return TelemetrySnapshot(
+        tick=-1,
+        pipelines=samples,
+        total_cost=0.0,
+        capacity=capacity,
+        capacity_headroom=capacity,
+        contention_factor=1.0,
+    ).to_dict()

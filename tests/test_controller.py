@@ -453,6 +453,12 @@ class TestBackendScreening:
                 {"kind": "QuarantinePartition", "pipeline": "stream-a", "partition": "x"},
                 {"kind": "ScaleUp", "pipeline": "ghost", "delta_units": 1},
                 {"kind": "ScaleUp", "pipeline": "stream-a"},
+                {
+                    "kind": "ScaleUp",
+                    "pipeline": "stream-a",
+                    "delta_units": 1,
+                    "incident_id": "INC-9999",
+                },
             ]
         }
         path = tmp_path / "script.json"
@@ -462,11 +468,12 @@ class TestBackendScreening:
         controls = _drive(spec, world, loop, 3)
 
         violations = [e.payload["error"] for e in _events(loop, "backend_violation")]
-        assert len(violations) == 4
+        assert len(violations) == 5
         assert any("Teleport" in v for v in violations)
         assert any("may not emit QuarantinePartition" in v for v in violations)
         assert any("unknown pipeline 'ghost'" in v for v in violations)
         assert any("positive delta_units" in v for v in violations)
+        assert any("no open incident 'INC-9999'" in v for v in violations)
         assert _proposals(controls) == []
         for stage in world.pipelines["stream-a"].stages.values():
             assert stage.alloc == 1
@@ -511,6 +518,121 @@ class TestBackendScreening:
         violations = [e.payload["error"] for e in _events(loop, "backend_violation")]
         assert violations
         assert all("not a list" in v for v in violations)
+
+
+class TestIncidentState:
+    def test_second_incident_on_a_pipeline_starts_clean(self, tmp_path):
+        # Defer is stripped from the recovery agent, so each scripted Defer
+        # is denied and the incident is left to the retry fallback.
+        policy = _policy(**{"actions.allow_list.RecoveryAgent": [
+            "Replay", "Rollback", "PartialRecompute", "Resume",
+        ]})
+        script = {
+            f"{tick}:RecoveryAgent": [
+                {"kind": "Defer", "pipeline": "stream-a", "incident_id": incident_id}
+            ]
+            for tick, incident_id in ((1, "INC-0001"), (20, "INC-0002"))
+        }
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        spec = make_mini_scenario(
+            faults=[
+                FaultEvent(
+                    tick=tick,
+                    kind=FaultKind.TRANSIENT_TASK_FAILURE,
+                    pipeline="stream-a",
+                    stage="ingest",
+                )
+                for tick in (1, 20)
+            ]
+        )
+        world, loop = _make(
+            spec,
+            policy,
+            agents=True,
+            backend=StubBackend(str(path)),
+            operator=OperatorModel(3, 5, 100),
+        )
+        controls = _drive(spec, world, loop, 24)
+
+        first, second = _incidents(loop, "TransientTaskFailure")
+        assert (first.id, second.id) == ("INC-0001", "INC-0002")
+        assert first.resumed_tick == 8
+        assert first.resolution == "Replay"
+        assert second.open
+
+        # The second Defer reaches the policy gate, so INC-0002 was neither
+        # claimed by the first incident's retrier nor carrying its denial.
+        # Each denial releases the agent's claim only after that tick's
+        # sweep, so retries start one tick after detection.
+        denies = _decisions(loop, "Deny")
+        assert [(d.tick, d.payload["action"]["incident_id"]) for d in denies] == [
+            (1, "INC-0001"),
+            (20, "INC-0002"),
+        ]
+        retries = [
+            (a.tick, a.incident_id, a.justification)
+            for a in _proposals(controls, ActionKind.REPLAY)
+        ]
+        assert retries == [
+            (2, "INC-0001", "automatic retry 1/3"),
+            (7, "INC-0001", "automatic retry 2/3"),
+            (21, "INC-0002", "automatic retry 1/3"),
+        ]
+        record = loop._incidents["INC-0002"]
+        assert record.denied == {"Defer"}
+        assert record.retries_used == 1
+        assert loop._incidents.keys() == {i.id for i in loop.registry.open_incidents()}
+
+    def test_approval_granted_after_close_counts_without_a_record(self, tmp_path):
+        policy = _policy(
+            **{"actions.approval_required": [{"kind": "ScaleUp", "tag": "regulated"}]}
+        )
+        script = {
+            "4:OptimizationAgent": [
+                {
+                    "kind": "ScaleUp",
+                    "pipeline": "stream-a",
+                    "delta_units": 1,
+                    "incident_id": "INC-0001",
+                }
+            ]
+        }
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        spec = make_mini_scenario(
+            faults=[
+                FaultEvent(
+                    tick=3,
+                    kind=FaultKind.UPSTREAM_DELAY,
+                    pipeline="stream-a",
+                    delay_ticks=15,
+                    missing_fraction=0.0,
+                )
+            ],
+            stream_tags=("regulated",),
+        )
+        world, loop = _make(
+            spec,
+            policy,
+            agents=True,
+            backend=StubBackend(str(path)),
+            operator=OperatorModel(3, 5, 40),
+        )
+        _drive(spec, world, loop, 46, arrivals_fn=lambda t: {"stream-a": 15})
+
+        incident = _incidents(loop, "UpstreamDelay")[0]
+        assert incident.resumed_tick == 28
+        assert incident.resolution is None
+        applied = [
+            e.tick
+            for e in _events(loop, "action_outcome")
+            if e.payload["result"]["status"] == "applied"
+        ]
+        assert applied == [44]  # request tick 4 + operator delay 40
+        cell = loop.memory.stats("UpstreamDelay", "ScaleUp")
+        assert (cell.attempts, cell.successes) == (1, 0)
+        assert loop._incidents == {}
 
 
 class TestMonitoring:
