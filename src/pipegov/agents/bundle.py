@@ -84,6 +84,14 @@ class ObservationBundle:
     ``series`` carries short per-pipeline metric windows (newest last)::
 
         {pipeline_id: {"utilization": [...], "ingress": [...]}}
+
+    They hold the last 30 utilization and the last 20 ingress samples
+    through the previous tick: the values the runner records into its
+    MetricStore, kept by the controller in rolling windows as it folds
+    each tick's report. Both lists are empty before the first report.
+
+    The agents of one tick share every container except ``policy``; no
+    container is handed to a backend on two ticks.
     """
 
     tick: int

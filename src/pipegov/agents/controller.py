@@ -20,6 +20,15 @@ The static baseline is therefore literally this class with the agent
 set empty: identical detection, identical fallback, identical policy
 gate, identical audit trail.
 
+Observation state is kept incrementally. Folding the previous tick's
+report feeds each pipeline's rolling utilization and ingress windows
+(agentic mode only), and the spec fields and policy action lists agents
+see are resolved once per run. Each tick's bundles are then
+built in fresh containers from these, the world and the open incidents:
+a backend that changes its bundle changes nothing the controller keeps
+or a later tick shows. The agents of one tick share every container but
+their policy view.
+
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. Bookkeeping
 for each open incident (who claims it, which remedies policy denied,
@@ -31,6 +40,7 @@ incident on the same pipeline.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..core.actions import (
@@ -54,6 +64,7 @@ from ..simkernel.kernel import (
 from ..simkernel.world import (
     Health,
     PipelineSample,
+    PipelineState,
     SimWorld,
     TelemetrySnapshot,
     TickReport,
@@ -65,7 +76,6 @@ from ..telemetry.incidents import (
     IncidentClass,
     IncidentRegistry,
 )
-from ..telemetry.metrics import MetricStore, UnknownSeries
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
 from .bundle import CandidateAction, ObservationBundle, OutcomeMemory
 from .monitoring import AnomalyDetector, AnomalyFlag
@@ -116,6 +126,41 @@ class _IncidentControl:
     delay_baseline: float | None = None  # ingress EWMA when an UpstreamDelay opened
 
 
+@dataclass
+class _SeriesWindows:
+    """One pipeline's recent samples, newest last, through the previous tick."""
+
+    utilization: deque[float] = field(
+        default_factory=lambda: deque(maxlen=UTILIZATION_WINDOW)
+    )
+    ingress: deque[float] = field(default_factory=lambda: deque(maxlen=INGRESS_WINDOW))
+
+
+@dataclass(frozen=True)
+class _PipelineView:
+    """The spec fields agents see of one pipeline; fixed for a run."""
+
+    head: dict  # kind, criticality, freshness_target
+    tags: tuple[str, ...]
+    stages: tuple[tuple[str, int, int, int], ...]  # (id, min_alloc, max_alloc, base_rate)
+
+    @classmethod
+    def of(cls, p: PipelineState) -> "_PipelineView":
+        spec = p.spec
+        return cls(
+            head={
+                "kind": spec.kind.value,
+                "criticality": spec.criticality,
+                "freshness_target": spec.freshness_target,
+            },
+            tags=tuple(spec.tags),
+            stages=tuple(
+                (sid, st.spec.min_alloc, st.spec.max_alloc, st.spec.base_rate)
+                for sid, st in p.stages.items()
+            ),
+        )
+
+
 @dataclass(frozen=True)
 class _PendingApproval:
     due: int
@@ -150,7 +195,6 @@ class Controller:
         resource_model: ResourceModel,
         audit: AuditLog,
         registry: IncidentRegistry,
-        store: MetricStore,
         backend: ReasoningBackend | None = None,
         agents_enabled: bool = False,
         operator: OperatorModel | None = None,
@@ -159,7 +203,6 @@ class Controller:
         self.resource_model = resource_model
         self.audit = audit
         self.registry = registry
-        self.store = store
         self.agents_enabled = agents_enabled
         self.backend: ReasoningBackend = backend or BuiltinBackend()
         self.operator = operator or OperatorModel()
@@ -176,6 +219,14 @@ class Controller:
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
+        # Agent observation state; static mode keeps none of it.
+        self._windows: dict[str, _SeriesWindows] = {}
+        self._pipeline_views: dict[str, _PipelineView] | None = None  # first agentic tick
+        self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
+        self._allowed_kinds = {
+            actor: tuple(k.value for k in policy.actions.allowed_for(actor))
+            for actor in AGENT_PHASES
+        }
 
     # ------------------------------------------------------------------
     # main entry points
@@ -248,6 +299,12 @@ class Controller:
             else:
                 mu = self._ingress_ewma[pid]
                 self._ingress_ewma[pid] = mu + INGRESS_EWMA_ALPHA * (value - mu)
+            if self.agents_enabled:
+                windows = self._windows.get(pid)
+                if windows is None:
+                    windows = self._windows[pid] = _SeriesWindows()
+                windows.utilization.append(float(sample.utilization))
+                windows.ingress.append(value)
 
     # ------------------------------------------------------------------
     # incident detection and closure
@@ -702,12 +759,6 @@ class Controller:
     # ------------------------------------------------------------------
     # observation bundles
 
-    def _series_window(self, pid: str, name: str, window: int) -> list[float]:
-        try:
-            return [value for _, value in self.store.query_window(pid, name, window)]
-        except UnknownSeries:
-            return []
-
     def _bundle_parts(
         self,
         world: SimWorld,
@@ -715,7 +766,18 @@ class Controller:
         snapshot: dict,
         applied_faults: list[FaultEvent],
     ) -> dict:
-        """Assemble the per-tick observation state shared by every agent."""
+        """Assemble the per-tick observation state shared by every agent.
+
+        Every container is built fresh for the tick: spec fields are
+        copied out of the run's pipeline views and the series out of the
+        rolling windows, so nothing handed to a backend is handed out
+        again on a later tick.
+        """
+
+        if self._pipeline_views is None:
+            self._pipeline_views = {
+                pid: _PipelineView.of(world.pipelines[pid]) for pid in sorted(world.pipelines)
+            }
 
         delay_by_pipeline: dict[str, dict] = {}
         incidents: list[dict] = []
@@ -734,18 +796,9 @@ class Controller:
 
         pipelines: dict[str, dict] = {}
         series: dict[str, dict[str, list[float]]] = {}
-        for pid in sorted(world.pipelines):
+        for pid, view in self._pipeline_views.items():
             p = world.pipelines[pid]
-            spec = p.spec
-            stages = {
-                sid: {
-                    "alloc": st.alloc,
-                    "min_alloc": st.spec.min_alloc,
-                    "max_alloc": st.spec.max_alloc,
-                    "base_rate": st.spec.base_rate,
-                }
-                for sid, st in p.stages.items()
-            }
+            stages = p.stages
             drift = None
             if p.pending_drift is not None:
                 drift = {
@@ -756,23 +809,30 @@ class Controller:
                     "delta": p.pending_drift.delta.to_dict(),
                 }
             pipelines[pid] = {
-                "kind": spec.kind.value,
-                "criticality": spec.criticality,
-                "freshness_target": spec.freshness_target,
-                "tags": list(spec.tags),
+                **view.head,
+                "tags": list(view.tags),
                 "health": p.health.value,
                 "failing_cause": p.failing_cause,
                 "failing_stage": p.failing_stage,
                 "recovering": p.recover_at is not None,
                 "suppressed": p.suppress_until is not None,
                 "ticks_since_alloc_change": t - self._alloc_changed_at.get(pid, 0),
-                "stages": stages,
+                "stages": {
+                    sid: {
+                        "alloc": stages[sid].alloc,
+                        "min_alloc": min_alloc,
+                        "max_alloc": max_alloc,
+                        "base_rate": base_rate,
+                    }
+                    for sid, min_alloc, max_alloc, base_rate in view.stages
+                },
                 "drift": drift,
                 "delay": delay_by_pipeline.get(pid),
             }
+            windows = self._windows.get(pid)
             series[pid] = {
-                "utilization": self._series_window(pid, "utilization", UTILIZATION_WINDOW),
-                "ingress": self._series_window(pid, "ingress", INGRESS_WINDOW),
+                "utilization": list(windows.utilization) if windows else [],
+                "ingress": list(windows.ingress) if windows else [],
             }
 
         window = self.policy.cost.window
@@ -788,7 +848,6 @@ class Controller:
             "quarantine_allowed": self.policy.schema.quarantine_allowed,
             "schema_mode": self.policy.schema.mode,
             "breach_tolerance": self.policy.freshness.breach_tolerance,
-            "allowed_strategies": [k.value for k in self.policy.recovery.allowed_strategies],
         }
 
         return {
@@ -804,9 +863,8 @@ class Controller:
 
     def _build_bundle(self, t: int, actor: Actor, parts: dict) -> ObservationBundle:
         policy_view = dict(parts["policy"])
-        policy_view["allowed_kinds"] = [
-            k.value for k in self.policy.actions.allowed_for(actor)
-        ]
+        policy_view["allowed_strategies"] = list(self._allowed_strategies)
+        policy_view["allowed_kinds"] = list(self._allowed_kinds[actor])
         return ObservationBundle(
             tick=t,
             agent=actor.value,

@@ -81,13 +81,23 @@ class AnomalyDetector:
         return None
 
     def observe_snapshot(self, tick: int, snapshot: dict) -> list[AnomalyFlag]:
-        """Scan one serialized TelemetrySnapshot; returns flags raised."""
+        """Scan one serialized TelemetrySnapshot; returns flags raised.
+
+        Equivalent to ``observe_sample`` for every pipeline (sorted) and
+        watched metric, in that order.
+        """
 
         flags: list[AnomalyFlag] = []
-        for pid in sorted(snapshot["pipelines"]):
-            sample = snapshot["pipelines"][pid]
+        states = self._states
+        pipelines = snapshot["pipelines"]
+        for pid in sorted(pipelines):
+            sample = pipelines[pid]
             for metric in WATCHED_METRICS:
-                flag = self.observe_sample(tick, pid, metric, float(sample[metric]))
-                if flag is not None:
-                    flags.append(flag)
+                state = states.get((pid, metric))
+                if state is None:
+                    state = states[(pid, metric)] = EwmaState()
+                value = float(sample[metric])
+                mean, dev = state.mean, state.deviation
+                if state.update(value):
+                    flags.append(AnomalyFlag(tick, pid, metric, value, mean, dev))
         return flags

@@ -94,7 +94,6 @@ def run_experiment(
         resource_model=spec.resource_model,
         audit=audit,
         registry=registry,
-        store=store,
         backend=backend,
         agents_enabled=(controller == "agentic"),
         operator=OperatorModel(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from pipegov.agents import (
     STABLE_TICKS,
     StubBackend,
     UnknownIncidentClass,
+    WATCHED_METRICS,
     make_backend,
     optimize_propose,
     recovery_candidates,
@@ -151,6 +153,34 @@ class TestAnomalyDetector:
         spiked = dict(quiet, queue_depth=500.0)
         flags = detector.observe_snapshot(6, {"pipelines": {"orders": spiked}})
         assert [(f.pipeline, f.metric, f.tick) for f in flags] == [("orders", "queue_depth", 6)]
+
+    def test_observe_snapshot_equals_observe_sample_per_series(self):
+        rng = random.Random(11)
+        pids = ("stream-b", "batch-a", "stream-a")  # not in sorted order
+        by_snapshot, by_sample = AnomalyDetector(), AnomalyDetector()
+        raised = set()
+        for tick in range(400):
+            pipelines = {}
+            for pid in pids:
+                pipelines[pid] = {
+                    "queue_depth": rng.randrange(0, 40),
+                    "freshness_lag": rng.choice((0, 0, 0, 1, 2, 25)),
+                    "ingress": rng.gauss(50.0, 4.0) * (6 if rng.random() < 0.03 else 1),
+                    "utilization": rng.random(),
+                }
+            flags = by_snapshot.observe_snapshot(tick, {"tick": tick, "pipelines": pipelines})
+            expected = []
+            for pid in sorted(pids):
+                for metric in WATCHED_METRICS:
+                    value = float(pipelines[pid][metric])
+                    flag = by_sample.observe_sample(tick, pid, metric, value)
+                    if flag is not None:
+                        expected.append(flag)
+            assert flags == expected, tick
+            raised.update((f.pipeline, f.metric) for f in flags)
+        assert {metric for _, metric in raised} == set(WATCHED_METRICS)
+        assert {pid for pid, _ in raised} == set(pids)
+        assert by_snapshot._states == by_sample._states
 
     def test_states_are_independent_per_pipeline_and_metric(self):
         detector = AnomalyDetector()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
 from pipegov.agents import (
+    AGENT_PHASES,
     BackendError,
     BuiltinBackend,
     Controller,
@@ -14,6 +16,7 @@ from pipegov.agents import (
     StubBackend,
 )
 from pipegov.core import ActionKind, Actor, ResourceModel, schema_delta
+from pipegov.harness import run_experiment
 from pipegov.policy import parse_policy
 from pipegov.scenario import (
     FaultEvent,
@@ -26,7 +29,7 @@ from pipegov.scenario import (
 )
 from pipegov.scenario.model import BatchModel
 from pipegov.simkernel import Health, build_world, step
-from pipegov.telemetry import AuditLog, IncidentRegistry, MetricStore
+from pipegov.telemetry import AuditLog, IncidentRegistry
 
 from conftest import make_batch_pipeline, make_mini_scenario, make_stream_pipeline
 
@@ -49,7 +52,6 @@ def _make(spec, policy, *, agents=False, backend=None, operator=None):
         resource_model=spec.resource_model,
         audit=AuditLog(),
         registry=IncidentRegistry(),
-        store=MetricStore(),
         backend=backend,
         agents_enabled=agents,
         operator=operator or OperatorModel(max_retries=3, retry_backoff=5, operator_delay=10),
@@ -66,11 +68,6 @@ def _drive(spec, world, loop, ticks, arrivals_fn=None):
         arrivals = arrivals_fn(t) if arrivals_fn else generate_arrivals(spec, t)
         report = step(world, arrivals)
         loop.observe_report(report)
-        for pid, sample in report.snapshot.pipelines.items():
-            loop.store.record_sample(pid, "freshness_lag", t, float(sample.freshness_lag))
-            loop.store.record_sample(pid, "queue_depth", t, float(sample.queue_depth))
-            loop.store.record_sample(pid, "utilization", t, float(sample.utilization))
-            loop.store.record_sample(pid, "ingress", t, float(sample.ingress))
         prev = report
         controls.append(control)
     return controls
@@ -659,3 +656,104 @@ class TestWindowAccounting:
         _drive(spec, world, loop, 25)
         # ticks 20-24 at 4 allocated units x 0.5/unit
         assert loop._window_spend == pytest.approx(5 * 4 * 0.5)
+
+
+def _short_canonical(spec: ScenarioSpec, horizon: int = 300) -> ScenarioSpec:
+    """Canonical pipelines with its first eight faults moved inside ``horizon``.
+
+    That covers every fault kind (drift, delay, contention, task failure),
+    so bundles carry open incidents, drift views and delay baselines.
+    """
+
+    raw = spec.to_dict()
+    raw["horizon"] = horizon
+    raw["fault_schedule"] = [
+        dict(event, tick=20 + 30 * i) for i, event in enumerate(raw["fault_schedule"][:8])
+    ]
+    return ScenarioSpec.from_dict(raw)
+
+
+class RecordingBackend(BuiltinBackend):
+    """The builtin rules, keeping a deep copy of every bundle they are shown."""
+
+    def __init__(self) -> None:
+        self.seen: list[dict] = []
+
+    def decide(self, bundle):
+        self.seen.append(copy.deepcopy(bundle.to_dict()))
+        return super().decide(bundle)
+
+
+def _scramble(node) -> None:
+    """Mutate every dict and list reachable from ``node``."""
+
+    if isinstance(node, dict):
+        for value in list(node.values()):
+            _scramble(value)
+        node["scrambled"] = True
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            _scramble(value)
+        if isinstance(node, list):
+            node.append("scrambled")
+
+
+class MutatingBackend(RecordingBackend):
+    """Takes the builtin candidates, then mutates the bundle it was shown.
+
+    The three agents of one tick share every container but ``policy``, so
+    ``policy`` is scrambled on every call and the rest on the tick's last
+    call, when no backend reads them any more.
+    """
+
+    def decide(self, bundle):
+        candidates = super().decide(bundle)
+        _scramble(bundle.policy)
+        if bundle.agent == AGENT_PHASES[-1].value:
+            _scramble(bundle.to_dict())
+        return candidates
+
+
+class TestObservationBundles:
+    def test_series_windows_equal_the_recorded_store(self, canonical_spec, policy):
+        spec = _short_canonical(canonical_spec)
+        backend = RecordingBackend()
+        result = run_experiment(spec, policy, controller="agentic", backend=backend)
+        assert result.incidents, "the scenario must raise incidents"
+        recorded = {
+            (pid, name): dict(result.store.series(pid, name))
+            for pid in result.world.pipelines
+            for name in ("utilization", "ingress")
+        }
+        assert len(backend.seen) == 3 * spec.horizon
+        for bundle in backend.seen:
+            t = bundle["tick"]
+            assert set(bundle["series"]) == set(result.world.pipelines)
+            for pid, windows in bundle["series"].items():
+                for name, width in (("utilization", 30), ("ingress", 20)):
+                    ticks = range(max(0, t - width), t)  # the last `width` ticks before t
+                    expected = [recorded[(pid, name)][tick] for tick in ticks]
+                    assert windows[name] == expected, (t, pid, name)
+        assert all(
+            windows == {"utilization": [], "ingress": []}
+            for bundle in backend.seen
+            if bundle["tick"] == 0
+            for windows in bundle["series"].values()
+        )
+
+    def test_backend_mutating_its_bundle_changes_nothing(self, canonical_spec, policy):
+        spec = _short_canonical(canonical_spec)
+        clean_backend = RecordingBackend()
+        clean = run_experiment(spec, policy, controller="agentic", backend=clean_backend)
+        mutating_backend = MutatingBackend()
+        mutated = run_experiment(spec, policy, controller="agentic", backend=mutating_backend)
+        assert mutated.audit.to_jsonl() == clean.audit.to_jsonl()
+        assert len(mutating_backend.seen) == len(clean_backend.seen) == 3 * spec.horizon
+        for seen, expected in zip(mutating_backend.seen, clean_backend.seen):
+            assert seen == expected, (seen["tick"], seen["agent"])
+        pipelines = [b["pipelines"] for b in clean_backend.seen]
+        assert any(meta["drift"] for p in pipelines for meta in p.values())
+        assert any(meta["delay"] for p in pipelines for meta in p.values())
+        assert any(meta["tags"] for meta in pipelines[0].values())
+        assert any(b["memory"] for b in clean_backend.seen)
+        assert any(b["faults"] for b in clean_backend.seen)
