@@ -5,7 +5,9 @@ method that is a pure function of the bundle. The builtin backend runs
 the deterministic heuristics in this package; the stub backend replays
 scripted responses from a JSON file so tests can stand in for an
 external reasoning service. ``make_backend`` resolves the CLI selector
-(``builtin`` or ``stub:<path>``).
+(``builtin``, ``null`` or ``stub:<path>``). Whatever a backend raises, the
+control loop records it as a ``backend_violation`` and asks the builtin
+rules instead.
 """
 
 from __future__ import annotations

@@ -110,6 +110,14 @@ class OperatorModel:
     retry_backoff: int = 5
     operator_delay: int = 120
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.retry_backoff < 1:
+            raise ValueError("retry_backoff must be >= 1")
+        if self.operator_delay < 0:
+            raise ValueError("operator_delay must be >= 0")
+
 
 @dataclass
 class _IncidentControl:
@@ -432,7 +440,7 @@ class Controller:
             ):
                 raise BackendError("backend response is not a list of candidate actions")
             return candidates
-        except (BackendError, ValueError) as exc:
+        except Exception as exc:
             payload = {
                 "kind": "outcome",
                 "event": "backend_violation",

@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend",
             default="builtin",
-            help="reasoning backend: builtin | stub:<path>",
+            help="reasoning backend: builtin | null | stub:<path>",
         )
         p.add_argument(
             "--seed",

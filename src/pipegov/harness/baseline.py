@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..agents.controller import OperatorModel
 from ..core.pipeline import ResourceModel
 from ..scenario.arrivals import arrival_trace, generate_arrivals
 from ..scenario.model import ScenarioSpec
@@ -27,17 +28,7 @@ class BaselineConfig:
     """Fixed allocations and the operator model for the baseline run."""
 
     allocations: dict[str, dict[str, int]]
-    max_retries: int = 3
-    retry_backoff: int = 5
-    operator_delay: int = 120
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff < 1:
-            raise ValueError("retry_backoff must be >= 1")
-        if self.operator_delay < 0:
-            raise ValueError("operator_delay must be >= 0")
+    operator: OperatorModel = OperatorModel()
 
     def validate_against(self, spec: ScenarioSpec) -> None:
         """Check every allocation is within its stage's [min, max] bounds."""

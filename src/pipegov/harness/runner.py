@@ -10,11 +10,11 @@ reports — consumes the RunResult this produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..agents.backends import ReasoningBackend
 from ..agents.bundle import OutcomeMemory
-from ..agents.controller import Controller, OperatorModel
+from ..agents.controller import Controller
 from ..core.actions import Actor
 from ..policy.model import PolicyDocument
 from ..scenario.arrivals import arrival_trace, generate_arrivals
@@ -67,14 +67,11 @@ def run_experiment(
     controller: str = "static",
     backend: ReasoningBackend | None = None,
     config: BaselineConfig | None = None,
-    seed: int | None = None,
 ) -> RunResult:
     """Simulate the scenario horizon under one controller mode."""
 
     if controller not in CONTROLLER_MODES:
         raise ValueError(f"controller must be one of {CONTROLLER_MODES}, got {controller!r}")
-    if seed is not None:
-        spec = reseed(spec, seed)
     issues = validate_scenario(spec)
     if issues:
         raise ValueError(f"scenario invalid: {issues[0].code}: {issues[0].message}")
@@ -96,11 +93,7 @@ def run_experiment(
         registry=registry,
         backend=backend,
         agents_enabled=(controller == "agentic"),
-        operator=OperatorModel(
-            max_retries=config.max_retries,
-            retry_backoff=config.retry_backoff,
-            operator_delay=config.operator_delay,
-        ),
+        operator=config.operator,
     )
 
     spec_hash = scenario_hash(spec)
@@ -114,11 +107,7 @@ def run_experiment(
             "scenario_hash": spec_hash,
             "seed": spec.seed,
             "allocations": config.allocations,
-            "operator": {
-                "max_retries": config.max_retries,
-                "retry_backoff": config.retry_backoff,
-                "operator_delay": config.operator_delay,
-            },
+            "operator": asdict(config.operator),
             "policy": policy.to_dict(),
         },
         policy.version,

@@ -90,14 +90,6 @@ class PolicyDecision:
     policy_version: int
     explanation: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict.value,
-            "rule_citations": list(self.rule_citations),
-            "policy_version": self.policy_version,
-            "explanation": self.explanation,
-        }
-
 
 def projected_spend(context: ValidationContext) -> float:
     """Window spend if the proposed allocation change is applied now."""

@@ -52,12 +52,6 @@ class RecoveryRules:
     rto_by_criticality: tuple[tuple[int, int], ...]  # criticality -> target ticks
     allowed_strategies: tuple[ActionKind, ...]
 
-    def rto(self, criticality: int) -> int | None:
-        for level, ticks in self.rto_by_criticality:
-            if level == criticality:
-                return ticks
-        return None
-
 
 @dataclass(frozen=True)
 class SchemaRules:

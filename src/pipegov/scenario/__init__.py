@@ -1,7 +1,7 @@
 """Workload traces and scripted fault injection."""
 
 from pipegov.scenario.arrivals import arrival_trace, generate_arrivals, tick_rng
-from pipegov.scenario.canonical import canonical_scenario, default_policy, default_policy_dict
+from pipegov.scenario.canonical import canonical_scenario, default_policy_dict
 from pipegov.scenario.drift import NoEligibleChange, mutate_schema
 from pipegov.scenario.faults import UnknownPipeline, inject_faults
 from pipegov.scenario.model import (
@@ -27,7 +27,6 @@ __all__ = [
     "UnknownPipeline",
     "arrival_trace",
     "canonical_scenario",
-    "default_policy",
     "default_policy_dict",
     "generate_arrivals",
     "inject_faults",

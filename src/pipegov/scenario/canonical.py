@@ -1,285 +1,37 @@
-"""The reference experiment: a fixed fleet, workload, and fault schedule.
+"""The reference experiment: loaders for the committed scenario and policy.
 
-Six pipelines (four batch, two streaming) share a 64-unit cluster over a
-10,000-tick horizon and face twelve scripted faults: two compatible schema
-drifts (no-overreaction controls), two incompatible drifts, four upstream
-delays each swallowing one batch boundary, two capacity squeezes, and two
-transient task failures. The companion policy bounds what the controllers
-may do about it. Committed JSON copies live in scenarios/ and policies/;
-a test keeps them in sync with these builders.
+``scenarios/canonical.json`` and ``policies/default.json`` are the only
+definition of the reference experiment; these loaders read them from the
+checkout this package sits in. Six pipelines (four daily batch, two
+streaming) share a 64-unit cluster over a 10,000-tick horizon and face
+twelve scripted faults:
+
+- two compatible schema drifts (metrics-stream, catalog-batch): controls
+  that must cause no incident, so a controller that overreacts shows;
+- four upstream delays, each swallowing one batch boundary;
+- an incompatible drift on risk-batch, quarantinable without approval;
+- an incompatible drift on the regulated events-stream, whose quarantine
+  the policy sends for approval;
+- two capacity squeezes and two transient task failures.
+
+The policy bounds what the controllers may do about it.
 """
 
 from __future__ import annotations
 
-from pipegov.core.pipeline import PipelineKind, PipelineSpec, ResourceModel, StageSpec
-from pipegov.core.schema import (
-    AddColumn,
-    ChangeType,
-    Column,
-    DropColumn,
-    Dtype,
-    Schema,
-    SchemaDelta,
-)
-from pipegov.policy.model import PolicyDocument, parse_policy
-from pipegov.scenario.model import ArrivalModel, BatchModel, FaultEvent, FaultKind, ScenarioSpec
+import json
+from pathlib import Path
 
-BATCH_PERIOD = 1440  # one simulated day
-DATASET_SIZE = 12000
-HORIZON = 10000
-CAPACITY = 64
+from pipegov.scenario.model import ScenarioSpec, parse_scenario
 
-
-def _batch_stages() -> tuple[StageSpec, ...]:
-    return (
-        StageSpec(id="transform", base_rate=25, min_alloc=1, max_alloc=3, checkpoint_interval=60),
-        StageSpec(
-            id="publish",
-            upstream=("transform",),
-            base_rate=25,
-            min_alloc=1,
-            max_alloc=3,
-            checkpoint_interval=60,
-        ),
-    )
-
-
-def _stream_stages() -> tuple[StageSpec, ...]:
-    return (
-        StageSpec(id="ingest", base_rate=25, min_alloc=1, max_alloc=12, checkpoint_interval=60),
-        StageSpec(
-            id="enrich",
-            upstream=("ingest",),
-            base_rate=25,
-            min_alloc=1,
-            max_alloc=12,
-            checkpoint_interval=60,
-        ),
-    )
-
-
-def _pipelines() -> tuple[PipelineSpec, ...]:
-    orders = PipelineSpec(
-        id="orders-batch",
-        kind=PipelineKind.BATCH,
-        stages=_batch_stages(),
-        schema=Schema(
-            columns=(
-                Column("order_id", Dtype.INT64),
-                Column("ts", Dtype.TIMESTAMP),
-                Column("amount", Dtype.FLOAT64),
-                Column("status", Dtype.STRING),
-            )
-        ),
-        criticality=4,
-        schedule_period=BATCH_PERIOD,
-    )
-    billing = PipelineSpec(
-        id="billing-batch",
-        kind=PipelineKind.BATCH,
-        stages=_batch_stages(),
-        schema=Schema(
-            columns=(
-                Column("invoice_id", Dtype.INT64),
-                Column("ts", Dtype.TIMESTAMP),
-                Column("total", Dtype.FLOAT64),
-                Column("currency", Dtype.STRING),
-            )
-        ),
-        criticality=4,
-        schedule_period=BATCH_PERIOD,
-    )
-    risk = PipelineSpec(
-        id="risk-batch",
-        kind=PipelineKind.BATCH,
-        stages=_batch_stages(),
-        schema=Schema(
-            columns=(
-                Column("entity_id", Dtype.INT64),
-                Column("score", Dtype.FLOAT64),
-                Column("band", Dtype.STRING),
-            )
-        ),
-        criticality=5,
-        schedule_period=BATCH_PERIOD,
-    )
-    catalog = PipelineSpec(
-        id="catalog-batch",
-        kind=PipelineKind.BATCH,
-        stages=_batch_stages(),
-        schema=Schema(
-            columns=(
-                Column("sku", Dtype.STRING),
-                Column("price", Dtype.FLOAT64),
-                Column("active", Dtype.BOOL),
-            )
-        ),
-        criticality=5,
-        schedule_period=BATCH_PERIOD,
-    )
-    events = PipelineSpec(
-        id="events-stream",
-        kind=PipelineKind.STREAMING,
-        stages=_stream_stages(),
-        schema=Schema(
-            columns=(
-                Column("event_id", Dtype.INT64),
-                Column("ts", Dtype.TIMESTAMP),
-                Column("user_id", Dtype.INT64),
-                Column("kind", Dtype.STRING),
-                Column("payload", Dtype.STRING, nullable=True),
-            )
-        ),
-        criticality=1,
-        freshness_target=15,
-        tags=("regulated",),
-    )
-    metrics = PipelineSpec(
-        id="metrics-stream",
-        kind=PipelineKind.STREAMING,
-        stages=_stream_stages(),
-        schema=Schema(
-            columns=(
-                Column("metric", Dtype.STRING),
-                Column("ts", Dtype.TIMESTAMP),
-                Column("value", Dtype.FLOAT64),
-                Column("host", Dtype.STRING),
-            )
-        ),
-        criticality=2,
-        freshness_target=15,
-    )
-    return (orders, billing, risk, catalog, events, metrics)
-
-
-def _fault_schedule() -> tuple[FaultEvent, ...]:
-    return (
-        # Compatible drifts: controls that must cause no incident.
-        FaultEvent(
-            tick=300,
-            kind=FaultKind.SCHEMA_DRIFT,
-            pipeline="metrics-stream",
-            delta=SchemaDelta((AddColumn(Column("unit", Dtype.STRING, nullable=True)),)),
-            partition="pt-0300",
-        ),
-        FaultEvent(
-            tick=700,
-            kind=FaultKind.SCHEMA_DRIFT,
-            pipeline="catalog-batch",
-            delta=SchemaDelta((AddColumn(Column("brand", Dtype.STRING, nullable=True)),)),
-            partition="pt-0700",
-        ),
-        # Upstream delays, each swallowing one batch boundary.
-        FaultEvent(
-            tick=1435,
-            kind=FaultKind.UPSTREAM_DELAY,
-            pipeline="orders-batch",
-            delay_ticks=60,
-            missing_fraction=0.1,
-        ),
-        # Incompatible drift, quarantinable without approval.
-        FaultEvent(
-            tick=2000,
-            kind=FaultKind.SCHEMA_DRIFT,
-            pipeline="risk-batch",
-            delta=SchemaDelta((DropColumn("band"),)),
-            partition="pt-2000",
-        ),
-        FaultEvent(
-            tick=2875,
-            kind=FaultKind.UPSTREAM_DELAY,
-            pipeline="billing-batch",
-            delay_ticks=60,
-            missing_fraction=0.1,
-        ),
-        FaultEvent(tick=3500, kind=FaultKind.RESOURCE_CONTENTION, capacity_reduction=16, duration_ticks=240),
-        FaultEvent(
-            tick=4315,
-            kind=FaultKind.UPSTREAM_DELAY,
-            pipeline="risk-batch",
-            delay_ticks=60,
-            missing_fraction=0.1,
-        ),
-        FaultEvent(tick=5000, kind=FaultKind.TRANSIENT_TASK_FAILURE, pipeline="events-stream", stage="enrich"),
-        FaultEvent(tick=5150, kind=FaultKind.TRANSIENT_TASK_FAILURE, pipeline="metrics-stream", stage="enrich"),
-        FaultEvent(
-            tick=5755,
-            kind=FaultKind.UPSTREAM_DELAY,
-            pipeline="catalog-batch",
-            delay_ticks=60,
-            missing_fraction=0.1,
-        ),
-        # Incompatible drift on a regulated pipeline: quarantine needs approval.
-        FaultEvent(
-            tick=6500,
-            kind=FaultKind.SCHEMA_DRIFT,
-            pipeline="events-stream",
-            delta=SchemaDelta((ChangeType("user_id", Dtype.INT64, Dtype.INT32),)),
-            partition="pt-6500",
-        ),
-        FaultEvent(tick=6900, kind=FaultKind.RESOURCE_CONTENTION, capacity_reduction=24, duration_ticks=240),
-    )
+_REPO = Path(__file__).resolve().parents[3]
 
 
 def canonical_scenario() -> ScenarioSpec:
-    return ScenarioSpec(
-        horizon=HORIZON,
-        seed=42,
-        resource_model=ResourceModel(capacity=CAPACITY, unit_price=0.5, storage_price=0.01),
-        pipelines=_pipelines(),
-        arrival_models={
-            "events-stream": ArrivalModel(base_rate=50.0, bursts=((2100, 2400, 2.0),)),
-            "metrics-stream": ArrivalModel(base_rate=50.0, bursts=((5300, 5600, 2.0),)),
-        },
-        batch_models={
-            "orders-batch": BatchModel(DATASET_SIZE, BATCH_PERIOD),
-            "billing-batch": BatchModel(DATASET_SIZE, BATCH_PERIOD),
-            "risk-batch": BatchModel(DATASET_SIZE, BATCH_PERIOD),
-            "catalog-batch": BatchModel(DATASET_SIZE, BATCH_PERIOD),
-        },
-        fault_schedule=_fault_schedule(),
-    )
+    return parse_scenario((_REPO / "scenarios" / "canonical.json").read_text(encoding="utf-8"))
 
 
 def default_policy_dict() -> dict:
-    """The governance policy as its JSON document form."""
+    """The governance policy as its JSON document form, fresh on each call."""
 
-    return {
-        "id": "gov-default",
-        "version": 1,
-        "cost": {
-            "budget_per_window": 52000.0,
-            "window": BATCH_PERIOD,
-            "max_scale_step": 2,
-        },
-        "recovery": {
-            "rto_by_criticality": {"1": 30, "2": 60, "3": 120, "4": 240, "5": 480},
-            "allowed_strategies": ["Replay", "Rollback", "PartialRecompute", "Defer", "Resume"],
-        },
-        "schema": {"mode": "permissive", "quarantine_allowed": True},
-        "freshness": {"breach_tolerance": 5},
-        "actions": {
-            "allow_list": {
-                "OptimizationAgent": ["ScaleUp", "ScaleDown"],
-                "SchemaAgent": ["QuarantinePartition", "Resume", "Halt"],
-                "RecoveryAgent": ["Replay", "Rollback", "PartialRecompute", "Defer", "Resume"],
-                "Operator": [
-                    "ScaleUp",
-                    "ScaleDown",
-                    "Replay",
-                    "Rollback",
-                    "PartialRecompute",
-                    "QuarantinePartition",
-                    "Defer",
-                    "Resume",
-                    "Halt",
-                ],
-                "Baseline": ["Replay", "Resume"],
-            },
-            "approval_required": [{"kind": "QuarantinePartition", "tag": "regulated"}],
-        },
-    }
-
-
-def default_policy() -> PolicyDocument:
-    return parse_policy(default_policy_dict())
+    return json.loads((_REPO / "policies" / "default.json").read_text(encoding="utf-8"))

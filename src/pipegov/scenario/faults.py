@@ -38,7 +38,6 @@ def _apply_schema_drift(world: SimWorld, event: FaultEvent, tick: int) -> None:
             partition=event.partition,
             delta=event.delta,
             incompatible=True,
-            opened_tick=tick,
             window_end=_drift_window_end(world, event.pipeline, tick),
         )
         if p.health is Health.HEALTHY:

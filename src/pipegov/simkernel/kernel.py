@@ -178,11 +178,10 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         p = world.pipelines[pid]
         if p.recover_at is not None and t >= p.recover_at:
             old = p.health
-            p.health = p.recover_to
+            p.health = Health.HEALTHY
             p.recover_at = None
-            if p.health is Health.HEALTHY:
-                p.failing_cause = None
-                p.failing_stage = None
+            p.failing_cause = None
+            p.failing_stage = None
             transitions.append(
                 {"tick": t, "pipeline": pid, "event": "health", "from": old.value, "to": p.health.value}
             )
@@ -441,12 +440,10 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
             if p.suppress_until is not None or p.withheld > 0 or p.release_plan:
                 return outcome("failed", "input data still unavailable")
             p.recover_at = t + world.constants.replay_latency
-            p.recover_to = Health.HEALTHY
             return outcome("applied", "input complete; rerun scheduled", healthy_at=p.recover_at)
         stage = p.stages.get(p.failing_stage or "", None) or p.entry_stage()
         pulled = _pull_back_forwarded(p, stage)
         p.recover_at = t + world.constants.replay_latency
-        p.recover_to = Health.HEALTHY
         return outcome("applied", "replaying from checkpoint", requeued=pulled, healthy_at=p.recover_at)
 
     if kind is ActionKind.ROLLBACK:
@@ -498,7 +495,6 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
         moved = _divert_quarantined(p)
         if p.health is Health.FAILING and p.failing_cause == "schema_drift":
             p.recover_at = t + world.constants.quarantine_latency
-            p.recover_to = Health.HEALTHY
         if world.tick > drift.window_end:  # nothing tagged is left queued
             p.pending_drift = None
         world.pending_transitions.append(
@@ -543,7 +539,6 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
         p.failing_cause = None
         p.failing_stage = None
         p.recover_at = t + world.constants.resume_latency
-        p.recover_to = Health.HEALTHY
         world.pending_transitions.append(
             {"tick": t, "pipeline": action.pipeline, "event": "resume", "from": old.value}
         )

@@ -168,7 +168,6 @@ class PendingDrift:
     partition: str
     delta: SchemaDelta
     incompatible: bool
-    opened_tick: int
     window_end: int  # arrivals through this tick belong to the drifted partition
     quarantine_mode: bool = False
 
@@ -183,7 +182,6 @@ class PipelineState:
     failing_cause: str | None = None  # "schema_drift" | "task_failure" | "missing_input"
     failing_stage: str | None = None
     recover_at: int | None = None
-    recover_to: Health = Health.HEALTHY
     paused_until: int = 0  # processing pause for rollback/recompute work
     pending_drift: PendingDrift | None = None
 

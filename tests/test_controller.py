@@ -475,12 +475,13 @@ class TestBackendScreening:
         for stage in world.pipelines["stream-a"].stages.values():
             assert stage.alloc == 1
 
-    def test_crashing_backend_falls_back_to_builtin_rules(self):
+    @pytest.mark.parametrize("error", [BackendError, TypeError, KeyError], ids=lambda e: e.__name__)
+    def test_crashing_backend_falls_back_to_builtin_rules(self, error):
         class ExplodingBackend:
             name = "exploding"
 
             def decide(self, bundle):
-                raise BackendError("boom")
+                raise error("boom")
 
         spec = make_mini_scenario(
             faults=[
@@ -495,7 +496,7 @@ class TestBackendScreening:
         world, loop = _make(spec, _policy(), agents=True, backend=ExplodingBackend())
         controls = _drive(spec, world, loop, 10)
 
-        boom = [e for e in _events(loop, "backend_violation") if e.payload["error"] == "boom"]
+        boom = [e for e in _events(loop, "backend_violation") if e.payload["error"] == str(error("boom"))]
         assert len(boom) >= 3  # schema, recovery, and optimization phases all failed
         replays = _proposals(controls, ActionKind.REPLAY)
         assert [(a.tick, a.agent) for a in replays] == [(1, Actor.RECOVERY_AGENT)]

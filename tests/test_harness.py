@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from pipegov.agents import NullBackend
+from pipegov.agents import NullBackend, OperatorModel
 from pipegov.harness import (
     BaselineConfig,
     derive_baseline_allocations,
@@ -110,11 +110,11 @@ class TestBaselineConfig:
     def test_field_validation(self):
         allocs = {"p": {"s": 1}}
         with pytest.raises(ValueError, match="max_retries"):
-            BaselineConfig(allocations=allocs, max_retries=-1)
+            BaselineConfig(allocations=allocs, operator=OperatorModel(max_retries=-1))
         with pytest.raises(ValueError, match="retry_backoff"):
-            BaselineConfig(allocations=allocs, retry_backoff=0)
+            BaselineConfig(allocations=allocs, operator=OperatorModel(retry_backoff=0))
         with pytest.raises(ValueError, match="operator_delay"):
-            BaselineConfig(allocations=allocs, operator_delay=-1)
+            BaselineConfig(allocations=allocs, operator=OperatorModel(operator_delay=-1))
 
     def test_validate_against_missing_pipeline(self):
         spec = make_mini_scenario()
@@ -196,7 +196,7 @@ class TestRunExperiment:
     def test_seed_override_changes_the_run(self, mini_policy):
         spec = make_mini_scenario()
         base = run_experiment(spec, mini_policy)
-        other = run_experiment(spec, mini_policy, seed=9)
+        other = run_experiment(reseed(spec, 9), mini_policy)
         assert other.seed == 9
         assert base.scenario_hash != other.scenario_hash
         assert _store_dump(base.store) != _store_dump(other.store)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from pipegov.core import (
@@ -191,6 +193,8 @@ def _delta_from_dicts(changes: list[dict]) -> SchemaDelta:
     return SchemaDelta.from_dict({"changes": changes})
 
 
+# Cached: TestClassifierOracle and acceptance criterion 4 assert on one run.
+@functools.cache
 def run_single_change_enumeration() -> tuple[int, list[str]]:
     """Classify every 1-change delta over schemas of up to 4 columns.
 
@@ -219,6 +223,7 @@ def run_single_change_enumeration() -> tuple[int, list[str]]:
     return checked, mismatches
 
 
+@functools.cache
 def run_double_change_enumeration() -> tuple[int, list[str]]:
     """Classify every applicable ordered 2-change delta over a reduced pool."""
 

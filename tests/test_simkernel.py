@@ -308,7 +308,6 @@ class TestQuarantine:
             partition="pt-x",
             delta=SchemaDelta((DropColumn("a"),)),
             incompatible=True,
-            opened_tick=0,
             window_end=0,
             quarantine_mode=False,
         )
@@ -452,7 +451,6 @@ class TestQueueTotals:
                     partition=partitions[-1],
                     delta=SchemaDelta((DropColumn("a"),)),
                     incompatible=True,
-                    opened_tick=t,
                     window_end=t + 15,
                 )
             if t % 23 == 7 and p.health is Health.HEALTHY:
@@ -505,7 +503,6 @@ class TestQueueTotals:
             partition="pt-x",
             delta=SchemaDelta((DropColumn("a"),)),
             incompatible=True,
-            opened_tick=0,
             window_end=5,
         )
         result = apply_action(world, _op(ActionKind.QUARANTINE_PARTITION, partition="pt-x"))

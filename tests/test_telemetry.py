@@ -74,12 +74,6 @@ class TestMetricStore:
         with pytest.raises(UnknownSeries):
             store.series("ghost", "ingress")
 
-    def test_csv_export_shape(self):
-        store = MetricStore()
-        store.record_sample("p", "cost", 1, 2.0)
-        store.record_sample("p", "cost", 2, 2.5)
-        assert store.to_csv("p", "cost") == "tick,value\n1,2\n2,2.5\n"
-
 
 class TestIncidents:
     def test_duration_is_close_minus_open(self):
