@@ -9,7 +9,7 @@ the bundle and stay deterministic and replaceable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -6,41 +6,43 @@ One chassis serves both controller modes. Every tick it:
    operator fixes),
 2. opens incidents from hard triggers (injected faults, failure events,
    freshness breaches) and closes incidents whose exit conditions hold,
-3. if agents are enabled, builds one ObservationBundle per agent and
-   collects candidate actions from the reasoning backend (monitoring
-   first, then schema, recovery, optimization),
-4. sweeps unclaimed incidents into the retry/escalation fallback — with
-   agents disabled this *is* the controller: bounded replays, then a
+3. if it has a reasoning backend, builds one ObservationBundle per agent
+   and collects candidate actions from the backend (monitoring first,
+   then schema, recovery, optimization),
+4. sweeps unclaimed incidents into the retry/escalation fallback — without
+   a backend this *is* the controller: bounded replays, then a
    simulated human operator after ``operator_delay`` ticks,
 5. validates every proposal against the governance policy and applies
    the allowed ones to the world, recording proposal, decision, and
    outcome in the hash-chained audit log.
 
-The static baseline is therefore literally this class with the agent
-set empty: identical detection, identical fallback, identical policy
-gate, identical audit trail.
+The static baseline is therefore literally this class built without a
+backend: identical detection, identical fallback, identical policy gate,
+identical audit trail.
 
-Observation state is kept incrementally. Folding the previous tick's
-report feeds each pipeline's rolling utilization and ingress windows
-(agentic mode only), and the spec fields and policy action lists agents
-see are resolved once per run. Each tick's bundles are then
-built in fresh containers from these, the world and the open incidents:
-a backend that changes its bundle changes nothing the controller keeps
-or a later tick shows. The agents of one tick share every container but
-their policy view.
+Each tick starts by folding the previous tick's report once: its compute
+spend goes into the current budget window and, when a backend is
+present, each pipeline's samples feed its rolling utilization and
+ingress windows and its ingress EWMA. A static run keeps no observation
+state. Each tick's bundles are built in fresh containers from the
+windows, the world and the open incidents: a backend that changes its
+bundle changes nothing the controller keeps or a later tick shows. The
+agents of one tick share every container but their policy view.
 
 The audit log is the only record of what happened; the per-tick
-ControlReport carries just the proposals and anomaly flags. Bookkeeping
-for each open incident (who claims it, which remedies policy denied,
-retry budget, last applied remedy, pending approval, pre-delay ingress
-baseline) lives in one record that is created when the incident opens
+ControlReport carries just the proposals and anomaly flags. Each open
+incident has one record (the incident itself, who claims it, which
+remedies policy denied, retry budget, last applied remedy, pending
+approval, pre-delay ingress baseline), created when the incident opens
 and dropped when it closes, so nothing carries over to the next
-incident on the same pipeline.
+incident on the same pipeline. These records, in creation order, are
+the only incident table the controller walks.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..core.actions import (
@@ -64,7 +66,6 @@ from ..simkernel.kernel import (
 from ..simkernel.world import (
     Health,
     PipelineSample,
-    PipelineState,
     SimWorld,
     TelemetrySnapshot,
     TickReport,
@@ -123,6 +124,7 @@ class OperatorModel:
 class _IncidentControl:
     """The controller's bookkeeping for one open incident."""
 
+    incident: Incident
     claim: str | None = None  # actor value, or _OPERATOR_CLAIM
     denied: set[str] = field(default_factory=set)  # action kinds policy denied
     failed: bool = False  # a task failed; the retry fallback may act
@@ -138,35 +140,11 @@ class _IncidentControl:
 class _SeriesWindows:
     """One pipeline's recent samples, newest last, through the previous tick."""
 
+    ingress_ewma: float  # seeded by the first sample
     utilization: deque[float] = field(
         default_factory=lambda: deque(maxlen=UTILIZATION_WINDOW)
     )
     ingress: deque[float] = field(default_factory=lambda: deque(maxlen=INGRESS_WINDOW))
-
-
-@dataclass(frozen=True)
-class _PipelineView:
-    """The spec fields agents see of one pipeline; fixed for a run."""
-
-    head: dict  # kind, criticality, freshness_target
-    tags: tuple[str, ...]
-    stages: tuple[tuple[str, int, int, int], ...]  # (id, min_alloc, max_alloc, base_rate)
-
-    @classmethod
-    def of(cls, p: PipelineState) -> "_PipelineView":
-        spec = p.spec
-        return cls(
-            head={
-                "kind": spec.kind.value,
-                "criticality": spec.criticality,
-                "freshness_target": spec.freshness_target,
-            },
-            tags=tuple(spec.tags),
-            stages=tuple(
-                (sid, st.spec.min_alloc, st.spec.max_alloc, st.spec.base_rate)
-                for sid, st in p.stages.items()
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -204,15 +182,13 @@ class Controller:
         audit: AuditLog,
         registry: IncidentRegistry,
         backend: ReasoningBackend | None = None,
-        agents_enabled: bool = False,
         operator: OperatorModel | None = None,
     ) -> None:
         self.policy = policy
         self.resource_model = resource_model
         self.audit = audit
         self.registry = registry
-        self.agents_enabled = agents_enabled
-        self.backend: ReasoningBackend = backend or BuiltinBackend()
+        self.backend = backend  # None: the static controller
         self.operator = operator or OperatorModel()
         self.memory = OutcomeMemory()
         self.interventions = 0
@@ -223,13 +199,10 @@ class Controller:
         self._incidents: dict[str, _IncidentControl] = {}  # open incidents only
         self._approvals: list[_PendingApproval] = []
         self._operator_tasks: list[_OperatorTask] = []
-        self._ingress_ewma: dict[str, float] = {}
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
-        # Agent observation state; static mode keeps none of it.
-        self._windows: dict[str, _SeriesWindows] = {}
-        self._pipeline_views: dict[str, _PipelineView] | None = None  # first agentic tick
+        self._windows: dict[str, _SeriesWindows] = {}  # stays empty without a backend
         self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
         self._allowed_kinds = {
             actor: tuple(k.value for k in policy.actions.allowed_for(actor))
@@ -259,15 +232,13 @@ class Controller:
         self._detect(world, t, applied_faults, prev_report)
         self._close_matured(world, t, prev_report)
 
-        if self.agents_enabled:
+        if self.backend is not None:
             if prev_report is None:
                 snapshot = _zero_snapshot(world)
             else:
                 snapshot = prev_report.snapshot.to_dict()
                 flags = self._monitoring_phase(t, snapshot)
-            parts = self._bundle_parts(world, t, snapshot, applied_faults)
-            for actor in AGENT_PHASES[1:]:
-                bundle = self._build_bundle(t, actor, parts)
+            for actor, bundle in self._bundles(world, t, snapshot, applied_faults):
                 for candidate in self._decide(bundle):
                     action = self._screen_candidate(world, t, actor, candidate)
                     if action is not None:
@@ -285,34 +256,30 @@ class Controller:
             interventions_total=self.interventions,
         )
 
-    def observe_report(self, report: TickReport) -> None:
-        """Account the tick's compute spend into the current budget window."""
-
-        window = self.policy.cost.window
-        idx = report.tick // window
-        if idx != self._window_index:
-            self._window_index = idx
-            self._window_spend = 0.0
-        compute = report.cost - report.materialized * self.resource_model.storage_price
-        self._window_spend += compute
-
     # ------------------------------------------------------------------
     # chassis statistics
 
     def _fold_statistics(self, prev_report: TickReport) -> None:
+        """Account the previous tick's compute spend and, with a backend, its samples."""
+
+        idx = prev_report.tick // self.policy.cost.window
+        if idx != self._window_index:
+            self._window_index = idx
+            self._window_spend = 0.0
+        storage = prev_report.materialized * self.resource_model.storage_price
+        self._window_spend += prev_report.cost - storage
+        if self.backend is None:
+            return
         for pid, sample in prev_report.snapshot.pipelines.items():
             value = float(sample.ingress)
-            if pid not in self._ingress_ewma:
-                self._ingress_ewma[pid] = value
+            windows = self._windows.get(pid)
+            if windows is None:
+                windows = self._windows[pid] = _SeriesWindows(value)
             else:
-                mu = self._ingress_ewma[pid]
-                self._ingress_ewma[pid] = mu + INGRESS_EWMA_ALPHA * (value - mu)
-            if self.agents_enabled:
-                windows = self._windows.get(pid)
-                if windows is None:
-                    windows = self._windows[pid] = _SeriesWindows()
-                windows.utilization.append(float(sample.utilization))
-                windows.ingress.append(value)
+                mu = windows.ingress_ewma
+                windows.ingress_ewma = mu + INGRESS_EWMA_ALPHA * (value - mu)
+            windows.utilization.append(float(sample.utilization))
+            windows.ingress.append(value)
 
     # ------------------------------------------------------------------
     # incident detection and closure
@@ -326,9 +293,10 @@ class Controller:
         record = self._incidents.get(incident.id)
         if record is not None:
             return record
-        record = _IncidentControl()
+        record = _IncidentControl(incident)
         if incident_class is IncidentClass.UPSTREAM_DELAY:
-            record.delay_baseline = self._ingress_ewma.get(pipeline, 0.0)
+            windows = self._windows.get(pipeline)
+            record.delay_baseline = windows.ingress_ewma if windows is not None else 0.0
         self._incidents[incident.id] = record
         payload = {
             "kind": "outcome",
@@ -382,7 +350,8 @@ class Controller:
         self, world: SimWorld, t: int, prev_report: TickReport | None
     ) -> None:
         prev_snap = prev_report.snapshot if prev_report is not None else None
-        for incident in list(self.registry.open_incidents()):
+        for record in list(self._incidents.values()):
+            incident = record.incident
             if incident.detected_tick >= t:
                 continue
             cls = incident.incident_class
@@ -410,7 +379,8 @@ class Controller:
                     done = prev_snap.pipelines[incident.pipeline].freshness_lag <= target
             if not done:
                 continue
-            resolution = self._incidents.pop(incident.id).last_applied
+            del self._incidents[incident.id]
+            resolution = record.last_applied
             self.registry.close_incident(incident.id, t, resolution)
             duration = t - incident.detected_tick
             if resolution is not None:
@@ -538,12 +508,12 @@ class Controller:
     def _fallback_sweep(
         self, world: SimWorld, t: int, proposals: list[ProposedAction]
     ) -> None:
-        for incident in self.registry.open_incidents():
-            record = self._incidents[incident.id]
+        for record in self._incidents.values():
+            incident = record.incident
             cls = incident.incident_class
             if cls is IncidentClass.SCHEMA_INCOMPATIBLE:
                 if record.claim is None:
-                    self._enqueue_operator_task(t, ActionKind.RESUME, incident, record)
+                    self._enqueue_operator_task(t, ActionKind.RESUME, record)
             elif cls in (
                 IncidentClass.TRANSIENT_TASK_FAILURE,
                 IncidentClass.UPSTREAM_DELAY,
@@ -575,11 +545,12 @@ class Controller:
                         )
                     )
                 else:
-                    self._enqueue_operator_task(t, ActionKind.REPLAY, incident, record)
+                    self._enqueue_operator_task(t, ActionKind.REPLAY, record)
 
     def _enqueue_operator_task(
-        self, t: int, kind: ActionKind, incident: Incident, record: _IncidentControl
+        self, t: int, kind: ActionKind, record: _IncidentControl
     ) -> None:
+        incident = record.incident
         due = t + self.operator.operator_delay
         self._operator_tasks.append(
             _OperatorTask(due, kind, incident.pipeline, incident.id)
@@ -602,8 +573,7 @@ class Controller:
             return
         self._operator_tasks = [task for task in self._operator_tasks if task.due > t]
         for task in sorted(due, key=lambda x: (x.due, x.incident_id)):
-            incident = self.registry.get(task.incident_id)
-            if not incident.open:
+            if task.incident_id not in self._incidents:
                 continue  # resolved itself while the operator was paged
             action = self._next_action(
                 t,
@@ -767,30 +737,26 @@ class Controller:
     # ------------------------------------------------------------------
     # observation bundles
 
-    def _bundle_parts(
+    def _bundles(
         self,
         world: SimWorld,
         t: int,
         snapshot: dict,
         applied_faults: list[FaultEvent],
-    ) -> dict:
-        """Assemble the per-tick observation state shared by every agent.
+    ) -> Iterator[tuple[Actor, ObservationBundle]]:
+        """Yield each reasoning agent's bundle for the tick, in phase order.
 
-        Every container is built fresh for the tick: spec fields are
-        copied out of the run's pipeline views and the series out of the
-        rolling windows, so nothing handed to a backend is handed out
-        again on a later tick.
+        Every container is built fresh for the tick, with spec fields
+        copied out of the world and series out of the rolling windows, so
+        nothing handed to a backend is handed out again on a later tick.
+        The agents share every container but ``policy``, which is fresh
+        per agent.
         """
-
-        if self._pipeline_views is None:
-            self._pipeline_views = {
-                pid: _PipelineView.of(world.pipelines[pid]) for pid in sorted(world.pipelines)
-            }
 
         delay_by_pipeline: dict[str, dict] = {}
         incidents: list[dict] = []
-        for incident in self.registry.open_incidents():
-            record = self._incidents[incident.id]
+        for record in self._incidents.values():
+            incident = record.incident
             view = incident.to_dict()
             view["claimed_by"] = record.claim
             view["approval_pending"] = record.approval_pending
@@ -801,12 +767,12 @@ class Controller:
                 delay_by_pipeline[incident.pipeline] = {
                     "baseline_ingress": record.delay_baseline
                 }
+        open_incidents = tuple(incidents)
 
         pipelines: dict[str, dict] = {}
         series: dict[str, dict[str, list[float]]] = {}
-        for pid, view in self._pipeline_views.items():
-            p = world.pipelines[pid]
-            stages = p.stages
+        for pid, p in world.pipelines.items():
+            spec = p.spec
             drift = None
             if p.pending_drift is not None:
                 drift = {
@@ -817,8 +783,10 @@ class Controller:
                     "delta": p.pending_drift.delta.to_dict(),
                 }
             pipelines[pid] = {
-                **view.head,
-                "tags": list(view.tags),
+                "kind": spec.kind.value,
+                "criticality": spec.criticality,
+                "freshness_target": spec.freshness_target,
+                "tags": list(spec.tags),
                 "health": p.health.value,
                 "failing_cause": p.failing_cause,
                 "failing_stage": p.failing_stage,
@@ -827,12 +795,12 @@ class Controller:
                 "ticks_since_alloc_change": t - self._alloc_changed_at.get(pid, 0),
                 "stages": {
                     sid: {
-                        "alloc": stages[sid].alloc,
-                        "min_alloc": min_alloc,
-                        "max_alloc": max_alloc,
-                        "base_rate": base_rate,
+                        "alloc": st.alloc,
+                        "min_alloc": st.spec.min_alloc,
+                        "max_alloc": st.spec.max_alloc,
+                        "base_rate": st.spec.base_rate,
                     }
-                    for sid, min_alloc, max_alloc, base_rate in view.stages
+                    for sid, st in p.stages.items()
                 },
                 "drift": drift,
                 "delay": delay_by_pipeline.get(pid),
@@ -843,12 +811,11 @@ class Controller:
                 "ingress": list(windows.ingress) if windows else [],
             }
 
-        window = self.policy.cost.window
         committed, horizon = self._spend_projection(world, t)
-        policy_view = {
+        shared_policy = {
             "max_scale_step": self.policy.cost.max_scale_step,
             "budget_per_window": self.policy.cost.budget_per_window,
-            "window": window,
+            "window": self.policy.cost.window,
             "window_remaining": horizon,
             "windowed_spend": self._window_spend,
             "committed_spend": committed,
@@ -857,33 +824,24 @@ class Controller:
             "schema_mode": self.policy.schema.mode,
             "breach_tolerance": self.policy.freshness.breach_tolerance,
         }
+        memory = self.memory.extract()
+        faults = tuple(event.to_dict() for event in applied_faults)
 
-        return {
-            "tick": t,
-            "snapshot": snapshot,
-            "incidents": tuple(incidents),
-            "pipelines": pipelines,
-            "series": series,
-            "policy": policy_view,
-            "memory": self.memory.extract(),
-            "faults": tuple(event.to_dict() for event in applied_faults),
-        }
-
-    def _build_bundle(self, t: int, actor: Actor, parts: dict) -> ObservationBundle:
-        policy_view = dict(parts["policy"])
-        policy_view["allowed_strategies"] = list(self._allowed_strategies)
-        policy_view["allowed_kinds"] = list(self._allowed_kinds[actor])
-        return ObservationBundle(
-            tick=t,
-            agent=actor.value,
-            snapshot=parts["snapshot"],
-            open_incidents=parts["incidents"],
-            pipelines=parts["pipelines"],
-            series=parts["series"],
-            policy=policy_view,
-            memory=parts["memory"],
-            faults=parts["faults"],
-        )
+        for actor in AGENT_PHASES[1:]:
+            policy_view = dict(shared_policy)
+            policy_view["allowed_strategies"] = list(self._allowed_strategies)
+            policy_view["allowed_kinds"] = list(self._allowed_kinds[actor])
+            yield actor, ObservationBundle(
+                tick=t,
+                agent=actor.value,
+                snapshot=snapshot,
+                open_incidents=open_incidents,
+                pipelines=pipelines,
+                series=series,
+                policy=policy_view,
+                memory=memory,
+                faults=faults,
+            )
 
 
 def _zero_snapshot(world: SimWorld) -> dict:

@@ -111,7 +111,13 @@ def _replay_audit(path: str, quiet: bool) -> int:
         policies[policy.version] = policy
         operator = record.payload.get("operator")
         if isinstance(operator, dict) and "operator_delay" in operator:
-            operator_delay = int(operator["operator_delay"])
+            operator_delay = operator["operator_delay"]
+            if type(operator_delay) is not int:
+                _err(
+                    f"{path}: seq {record.seq}: malformed run_start record: "
+                    f"operator_delay {operator_delay!r} is not an integer"
+                )
+                return 1
 
     checked = 0
     for record in records:
@@ -130,7 +136,7 @@ def _replay_audit(path: str, quiet: bool) -> int:
                 try:
                     action = ProposedAction.from_dict(payload["action"])
                     context = ValidationContext.from_dict(payload["context"])
-                except (KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     _err(f"{path}: seq {record.seq}: malformed decision record: {exc}")
                     return 1
                 decision = validate_action(policy, action, context)
@@ -141,7 +147,7 @@ def _replay_audit(path: str, quiet: bool) -> int:
                         f"{decision.verdict.value!r}"
                     )
                     return 1
-                if list(decision.rule_citations) != list(payload.get("citations", [])):
+                if list(decision.rule_citations) != payload.get("citations", []):
                     _err(f"{path}: seq {record.seq}: rule citations do not match policy")
                     return 1
                 checked += 1

@@ -7,7 +7,7 @@ want all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from pipegov.core.schema import Schema

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..agents.backends import ReasoningBackend
+from ..agents.backends import BuiltinBackend, ReasoningBackend
 from ..agents.bundle import OutcomeMemory
 from ..agents.controller import Controller
 from ..core.actions import Actor
@@ -91,8 +91,7 @@ def run_experiment(
         resource_model=spec.resource_model,
         audit=audit,
         registry=registry,
-        backend=backend,
-        agents_enabled=(controller == "agentic"),
+        backend=(backend or BuiltinBackend()) if controller == "agentic" else None,
         operator=config.operator,
     )
 
@@ -123,7 +122,6 @@ def run_experiment(
         control = loop.tick(world, t, applied, prev_report)
         flags_total += len(control.flags)
         report = step(world, trace.at(t))
-        loop.observe_report(report)
         for pid, sample in report.snapshot.pipelines.items():
             store.record_sample(pid, "freshness_lag", t, float(sample.freshness_lag))
             store.record_sample(pid, "queue_depth", t, float(sample.queue_depth))

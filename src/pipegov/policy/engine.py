@@ -17,11 +17,11 @@ audited decision can be replayed bit-for-bit later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from pipegov.core.actions import ActionKind, Actor, ProposedAction, RECOVERY_KINDS
+from pipegov.core.actions import ActionKind, ProposedAction, RECOVERY_KINDS
 from pipegov.policy.model import PolicyDocument
 
 RULE_ALLOW_LIST = "actions.allow_list"

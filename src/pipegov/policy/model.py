@@ -8,7 +8,7 @@ parses is structurally safe to hand to the validator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from pipegov.core.actions import ActionKind, Actor

@@ -17,7 +17,6 @@ from pipegov.telemetry.incidents import (
     UnknownIncident,
 )
 from pipegov.telemetry.metrics import (
-    METRIC_NAMES,
     MetricStore,
     NonMonotonicTick,
     UnknownSeries,
@@ -32,7 +31,6 @@ __all__ = [
     "Incident",
     "IncidentClass",
     "IncidentRegistry",
-    "METRIC_NAMES",
     "MetricStore",
     "NonMonotonicTick",
     "UnknownIncident",

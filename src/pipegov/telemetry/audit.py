@@ -133,11 +133,14 @@ def verify_chain(records: Iterable[AuditRecord]) -> int | None:
 
 def record_from_dict(raw: dict) -> AuditRecord:
     try:
+        payload = raw["payload"]
+        if not isinstance(payload, dict):
+            raise TypeError(f"payload is {type(payload).__name__}, not an object")
         return AuditRecord(
             seq=int(raw["seq"]),
             tick=int(raw["tick"]),
             actor=Actor(raw["actor"]),
-            payload=raw["payload"],
+            payload=payload,
             policy_version=int(raw["policy_version"]),
             prev_hash=str(raw["prev_hash"]),
             hash=str(raw["hash"]),

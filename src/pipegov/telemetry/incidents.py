@@ -101,8 +101,5 @@ class IncidentRegistry:
             raise UnknownIncident(incident_id)
         return incident
 
-    def open_incidents(self) -> list[Incident]:
-        return [self._incidents[i] for i in sorted(self._open_index.values())]
-
     def all_incidents(self) -> list[Incident]:
         return [self._incidents[k] for k in sorted(self._incidents)]

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-METRIC_NAMES = ("freshness_lag", "queue_depth", "failure_rate", "utilization", "cost", "ingress")
-
 CLUSTER_SCOPE = "cluster"
 
 

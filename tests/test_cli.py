@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,33 @@ from pipegov.scenario import (
     default_policy_dict,
     scenario_hash,
 )
-from pipegov.telemetry import canonical_json
+from pipegov.telemetry import GENESIS_PREV_HASH, canonical_json
+from pipegov.telemetry.audit import compute_hash
 
 from conftest import make_mini_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RUN_FILES = {"audit.jsonl", "run.json", "telemetry.csv"}
 COMPARE_FILES = {"comparison.json", "metrics.csv", "mttr_bars.csv", "cost_bars.csv"}
+
+
+def _rechained(lines: list[str], seq: int, mutate) -> str:
+    """The log with record ``seq``'s payload replaced by ``mutate(payload)``.
+
+    Every hash from there on is recomputed, so the chain stays valid.
+    """
+
+    prev = GENESIS_PREV_HASH
+    out = []
+    for line in lines:
+        raw = json.loads(line)
+        if raw["seq"] == seq:
+            raw["payload"] = mutate(raw["payload"])
+        body = {k: raw[k] for k in ("seq", "tick", "actor", "payload", "policy_version")}
+        raw["prev_hash"] = prev
+        prev = raw["hash"] = compute_hash(prev, body)
+        out.append(canonical_json(raw))
+    return "\n".join(out) + "\n"
 
 
 def _mini_spec():
@@ -282,6 +303,38 @@ class TestReplayAudit:
 
         assert main(["replay-audit", str(tampered)]) == 1
         assert f"audit chain broken at seq {seq}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record, mutate, message",
+        [
+            (
+                "run_start",
+                lambda p: {**p, "operator": {**p["operator"], "operator_delay": "soon"}},
+                "operator_delay 'soon' is not an integer",
+            ),
+            ("initial", lambda p: {**p, "action": [p["action"]]}, "malformed decision record"),
+            ("initial", lambda p: {**p, "context": [p["context"]]}, "malformed decision record"),
+            ("initial", lambda p: {**p, "citations": 5}, "rule citations do not match"),
+            ("initial", lambda p: [p], "audit chain broken"),
+        ],
+        ids=["operator-delay-string", "action-list", "context-list", "citations-int", "payload-list"],
+    )
+    def test_malformed_fields_in_a_valid_chain_are_rejected(
+        self, compare_out, tmp_path, capsys, record, mutate, message
+    ):
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        seq = next(
+            raw["seq"]
+            for raw in map(json.loads, lines)
+            if record in (raw["payload"].get("event"), raw["payload"].get("phase"))
+        )
+        path = tmp_path / "malformed.jsonl"
+        path.write_text(_rechained(lines, seq, mutate))
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert re.search(rf"seq {seq}\b", err), err
 
     def test_empty_log_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -52,8 +52,7 @@ def _make(spec, policy, *, agents=False, backend=None, operator=None):
         resource_model=spec.resource_model,
         audit=AuditLog(),
         registry=IncidentRegistry(),
-        backend=backend,
-        agents_enabled=agents,
+        backend=(backend or BuiltinBackend()) if agents else None,
         operator=operator or OperatorModel(max_retries=3, retry_backoff=5, operator_delay=10),
     )
     return world, loop
@@ -67,7 +66,6 @@ def _drive(spec, world, loop, ticks, arrivals_fn=None):
         control = loop.tick(world, t, applied, prev)
         arrivals = arrivals_fn(t) if arrivals_fn else generate_arrivals(spec, t)
         report = step(world, arrivals)
-        loop.observe_report(report)
         prev = report
         controls.append(control)
     return controls
@@ -580,7 +578,9 @@ class TestIncidentState:
         record = loop._incidents["INC-0002"]
         assert record.denied == {"Defer"}
         assert record.retries_used == 1
-        assert loop._incidents.keys() == {i.id for i in loop.registry.open_incidents()}
+        assert loop._incidents.keys() == {
+            i.id for i in loop.registry.all_incidents() if i.open
+        }
 
     def test_approval_granted_after_close_counts_without_a_record(self, tmp_path):
         policy = _policy(
@@ -654,7 +654,7 @@ class TestWindowAccounting:
     def test_compute_spend_resets_each_window(self):
         spec = make_mini_scenario()
         world, loop = _make(spec, _policy(**{"cost.window": 10}))
-        _drive(spec, world, loop, 25)
+        _drive(spec, world, loop, 26)  # tick 25 folds tick 24's report
         # ticks 20-24 at 4 allocated units x 0.5/unit
         assert loop._window_spend == pytest.approx(5 * 4 * 0.5)
 
@@ -741,6 +741,58 @@ class TestObservationBundles:
             if bundle["tick"] == 0
             for windows in bundle["series"].values()
         )
+
+    def test_delay_baseline_is_the_ingress_ewma_before_detection(self, canonical_spec, policy):
+        # The batch pipelines see no ingress within 300 ticks, so their
+        # baselines are 0.0. An early delay on a stream gives a baseline
+        # that still depends on the first sample seeding the EWMA.
+        raw = _short_canonical(canonical_spec).to_dict()
+        raw["fault_schedule"].insert(
+            0,
+            {
+                "tick": 6,
+                "kind": "UpstreamDelay",
+                "delay_ticks": 30,
+                "missing_fraction": 0.1,
+                "pipeline": "events-stream",
+            },
+        )
+        spec = ScenarioSpec.from_dict(raw)
+        backend = RecordingBackend()
+        result = run_experiment(spec, policy, controller="agentic", backend=backend)
+        ingress = {
+            pid: [value for _, value in result.store.series(pid, "ingress")]
+            for pid in result.world.pipelines
+        }
+        for bundle in backend.seen:
+            for pid, meta in bundle["pipelines"].items():
+                if meta["delay"] is None:
+                    continue
+                (detected,) = [
+                    i["detected_tick"]
+                    for i in bundle["open_incidents"]
+                    if i["pipeline"] == pid and i["incident_class"] == "UpstreamDelay"
+                ]
+                mean = 0.0  # no sample before the first tick
+                for tick, value in enumerate(ingress[pid][:detected]):
+                    mean = value if tick == 0 else mean + 0.2 * (value - mean)
+                assert meta["delay"] == {"baseline_ingress": mean}, (bundle["tick"], pid)
+        assert any(
+            bundle["pipelines"]["events-stream"]["delay"] for bundle in backend.seen
+        )
+
+    def test_incident_table_follows_the_registry_every_tick(self, canonical_spec, policy):
+        spec = _short_canonical(canonical_spec)
+        world, loop = _make(spec, policy, agents=True, operator=OperatorModel())
+        prev = None
+        most_open = 0
+        for t in range(spec.horizon):
+            loop.tick(world, t, inject_faults(spec, world, t), prev)
+            prev = step(world, generate_arrivals(spec, t))
+            open_ids = [i.id for i in loop.registry.all_incidents() if i.open]
+            assert list(loop._incidents) == open_ids, t
+            most_open = max(most_open, len(open_ids))
+        assert most_open >= 2, "the order check needs overlapping incidents"
 
     def test_backend_mutating_its_bundle_changes_nothing(self, canonical_spec, policy):
         spec = _short_canonical(canonical_spec)

@@ -29,7 +29,7 @@ from pipegov.scenario import (
 )
 from pipegov.telemetry.metrics import CLUSTER_SCOPE, MetricStore
 
-from conftest import make_mini_scenario, make_stream_pipeline
+from conftest import make_mini_scenario
 
 
 @pytest.fixture(scope="module")

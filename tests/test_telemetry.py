@@ -114,14 +114,6 @@ class TestIncidents:
         with pytest.raises(UnknownIncident):
             reg.close_incident("INC-999", 5, "Resume")
 
-    def test_open_incidents_are_filtered(self):
-        reg = IncidentRegistry()
-        a = reg.open_incident("p", IncidentClass.UPSTREAM_DELAY, 10)
-        b = reg.open_incident("q", IncidentClass.FRESHNESS_BREACH, 11)
-        reg.close_incident(a.id, 20, "Resume")
-        open_ids = {i.id for i in reg.open_incidents()}
-        assert open_ids == {b.id}
-
     def test_serialization_keys(self):
         reg = IncidentRegistry()
         inc = reg.open_incident("p", IncidentClass.SCHEMA_INCOMPATIBLE, 10)
