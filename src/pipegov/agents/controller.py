@@ -30,13 +30,23 @@ bundle changes nothing the controller keeps or a later tick shows. The
 agents of one tick share every container but their policy view.
 
 The audit log is the only record of what happened; the per-tick
-ControlReport carries just the proposals and anomaly flags. Each open
-incident has one record (the incident itself, who claims it, which
-remedies policy denied, retry budget, last applied remedy, pending
-approval, pre-delay ingress baseline), created when the incident opens
-and dropped when it closes, so nothing carries over to the next
-incident on the same pipeline. These records, in creation order, are
-the only incident table the controller walks.
+ControlReport carries just the proposals and anomaly flags. The
+controller owns the incident lifecycle. ``incidents`` holds every
+incident in detection order, numbered ``INC-0001`` on; it is what a run
+reports. Each open incident also has one control record (the incident
+itself, who claims it, which remedies policy denied, retry budget, last
+applied remedy, pending approval, pre-delay ingress baseline), created
+when the incident opens and dropped when it closes, so nothing carries
+over to the next incident on the same pipeline. A trigger for a
+(pipeline, class) pair that already has an open record coalesces into
+it. These records, in creation order, are the only table the controller
+walks.
+
+Approvals and operator tasks wait in FIFO queues. Every entry is due
+``operator_delay`` ticks after the tick it was queued in, and within a
+tick entries are queued in audit order (approvals) or incident order
+(operator tasks), so each queue is already in due order and is drained
+from the left.
 """
 
 from __future__ import annotations
@@ -52,7 +62,6 @@ from ..core.actions import (
     Actor,
     ProposedAction,
 )
-from ..core.pipeline import ResourceModel
 from ..policy.engine import ValidationContext, Verdict, validate_action
 from ..policy.model import PolicyDocument
 from ..scenario.model import FaultEvent, FaultKind
@@ -71,12 +80,7 @@ from ..simkernel.world import (
     TickReport,
 )
 from ..telemetry.audit import AuditLog
-from ..telemetry.incidents import (
-    CLUSTER_PIPELINE,
-    Incident,
-    IncidentClass,
-    IncidentRegistry,
-)
+from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
 from .bundle import CandidateAction, ObservationBundle, OutcomeMemory
 from .monitoring import AnomalyDetector, AnomalyFlag
@@ -169,7 +173,6 @@ class ControlReport:
     tick: int
     proposals: tuple[ProposedAction, ...]
     flags: tuple[AnomalyFlag, ...]
-    interventions_total: int
 
 
 class Controller:
@@ -178,27 +181,24 @@ class Controller:
     def __init__(
         self,
         policy: PolicyDocument,
-        resource_model: ResourceModel,
         audit: AuditLog,
-        registry: IncidentRegistry,
         backend: ReasoningBackend | None = None,
         operator: OperatorModel | None = None,
     ) -> None:
         self.policy = policy
-        self.resource_model = resource_model
         self.audit = audit
-        self.registry = registry
         self.backend = backend  # None: the static controller
         self.operator = operator or OperatorModel()
         self.memory = OutcomeMemory()
         self.interventions = 0
+        self.incidents: dict[str, Incident] = {}  # every incident, in detection order
 
         self._builtin = BuiltinBackend()
         self._detector = AnomalyDetector()
         self._action_seq = 0
         self._incidents: dict[str, _IncidentControl] = {}  # open incidents only
-        self._approvals: list[_PendingApproval] = []
-        self._operator_tasks: list[_OperatorTask] = []
+        self._approvals: deque[_PendingApproval] = deque()  # FIFO: due order
+        self._operator_tasks: deque[_OperatorTask] = deque()  # FIFO: due order
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
@@ -225,7 +225,7 @@ class Controller:
         proposals: list[ProposedAction] = []
 
         if prev_report is not None:
-            self._fold_statistics(prev_report)
+            self._fold_statistics(world, prev_report)
 
         self._run_due_approvals(world, t)
         self._run_due_operator_tasks(world, t)
@@ -249,24 +249,19 @@ class Controller:
         for action in proposals:
             self._validate_and_execute(world, t, action)
 
-        return ControlReport(
-            tick=t,
-            proposals=tuple(proposals),
-            flags=tuple(flags),
-            interventions_total=self.interventions,
-        )
+        return ControlReport(tick=t, proposals=tuple(proposals), flags=tuple(flags))
 
     # ------------------------------------------------------------------
     # chassis statistics
 
-    def _fold_statistics(self, prev_report: TickReport) -> None:
+    def _fold_statistics(self, world: SimWorld, prev_report: TickReport) -> None:
         """Account the previous tick's compute spend and, with a backend, its samples."""
 
         idx = prev_report.tick // self.policy.cost.window
         if idx != self._window_index:
             self._window_index = idx
             self._window_spend = 0.0
-        storage = prev_report.materialized * self.resource_model.storage_price
+        storage = prev_report.materialized * world.resource_model.storage_price
         self._window_spend += prev_report.cost - storage
         if self.backend is None:
             return
@@ -289,10 +284,12 @@ class Controller:
     ) -> _IncidentControl:
         """Open (or coalesce into) an incident and return its control record."""
 
-        incident = self.registry.open_incident(pipeline, incident_class, t)
-        record = self._incidents.get(incident.id)
-        if record is not None:
-            return record
+        for record in self._incidents.values():
+            incident = record.incident
+            if incident.pipeline == pipeline and incident.incident_class is incident_class:
+                return record
+        incident = Incident(f"INC-{len(self.incidents) + 1:04d}", pipeline, incident_class, t)
+        self.incidents[incident.id] = incident
         record = _IncidentControl(incident)
         if incident_class is IncidentClass.UPSTREAM_DELAY:
             windows = self._windows.get(pipeline)
@@ -380,11 +377,12 @@ class Controller:
             if not done:
                 continue
             del self._incidents[incident.id]
-            resolution = record.last_applied
-            self.registry.close_incident(incident.id, t, resolution)
-            duration = t - incident.detected_tick
-            if resolution is not None:
-                self.memory.record_success(cls.value, resolution, duration)
+            incident.resumed_tick = t
+            incident.resolution = record.last_applied
+            if incident.resolution is not None:
+                self.memory.record_success(
+                    cls.value, incident.resolution, incident.duration()
+                )
             payload = {
                 "kind": "outcome",
                 "event": "incident_closed",
@@ -568,11 +566,8 @@ class Controller:
         self.audit.append(t, Actor.OPERATOR, payload, self.policy.version)
 
     def _run_due_operator_tasks(self, world: SimWorld, t: int) -> None:
-        due = [task for task in self._operator_tasks if task.due <= t]
-        if not due:
-            return
-        self._operator_tasks = [task for task in self._operator_tasks if task.due > t]
-        for task in sorted(due, key=lambda x: (x.due, x.incident_id)):
+        while self._operator_tasks and self._operator_tasks[0].due <= t:
+            task = self._operator_tasks.popleft()
             if task.incident_id not in self._incidents:
                 continue  # resolved itself while the operator was paged
             action = self._next_action(
@@ -589,11 +584,8 @@ class Controller:
     # approvals
 
     def _run_due_approvals(self, world: SimWorld, t: int) -> None:
-        due = [appr for appr in self._approvals if appr.due <= t]
-        if not due:
-            return
-        self._approvals = [appr for appr in self._approvals if appr.due > t]
-        for approval in sorted(due, key=lambda x: (x.due, x.request_ref)):
+        while self._approvals and self._approvals[0].due <= t:
+            approval = self._approvals.popleft()
             action = approval.action
             grant = {
                 "kind": "decision",
@@ -628,7 +620,7 @@ class Controller:
 
         window = self.policy.cost.window
         remaining = window - (t % window)
-        price = self.resource_model.unit_price
+        price = world.resource_model.unit_price
         paying_units = 0
         reserved_units = 0
         for p in world.pipelines.values():
@@ -643,7 +635,7 @@ class Controller:
         return committed, window
 
     def _context(self, world: SimWorld, t: int, action: ProposedAction) -> ValidationContext:
-        price = self.resource_model.unit_price
+        price = world.resource_model.unit_price
         committed, horizon = self._spend_projection(world, t)
         delta_total = 0
         if action.kind in SCALING_KINDS:
@@ -723,7 +715,7 @@ class Controller:
             if action.kind in SCALING_KINDS:
                 self._alloc_changed_at[action.pipeline] = t
             if action.incident_id is not None:
-                incident = self.registry.get(action.incident_id)
+                incident = self.incidents[action.incident_id]
                 self.memory.record_attempt(
                     incident.incident_class.value, action.kind.value
                 )
@@ -819,7 +811,7 @@ class Controller:
             "window_remaining": horizon,
             "windowed_spend": self._window_spend,
             "committed_spend": committed,
-            "unit_price": self.resource_model.unit_price,
+            "unit_price": world.resource_model.unit_price,
             "quarantine_allowed": self.policy.schema.quarantine_allowed,
             "schema_mode": self.policy.schema.mode,
             "breach_tolerance": self.policy.freshness.breach_tolerance,

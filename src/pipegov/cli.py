@@ -85,7 +85,10 @@ def _make_out_dir(path: str) -> None:
 # replay-audit
 
 def _replay_audit(path: str, quiet: bool) -> int:
-    records, first_bad = load_audit_jsonl(path)
+    records, first_bad, malformed = load_audit_jsonl(path)
+    if malformed is not None:
+        _err(f"{path}: malformed audit record at seq {first_bad}: {malformed}")
+        return 1
     if first_bad is not None:
         _err(f"{path}: audit chain broken at seq {first_bad}")
         return 1

@@ -10,7 +10,6 @@ fault generator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -99,9 +98,6 @@ class Schema:
         )
         aliases = tuple(sorted((k, v) for k, v in raw.get("aliases", {}).items()))
         return cls(columns=cols, version=int(raw["version"]), aliases=aliases)
-
-    def fingerprint(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -277,12 +273,12 @@ def schema_delta(old: Schema, new: Schema) -> SchemaDelta:
     return SchemaDelta(tuple(renames) + tuple(type_changes) + tuple(null_changes) + tuple(drops) + tuple(adds))
 
 
-def apply_delta(old: Schema, delta: SchemaDelta, version: int | None = None) -> Schema:
+def apply_delta(old: Schema, delta: SchemaDelta) -> Schema:
     """Replay a delta onto ``old`` and return the resulting schema.
 
     Surviving columns keep their relative order; added columns are appended
-    in delta order. The version defaults to ``old.version + 1`` for a
-    non-empty delta and is unchanged for an empty one.
+    in delta order. The version is ``old.version + 1`` for a non-empty
+    delta and unchanged for an empty one.
     """
 
     cols: list[Column] = list(old.columns)
@@ -328,8 +324,7 @@ def apply_delta(old: Schema, delta: SchemaDelta, version: int | None = None) -> 
         else:
             raise SchemaError(f"unknown change: {change!r}")
 
-    if version is None:
-        version = old.version + 1 if delta.changes else old.version
+    version = old.version + 1 if delta.changes else old.version
     return Schema(columns=tuple(cols), version=version, aliases=tuple(sorted(aliases)))
 
 

@@ -23,7 +23,7 @@ from ..scenario.model import ScenarioSpec, scenario_hash, validate_scenario
 from ..simkernel.kernel import check_accounting, step
 from ..simkernel.world import SimWorld, TickReport, build_world
 from ..telemetry.audit import AuditLog
-from ..telemetry.incidents import Incident, IncidentRegistry
+from ..telemetry.incidents import Incident
 from ..telemetry.metrics import CLUSTER_SCOPE, MetricStore
 from .baseline import BaselineConfig, derive_baseline_allocations
 
@@ -84,13 +84,10 @@ def run_experiment(
         spec.pipelines, spec.resource_model, config.allocations, spec.sim_constants
     )
     audit = AuditLog()
-    registry = IncidentRegistry()
     store = MetricStore()
     loop = Controller(
         policy=policy,
-        resource_model=spec.resource_model,
         audit=audit,
-        registry=registry,
         backend=(backend or BuiltinBackend()) if controller == "agentic" else None,
         operator=config.operator,
     )
@@ -142,7 +139,7 @@ def run_experiment(
         allocations=config.allocations,
         audit=audit,
         store=store,
-        incidents=registry.all_incidents(),
+        incidents=list(loop.incidents.values()),
         interventions=loop.interventions,
         memory=loop.memory,
         anomaly_flags=flags_total,

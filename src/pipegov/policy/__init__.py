@@ -11,7 +11,6 @@ from pipegov.policy.model import (
     ActionRules,
     CostRules,
     FreshnessRules,
-    IdMismatch,
     MissingField,
     OutOfRange,
     PolicyDocument,
@@ -19,7 +18,6 @@ from pipegov.policy.model import (
     RecoveryRules,
     SchemaRules,
     UnknownKey,
-    diff_policies,
     parse_policy,
 )
 
@@ -27,7 +25,6 @@ __all__ = [
     "ActionRules",
     "CostRules",
     "FreshnessRules",
-    "IdMismatch",
     "MissingField",
     "OutOfRange",
     "PolicyDecision",
@@ -38,7 +35,6 @@ __all__ = [
     "UnknownKey",
     "ValidationContext",
     "Verdict",
-    "diff_policies",
     "parse_policy",
     "projected_spend",
     "validate_action",

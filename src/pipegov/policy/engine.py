@@ -87,7 +87,6 @@ class ValidationContext:
 class PolicyDecision:
     verdict: Verdict
     rule_citations: tuple[str, ...]
-    policy_version: int
     explanation: str
 
 
@@ -102,7 +101,7 @@ def validate_action(
     policy: PolicyDocument, action: ProposedAction, context: ValidationContext
 ) -> PolicyDecision:
     def deny(rule: str, explanation: str) -> PolicyDecision:
-        return PolicyDecision(Verdict.DENY, (rule,), policy.version, explanation)
+        return PolicyDecision(Verdict.DENY, (rule,), explanation)
 
     evaluated: list[str] = [RULE_ALLOW_LIST]
     allowed = policy.actions.allowed_for(action.agent)
@@ -146,13 +145,11 @@ def validate_action(
             return PolicyDecision(
                 Verdict.REQUIRE_APPROVAL,
                 (RULE_APPROVAL,),
-                policy.version,
                 f"{action.kind.value} on a {tag!r}-tagged pipeline requires operator approval",
             )
 
     return PolicyDecision(
         Verdict.ALLOW,
         tuple(evaluated),
-        policy.version,
         f"{action.kind.value} permitted for {action.agent.value}",
     )

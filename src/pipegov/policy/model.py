@@ -36,10 +36,6 @@ class UnknownKey(PolicyError):
         self.path = path
 
 
-class IdMismatch(PolicyError):
-    pass
-
-
 @dataclass(frozen=True)
 class CostRules:
     budget_per_window: float  # compute budget per tumbling window
@@ -247,21 +243,3 @@ def _parse_kind(value: Any, path: str) -> ActionKind:
     except ValueError:
         raise OutOfRange(path, f"unknown action kind {value!r}")
 
-
-def diff_policies(old: PolicyDocument, new: PolicyDocument) -> list[tuple[str, Any, Any]]:
-    """Field-level differences as (dotted_path, old_value, new_value)."""
-
-    if old.id != new.id:
-        raise IdMismatch(f"cannot diff policies with different ids: {old.id!r} vs {new.id!r}")
-
-    diffs: list[tuple[str, Any, Any]] = []
-
-    def _walk(path: str, a: Any, b: Any) -> None:
-        if isinstance(a, dict) and isinstance(b, dict):
-            for key in sorted(set(a) | set(b)):
-                _walk(f"{path}.{key}" if path else key, a.get(key), b.get(key))
-        elif a != b:
-            diffs.append((path, a, b))
-
-    _walk("", old.to_dict(), new.to_dict())
-    return diffs

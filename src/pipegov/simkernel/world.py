@@ -276,17 +276,6 @@ class TickReport:
     cost: float
     stage_processed: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "snapshot": self.snapshot.to_dict(),
-            "failures": list(self.failures),
-            "transitions": list(self.transitions),
-            "materialized": self.materialized,
-            "cost": self.cost,
-            "stage_processed": self.stage_processed,
-        }
-
 
 @dataclass
 class SimWorld:

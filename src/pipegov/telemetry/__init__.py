@@ -1,4 +1,8 @@
-"""Observability: metric series, incidents, and the append-only audit log."""
+"""Observability: metric series, incident records, and the append-only audit log.
+
+Incident records are opened and closed by the control chassis in
+``pipegov.agents.controller``; this package only defines them.
+"""
 
 from pipegov.telemetry.audit import (
     AuditError,
@@ -9,13 +13,7 @@ from pipegov.telemetry.audit import (
     load_audit_jsonl,
     verify_chain,
 )
-from pipegov.telemetry.incidents import (
-    AlreadyClosed,
-    Incident,
-    IncidentClass,
-    IncidentRegistry,
-    UnknownIncident,
-)
+from pipegov.telemetry.incidents import Incident, IncidentClass
 from pipegov.telemetry.metrics import (
     MetricStore,
     NonMonotonicTick,
@@ -23,17 +21,14 @@ from pipegov.telemetry.metrics import (
 )
 
 __all__ = [
-    "AlreadyClosed",
     "AuditError",
     "AuditLog",
     "AuditRecord",
     "GENESIS_PREV_HASH",
     "Incident",
     "IncidentClass",
-    "IncidentRegistry",
     "MetricStore",
     "NonMonotonicTick",
-    "UnknownIncident",
     "UnknownSeries",
     "canonical_json",
     "load_audit_jsonl",

@@ -145,35 +145,43 @@ def record_from_dict(raw: dict) -> AuditRecord:
             prev_hash=str(raw["prev_hash"]),
             hash=str(raw["hash"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AuditError(f"malformed audit record: {exc}") from exc
+    except KeyError as exc:
+        raise AuditError(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise AuditError(str(exc)) from exc
 
 
-def load_audit_jsonl(path: str) -> tuple[list[AuditRecord], int | None]:
+def load_audit_jsonl(path: str) -> tuple[list[AuditRecord], int | None, str | None]:
     """Load a persisted log and verify it.
 
-    Returns (records, first_bad_seq). Both corruption modes count: a line
-    that fails to parse stops the load and reports its position (1-based,
-    which equals the expected seq for an intact prefix), and the parsed
-    prefix is always chain-verified, so a mutation that still parses is
-    reported at its sequence number too. first_bad_seq is None only for a
-    fully intact log.
+    Returns (records, first_bad_seq, malformed). Both corruption modes
+    count: a line that fails to parse as a record stops the load and
+    reports the seq it should have had (one past the records read; blank
+    lines do not count), and the parsed prefix is always chain-verified,
+    so a mutation that still parses is reported at its sequence number too.
+    The earlier of the two wins. ``malformed`` is the reason when that
+    line is intact JSON but not a valid record, and None when the chain
+    breaks there (a hash, link or seq mismatch, or a line that is not
+    JSON). first_bad_seq is None only for a fully intact log.
     """
 
     records: list[AuditRecord] = []
     parse_bad: int | None = None
+    malformed: str | None = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-                records.append(record_from_dict(raw))
-            except (json.JSONDecodeError, AuditError):
-                parse_bad = lineno
+                records.append(record_from_dict(json.loads(line)))
+            except json.JSONDecodeError:
+                parse_bad = len(records) + 1
+                break
+            except AuditError as exc:
+                parse_bad, malformed = len(records) + 1, str(exc)
                 break
     chain_bad = verify_chain(records)
     if chain_bad is not None and (parse_bad is None or chain_bad < parse_bad):
-        return records, chain_bad
-    return records, parse_bad
+        return records, chain_bad, None
+    return records, parse_bad, malformed

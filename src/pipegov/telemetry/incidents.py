@@ -1,13 +1,15 @@
-"""Incident registry with per-(pipeline, class) coalescing.
+"""Incident records: one outage, from detection to resumption.
 
-While an incident for a given pipeline and class is open, further openings
-of the same pair return the existing incident instead of creating a new
-one, so a fault that keeps re-firing is tracked as one outage.
+The control chassis (``agents.controller.Controller``) opens and closes
+them. While an incident for a given pipeline and class is open, a further
+trigger for the same pair coalesces into it instead of opening a new one,
+so a fault that keeps re-firing is tracked as one outage. Ids are
+``INC-0001``, ``INC-0002``, ... in detection order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 CLUSTER_PIPELINE = "cluster"  # scope for incidents that are not pipeline-local
@@ -19,14 +21,6 @@ class IncidentClass(str, Enum):
     RESOURCE_CONTENTION = "ResourceContention"
     TRANSIENT_TASK_FAILURE = "TransientTaskFailure"
     FRESHNESS_BREACH = "FreshnessBreach"
-
-
-class UnknownIncident(KeyError):
-    pass
-
-
-class AlreadyClosed(ValueError):
-    pass
 
 
 @dataclass
@@ -57,49 +51,3 @@ class Incident:
             "resolution": self.resolution,
         }
 
-
-@dataclass
-class IncidentRegistry:
-    _incidents: dict[str, Incident] = field(default_factory=dict)
-    _open_index: dict[tuple[str, str], str] = field(default_factory=dict)
-    _next: int = 1
-
-    def open_incident(self, pipeline: str, incident_class: IncidentClass, tick: int) -> Incident:
-        key = (pipeline, incident_class.value)
-        existing = self._open_index.get(key)
-        if existing is not None:
-            return self._incidents[existing]
-        incident = Incident(
-            id=f"INC-{self._next:04d}",
-            pipeline=pipeline,
-            incident_class=incident_class,
-            detected_tick=tick,
-        )
-        self._next += 1
-        self._incidents[incident.id] = incident
-        self._open_index[key] = incident.id
-        return incident
-
-    def close_incident(self, incident_id: str, tick: int, resolution: str) -> Incident:
-        incident = self._incidents.get(incident_id)
-        if incident is None:
-            raise UnknownIncident(incident_id)
-        if not incident.open:
-            raise AlreadyClosed(incident_id)
-        if tick < incident.detected_tick:
-            raise ValueError(
-                f"close tick {tick} precedes detection tick {incident.detected_tick}"
-            )
-        incident.resumed_tick = tick
-        incident.resolution = resolution
-        del self._open_index[(incident.pipeline, incident.incident_class.value)]
-        return incident
-
-    def get(self, incident_id: str) -> Incident:
-        incident = self._incidents.get(incident_id)
-        if incident is None:
-            raise UnknownIncident(incident_id)
-        return incident
-
-    def all_incidents(self) -> list[Incident]:
-        return [self._incidents[k] for k in sorted(self._incidents)]

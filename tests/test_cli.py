@@ -315,7 +315,7 @@ class TestReplayAudit:
             ("initial", lambda p: {**p, "action": [p["action"]]}, "malformed decision record"),
             ("initial", lambda p: {**p, "context": [p["context"]]}, "malformed decision record"),
             ("initial", lambda p: {**p, "citations": 5}, "rule citations do not match"),
-            ("initial", lambda p: [p], "audit chain broken"),
+            ("initial", lambda p: [p], "malformed audit record"),
         ],
         ids=["operator-delay-string", "action-list", "context-list", "citations-int", "payload-list"],
     )

@@ -27,9 +27,9 @@ from pipegov.scenario import (
     inject_faults,
     mutate_schema,
 )
-from pipegov.scenario.model import BatchModel
+from pipegov.scenario.model import ArrivalModel, BatchModel
 from pipegov.simkernel import Health, build_world, step
-from pipegov.telemetry import AuditLog, IncidentRegistry
+from pipegov.telemetry import AuditLog
 
 from conftest import make_batch_pipeline, make_mini_scenario, make_stream_pipeline
 
@@ -49,9 +49,7 @@ def _make(spec, policy, *, agents=False, backend=None, operator=None):
     world = build_world(list(spec.pipelines), spec.resource_model, None, spec.sim_constants)
     loop = Controller(
         policy=policy,
-        resource_model=spec.resource_model,
         audit=AuditLog(),
-        registry=IncidentRegistry(),
         backend=(backend or BuiltinBackend()) if agents else None,
         operator=operator or OperatorModel(max_retries=3, retry_backoff=5, operator_delay=10),
     )
@@ -76,6 +74,12 @@ def _drift_fault(tick: int, pid: str = "stream-a", partition: str = "pt-2") -> F
     delta = schema_delta(base, mutate_schema(base, "incompatible", seed=4))
     return FaultEvent(
         tick=tick, kind=FaultKind.SCHEMA_DRIFT, pipeline=pid, delta=delta, partition=partition
+    )
+
+
+def _task_failure(tick: int, pid: str = "stream-a") -> FaultEvent:
+    return FaultEvent(
+        tick=tick, kind=FaultKind.TRANSIENT_TASK_FAILURE, pipeline=pid, stage="ingest"
     )
 
 
@@ -104,9 +108,7 @@ def _proposals(controls, kind: ActionKind | None = None):
 
 
 def _incidents(loop, incident_class: str) -> list:
-    return [
-        i for i in loop.registry.all_incidents() if i.incident_class.value == incident_class
-    ]
+    return [i for i in loop.incidents.values() if i.incident_class.value == incident_class]
 
 
 class TestStaticFallback:
@@ -269,6 +271,10 @@ class TestAgenticDrift:
             faults=[_drift_fault(2, partition="pt-2")], stream_tags=("regulated",)
         )
         world, loop = _make(spec, _policy(), agents=True, operator=OperatorModel(3, 5, 6))
+        _drive(spec, world, loop, 3)
+        assert loop.interventions == 1  # counted at the request (tick 2), not the grant
+
+        world, loop = _make(spec, _policy(), agents=True, operator=OperatorModel(3, 5, 6))
         controls = _drive(spec, world, loop, 12)
 
         # exactly one quarantine proposal; repeats are held off while pending
@@ -276,7 +282,6 @@ class TestAgenticDrift:
         requests = _decisions(loop, "RequireApproval")
         assert len(requests) == 1
         assert requests[0].payload["citations"] == ["actions.approval_required"]
-        assert controls[2].interventions_total == 1
 
         grants = [
             r
@@ -578,9 +583,7 @@ class TestIncidentState:
         record = loop._incidents["INC-0002"]
         assert record.denied == {"Defer"}
         assert record.retries_used == 1
-        assert loop._incidents.keys() == {
-            i.id for i in loop.registry.all_incidents() if i.open
-        }
+        assert loop._incidents.keys() == {i.id for i in loop.incidents.values() if i.open}
 
     def test_approval_granted_after_close_counts_without_a_record(self, tmp_path):
         policy = _policy(
@@ -631,6 +634,92 @@ class TestIncidentState:
         cell = loop.memory.stats("UpstreamDelay", "ScaleUp")
         assert (cell.attempts, cell.successes) == (1, 0)
         assert loop._incidents == {}
+
+    def test_duplicate_open_coalesces(self):
+        # The second failure fires while INC-0001 is still open (it closes at 7).
+        spec = make_mini_scenario(faults=[_task_failure(1), _task_failure(3)])
+        world, loop = _make(spec, _policy(), operator=OperatorModel(3, 5, 100))
+        _drive(spec, world, loop, 12)
+
+        (incident,) = loop.incidents.values()
+        assert (incident.id, incident.detected_tick, incident.resumed_tick) == ("INC-0001", 1, 7)
+        opened = [(e.tick, e.payload["incident"]["id"]) for e in _events(loop, "incident_opened")]
+        assert opened == [(1, "INC-0001")]
+
+    def test_same_class_reopens_after_close(self):
+        spec = make_mini_scenario(faults=[_task_failure(1), _task_failure(20)])
+        world, loop = _make(spec, _policy(), operator=OperatorModel(3, 5, 100))
+        _drive(spec, world, loop, 30)
+
+        assert [
+            (i.id, i.pipeline, i.incident_class.value, i.detected_tick, i.resumed_tick)
+            for i in loop.incidents.values()
+        ] == [
+            ("INC-0001", "stream-a", "TransientTaskFailure", 1, 7),
+            ("INC-0002", "stream-a", "TransientTaskFailure", 20, 26),
+        ]
+        assert loop._incidents == {}
+
+
+class TestOperatorQueues:
+    def test_tasks_paged_on_one_tick_run_in_incident_order(self):
+        # stream-b's drift is scheduled first, so it opens INC-0001.
+        spec = ScenarioSpec(
+            horizon=40,
+            seed=7,
+            resource_model=ResourceModel(capacity=32, unit_price=0.5, storage_price=0.01),
+            pipelines=(make_stream_pipeline(pid="stream-a"), make_stream_pipeline(pid="stream-b")),
+            arrival_models={
+                "stream-a": ArrivalModel(base_rate=15.0),
+                "stream-b": ArrivalModel(base_rate=15.0),
+            },
+            batch_models={},
+            fault_schedule=(_drift_fault(2, pid="stream-b"), _drift_fault(2, pid="stream-a")),
+        )
+        world, loop = _make(spec, _policy(), operator=OperatorModel(3, 5, 10))
+        _drive(spec, world, loop, 16)
+
+        pages = _events(loop, "operator_task_enqueued")
+        assert [(p.tick, p.payload["incident_id"], p.payload["due_tick"]) for p in pages] == [
+            (2, "INC-0001", 12),
+            (2, "INC-0002", 12),
+        ]
+        operator_actions = [
+            r.payload["action"]
+            for r in loop.audit.records
+            if r.payload.get("kind") == "proposal" and r.payload["action"]["agent"] == "Operator"
+        ]
+        assert [(a["tick"], a["incident_id"], a["pipeline"]) for a in operator_actions] == [
+            (12, "INC-0001", "stream-b"),
+            (12, "INC-0002", "stream-a"),
+        ]
+        assert [(i.id, i.resolution) for i in loop.incidents.values()] == [
+            ("INC-0001", "Resume"),
+            ("INC-0002", "Resume"),
+        ]
+
+    def test_zero_delay_approval_is_granted_on_the_next_tick(self):
+        spec = make_mini_scenario(
+            faults=[_drift_fault(2, partition="pt-2")], stream_tags=("regulated",)
+        )
+        world, loop = _make(spec, _policy(), agents=True, operator=OperatorModel(3, 5, 0))
+        _drive(spec, world, loop, 8)
+
+        (request,) = _decisions(loop, "RequireApproval")
+        assert request.tick == 2
+        grants = [
+            r
+            for r in loop.audit.records
+            if r.payload.get("kind") == "decision"
+            and r.payload.get("phase") == "approval_grant"
+        ]
+        assert [(g.tick, g.payload["approved_ref"]) for g in grants] == [(3, request.seq)]
+        outcomes = [
+            (e.tick, e.payload["decision_ref"], e.payload["result"]["status"])
+            for e in _events(loop, "action_outcome")
+        ]
+        assert outcomes == [(3, grants[0].seq, "applied")]
+        assert loop.interventions == 1
 
 
 class TestMonitoring:
@@ -781,7 +870,7 @@ class TestObservationBundles:
             bundle["pipelines"]["events-stream"]["delay"] for bundle in backend.seen
         )
 
-    def test_incident_table_follows_the_registry_every_tick(self, canonical_spec, policy):
+    def test_open_records_follow_the_incident_table_every_tick(self, canonical_spec, policy):
         spec = _short_canonical(canonical_spec)
         world, loop = _make(spec, policy, agents=True, operator=OperatorModel())
         prev = None
@@ -789,7 +878,7 @@ class TestObservationBundles:
         for t in range(spec.horizon):
             loop.tick(world, t, inject_faults(spec, world, t), prev)
             prev = step(world, generate_arrivals(spec, t))
-            open_ids = [i.id for i in loop.registry.all_incidents() if i.open]
+            open_ids = [i.id for i in loop.incidents.values() if i.open]
             assert list(loop._incidents) == open_ids, t
             most_open = max(most_open, len(open_ids))
         assert most_open >= 2, "the order check needs overlapping incidents"

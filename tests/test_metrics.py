@@ -18,7 +18,7 @@ from pipegov.harness import (
     percentile_nearest_rank,
 )
 from pipegov.simkernel import build_world
-from pipegov.telemetry import AuditLog, IncidentClass, IncidentRegistry, MetricStore
+from pipegov.telemetry import AuditLog, Incident, IncidentClass, MetricStore
 
 import oracles
 from conftest import make_batch_pipeline, make_stream_pipeline
@@ -90,12 +90,11 @@ def _run(incidents, store=None, world=None, controller="static", cost=321.5, int
 
 class TestComputeMetrics:
     def test_mttr_is_the_mean_of_closed_durations(self):
-        registry = IncidentRegistry()
-        a = registry.open_incident("stream-a", IncidentClass.TRANSIENT_TASK_FAILURE, 10)
-        registry.close_incident(a.id, 70, "Replay")
-        b = registry.open_incident("stream-a", IncidentClass.UPSTREAM_DELAY, 100)
-        registry.close_incident(b.id, 140, "Defer")
-        report = compute_metrics(_run(registry.all_incidents()))
+        incidents = [
+            Incident("INC-0001", "stream-a", IncidentClass.TRANSIENT_TASK_FAILURE, 10, 70, "Replay"),
+            Incident("INC-0002", "stream-a", IncidentClass.UPSTREAM_DELAY, 100, 140, "Defer"),
+        ]
+        report = compute_metrics(_run(incidents))
         assert report.mttr_mean == pytest.approx(50.0)
         assert len(report.mttr_per_incident) == 2
         assert report.unresolved_incidents == ()
@@ -106,11 +105,11 @@ class TestComputeMetrics:
         assert report.mttr_per_incident == ()
 
     def test_unresolved_incidents_reported_but_excluded(self):
-        registry = IncidentRegistry()
-        a = registry.open_incident("stream-a", IncidentClass.TRANSIENT_TASK_FAILURE, 10)
-        registry.close_incident(a.id, 40, "Replay")
-        registry.open_incident("batch-a", IncidentClass.SCHEMA_INCOMPATIBLE, 50)
-        report = compute_metrics(_run(registry.all_incidents()))
+        incidents = [
+            Incident("INC-0001", "stream-a", IncidentClass.TRANSIENT_TASK_FAILURE, 10, 40, "Replay"),
+            Incident("INC-0002", "batch-a", IncidentClass.SCHEMA_INCOMPATIBLE, 50),
+        ]
+        report = compute_metrics(_run(incidents))
         assert report.mttr_mean == pytest.approx(30.0)
         assert len(report.unresolved_incidents) == 1
         assert report.unresolved_incidents[0]["incident_class"] == "SchemaIncompatible"

@@ -1,4 +1,4 @@
-"""Policy parsing, the pure validator, and document diffing."""
+"""Policy parsing and the pure validator."""
 
 from __future__ import annotations
 
@@ -9,14 +9,12 @@ import pytest
 
 from pipegov.core import ActionKind, Actor, ProposedAction
 from pipegov.policy import (
-    IdMismatch,
     MissingField,
     OutOfRange,
     PolicyError,
     UnknownKey,
     ValidationContext,
     Verdict,
-    diff_policies,
     parse_policy,
     projected_spend,
     validate_action,
@@ -267,22 +265,3 @@ class TestProjectedSpend:
         )
         assert ValidationContext.from_dict(context.to_dict()) == context
 
-
-class TestDiffPolicies:
-    def test_identical_documents_diff_empty(self, policy):
-        assert diff_policies(policy, policy) == []
-
-    def test_budget_change_reported_by_path(self, policy):
-        changed = parse_policy(_doc(**{"cost.budget_per_window": 80.0}))
-        diff = diff_policies(policy, changed)
-        assert any(path == "cost.budget_per_window" for path, _, _ in diff)
-        entry = next(e for e in diff if e[0] == "cost.budget_per_window")
-        assert entry[1] == policy.cost.budget_per_window
-        assert entry[2] == 80.0
-
-    def test_id_mismatch_rejected(self, policy):
-        doc = default_policy_dict()
-        doc["id"] = "other-policy"
-        other = parse_policy(doc)
-        with pytest.raises(IdMismatch):
-            diff_policies(policy, other)

@@ -1,4 +1,4 @@
-"""Metric series, incident lifecycle, and the hash-chained audit log."""
+"""Metric series, incident records, and the hash-chained audit log."""
 
 from __future__ import annotations
 
@@ -8,15 +8,13 @@ import pytest
 
 from pipegov.core import Actor
 from pipegov.telemetry import (
-    AlreadyClosed,
     AuditError,
     AuditLog,
     GENESIS_PREV_HASH,
+    Incident,
     IncidentClass,
-    IncidentRegistry,
     MetricStore,
     NonMonotonicTick,
-    UnknownIncident,
     UnknownSeries,
     load_audit_jsonl,
     verify_chain,
@@ -77,46 +75,14 @@ class TestMetricStore:
 
 class TestIncidents:
     def test_duration_is_close_minus_open(self):
-        reg = IncidentRegistry()
-        inc = reg.open_incident("p", IncidentClass.TRANSIENT_TASK_FAILURE, 200)
-        closed = reg.close_incident(inc.id, 260, resolution="Replay")
-        assert closed.duration() == 60
-
-    def test_duplicate_open_coalesces(self):
-        reg = IncidentRegistry()
-        first = reg.open_incident("p", IncidentClass.UPSTREAM_DELAY, 10)
-        second = reg.open_incident("p", IncidentClass.UPSTREAM_DELAY, 15)
-        assert first.id == second.id
-        assert second.detected_tick == 10
-
-    def test_same_class_reopens_after_close(self):
-        reg = IncidentRegistry()
-        first = reg.open_incident("p", IncidentClass.UPSTREAM_DELAY, 10)
-        reg.close_incident(first.id, 20, "Resume")
-        second = reg.open_incident("p", IncidentClass.UPSTREAM_DELAY, 30)
-        assert second.id != first.id
-
-    def test_close_before_open_rejected(self):
-        reg = IncidentRegistry()
-        inc = reg.open_incident("p", IncidentClass.UPSTREAM_DELAY, 10)
-        with pytest.raises(ValueError):
-            reg.close_incident(inc.id, 9, "Resume")
-
-    def test_close_twice_rejected(self):
-        reg = IncidentRegistry()
-        inc = reg.open_incident("p", IncidentClass.UPSTREAM_DELAY, 10)
-        reg.close_incident(inc.id, 12, "Resume")
-        with pytest.raises(AlreadyClosed):
-            reg.close_incident(inc.id, 13, "Resume")
-
-    def test_unknown_incident_rejected(self):
-        reg = IncidentRegistry()
-        with pytest.raises(UnknownIncident):
-            reg.close_incident("INC-999", 5, "Resume")
+        inc = Incident("INC-0001", "p", IncidentClass.TRANSIENT_TASK_FAILURE, 200)
+        assert inc.open and inc.duration() is None
+        inc.resumed_tick, inc.resolution = 260, "Replay"
+        assert not inc.open
+        assert inc.duration() == 60
 
     def test_serialization_keys(self):
-        reg = IncidentRegistry()
-        inc = reg.open_incident("p", IncidentClass.SCHEMA_INCOMPATIBLE, 10)
+        inc = Incident("INC-0001", "p", IncidentClass.SCHEMA_INCOMPATIBLE, 10)
         d = inc.to_dict()
         assert d["incident_class"] == "SchemaIncompatible"
         assert d["pipeline"] == "p"
@@ -169,8 +135,8 @@ class TestAuditLog:
         log = _filled_log(10)
         path = tmp_path / "audit.jsonl"
         log.write_jsonl(str(path))
-        records, first_bad = load_audit_jsonl(str(path))
-        assert first_bad is None
+        records, first_bad, malformed = load_audit_jsonl(str(path))
+        assert first_bad is None and malformed is None
         assert len(records) == 10
         assert verify_chain(records) is None
 
@@ -187,7 +153,7 @@ class TestAuditLog:
         target[pos + len(b'"index":')] = ord("9")
         lines[6] = bytes(target)
         path.write_bytes(b"\n".join(lines))
-        _, first_bad = load_audit_jsonl(str(path))
+        _, first_bad, _ = load_audit_jsonl(str(path))
         assert first_bad == 7
 
     def test_truncation_detected(self, tmp_path):
@@ -197,8 +163,28 @@ class TestAuditLog:
         lines = path.read_text().splitlines()
         del lines[2]  # drop seq 3
         path.write_text("\n".join(lines) + "\n")
-        _, first_bad = load_audit_jsonl(str(path))
+        _, first_bad, _ = load_audit_jsonl(str(path))
         assert first_bad == 3
+
+    def test_malformed_record_is_named_unless_the_chain_breaks_first(self, tmp_path):
+        log = _filled_log(5)
+        rows = [json.loads(line) for line in log.to_jsonl().splitlines()]
+        rows[2]["payload"] = [rows[2]["payload"]]  # seq 3: intact JSON, not a record
+        path = tmp_path / "audit.jsonl"
+
+        def write() -> None:
+            lines = [json.dumps(row) for row in rows]
+            lines.insert(1, "")  # skipped: the seq reported is not the line number
+            path.write_text("\n".join(lines) + "\n")
+
+        write()
+        records, first_bad, malformed = load_audit_jsonl(str(path))
+        assert (len(records), first_bad) == (2, 3)
+        assert malformed == "payload is list, not an object"
+
+        rows[1]["tick"] = 99  # seq 2 no longer matches its hash
+        write()
+        assert load_audit_jsonl(str(path))[1:] == (2, None)
 
     def test_every_byte_flip_is_detected(self, tmp_path):
         # Exhaustively corrupt one record: every single-byte substitution in
@@ -216,5 +202,5 @@ class TestAuditLog:
             corrupted = list(original)
             corrupted[2] = bytes(mutated)
             path.write_bytes(b"\n".join(corrupted))
-            _, first_bad = load_audit_jsonl(str(path))
+            _, first_bad, _ = load_audit_jsonl(str(path))
             assert first_bad is not None and first_bad <= 3, f"byte {pos} escaped detection"
