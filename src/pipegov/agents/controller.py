@@ -46,7 +46,9 @@ Approvals and operator tasks wait in FIFO queues. Every entry is due
 ``operator_delay`` ticks after the tick it was queued in, and within a
 tick entries are queued in audit order (approvals) or incident order
 (operator tasks), so each queue is already in due order and is drained
-from the left.
+from the left. The queues are drained at the start of a tick, before
+that tick's proposals, so the earliest an entry runs is the next tick:
+``max(operator_delay, 1)`` ticks after it was queued.
 """
 
 from __future__ import annotations

@@ -169,12 +169,16 @@ def _replay_audit(path: str, quiet: bool) -> int:
                 if request.payload.get("action") != payload.get("action"):
                     _err(f"{path}: seq {record.seq}: approval grant action mismatch")
                     return 1
-                if operator_delay is not None and record.tick != request.tick + operator_delay:
-                    _err(
-                        f"{path}: seq {record.seq}: approval granted at tick "
-                        f"{record.tick}, expected {request.tick + operator_delay}"
-                    )
-                    return 1
+                # Approvals are drained at the start of a tick, so a grant
+                # lands no earlier than the tick after its request.
+                if operator_delay is not None:
+                    due = request.tick + max(operator_delay, 1)
+                    if record.tick != due:
+                        _err(
+                            f"{path}: seq {record.seq}: approval granted at tick "
+                            f"{record.tick}, expected {due}"
+                        )
+                        return 1
                 checked += 1
         elif kind == "outcome" and payload.get("event") == "action_outcome":
             ref = payload.get("decision_ref")

@@ -8,7 +8,6 @@ from pipegov.simkernel.kernel import (
     InvalidTarget,
     apply_action,
     check_accounting,
-    compute_tick_cost,
     step,
 )
 from pipegov.simkernel.world import (
@@ -44,6 +43,5 @@ __all__ = [
     "apply_action",
     "check_accounting",
     "build_world",
-    "compute_tick_cost",
     "step",
 ]

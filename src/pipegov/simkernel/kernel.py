@@ -92,32 +92,16 @@ def _contended_rate(base_rate: int, alloc: int, capacity: int, busy_alloc: int) 
     return (base_rate * alloc * capacity) // busy_alloc
 
 
-def compute_tick_cost(world: SimWorld, materialized_this_tick: int = 0) -> float:
-    """Allocation cost plus storage for records materialized this tick.
-
-    Halted and deferred pipelines release their allocation and accrue no
-    compute cost; failing pipelines keep paying for their reserved units.
-    """
-
-    compute = 0
-    for pid in world.pipeline_ids():
-        p = world.pipelines[pid]
-        if p.health in (Health.HALTED, Health.DEFERRED):
-            continue
-        compute += p.allocation_total()
-    return (
-        compute * world.resource_model.unit_price
-        + materialized_this_tick * world.resource_model.storage_price
-    )
-
-
 def _check_conservation(world: SimWorld, pids: list[str]) -> None:
     for pid in pids:
         p = world.pipelines[pid]
-        if not p.accounting_holds():
+        queued = 0
+        for stage in p.stages.values():
+            queued += stage.queue.records
+        if p.ingress != p.materialized + queued + p.quarantined + p.dropped:
             raise InconsistentWorld(
                 f"pipeline {pid}: ingress {p.ingress} != materialized {p.materialized} "
-                f"+ queued {p.queued()} + quarantined {p.quarantined} + dropped {p.dropped}"
+                f"+ queued {queued} + quarantined {p.quarantined} + dropped {p.dropped}"
             )
 
 
@@ -271,6 +255,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     for f in failures:
         failure_counts[f["pipeline"]] = failure_counts.get(f["pipeline"], 0) + 1
     materialized_now = 0
+    compute_units = 0  # allocation of pipelines that are neither halted nor deferred
     samples: dict[str, PipelineSample] = {}
     stage_processed: dict[str, dict[str, int]] = {}
     for pid in pids:
@@ -322,23 +307,36 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             if t % p.sink_stage().spec.checkpoint_interval == 0:
                 p.materialized_since_checkpoint.clear()
 
+        queued = 0
+        allocation = 0
+        for stage in p.stages.values():
+            queued += stage.queue.records
+            allocation += stage.alloc
+        # Halted and deferred pipelines release their allocation and accrue
+        # no compute cost; failing pipelines keep paying for reserved units.
+        if p.health not in (Health.HALTED, Health.DEFERRED):
+            compute_units += allocation
+
         util = 0.0
         if capacity_total > 0:
             util = min(1.0, processed_total / capacity_total)
         samples[pid] = PipelineSample(
-            queue_depth=p.queued(),
+            queue_depth=queued,
             effective_rate=min(pipeline_rates) if pipeline_rates else 0,
             freshness_lag=t - p.newest_materialized_arrival,
             failure_count=failure_counts.get(pid, 0),
             utilization=util,
-            allocation=p.allocation_total(),
+            allocation=allocation,
             ingress=ingress_now[pid],
             health=p.health.value,
             suppressed=suppressed_now[pid],
         )
 
-    # 6. price and snapshot
-    cost = compute_tick_cost(world, materialized_now)
+    # 6. price (allocation plus storage for records materialized this tick) and snapshot
+    cost = (
+        compute_units * world.resource_model.unit_price
+        + materialized_now * world.resource_model.storage_price
+    )
     snapshot = TelemetrySnapshot(
         tick=t,
         pipelines=samples,

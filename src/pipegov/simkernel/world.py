@@ -213,9 +213,6 @@ class PipelineState:
     def sink_stage(self) -> StageState:
         return self.stages[self.topo[-1]]
 
-    def accounting_holds(self) -> bool:
-        return self.ingress == self.materialized + self.queued() + self.quarantined + self.dropped
-
     def processing_allowed(self, tick: int) -> bool:
         return self.health is Health.HEALTHY and tick >= self.paused_until
 

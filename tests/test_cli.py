@@ -9,19 +9,23 @@ from pathlib import Path
 
 import pytest
 
+from pipegov.agents import OperatorModel
 from pipegov.cli import main
+from pipegov.core import schema_delta
+from pipegov.harness import BaselineConfig, derive_baseline_allocations, run_experiment
 from pipegov.policy import parse_policy
 from pipegov.scenario import (
     FaultEvent,
     FaultKind,
     canonical_scenario,
     default_policy_dict,
+    mutate_schema,
     scenario_hash,
 )
 from pipegov.telemetry import GENESIS_PREV_HASH, canonical_json
 from pipegov.telemetry.audit import compute_hash
 
-from conftest import make_mini_scenario
+from conftest import make_mini_scenario, make_stream_pipeline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RUN_FILES = {"audit.jsonl", "run.json", "telemetry.csv"}
@@ -335,6 +339,33 @@ class TestReplayAudit:
         err = capsys.readouterr().err
         assert message in err
         assert re.search(rf"seq {seq}\b", err), err
+
+    def test_zero_delay_approval_log_verifies(self, tmp_path, capsys):
+        # Approvals are drained at the start of a tick, so with operator_delay
+        # 0 the regulated drift's request at tick 2 is granted at tick 3.
+        base = make_stream_pipeline().schema
+        drift = FaultEvent(
+            tick=2,
+            kind=FaultKind.SCHEMA_DRIFT,
+            pipeline="stream-a",
+            delta=schema_delta(base, mutate_schema(base, "incompatible", seed=4)),
+            partition="pt-2",
+        )
+        spec = make_mini_scenario(faults=[drift], stream_tags=("regulated",))
+        config = BaselineConfig(
+            allocations=derive_baseline_allocations(spec), operator=OperatorModel(3, 5, 0)
+        )
+        result = run_experiment(
+            spec, parse_policy(default_policy_dict()), controller="agentic", config=config
+        )
+        grants = [
+            r.tick for r in result.audit.records if r.payload.get("phase") == "approval_grant"
+        ]
+        assert grants == [3]
+        path = tmp_path / "audit.jsonl"
+        result.audit.write_jsonl(str(path))
+
+        assert main(["replay-audit", str(path)]) == 0, capsys.readouterr().err
 
     def test_empty_log_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -32,7 +32,6 @@ from pipegov.simkernel import (
     apply_action,
     build_world,
     check_accounting,
-    compute_tick_cost,
     step,
 )
 from pipegov.core.schema import DropColumn, SchemaDelta
@@ -137,16 +136,29 @@ class TestStepProcessing:
 class TestCost:
     def test_allocation_cost_only(self):
         world = _world(alloc=4, price=0.5)
-        assert compute_tick_cost(world) == pytest.approx(2.0)
+        assert step(world, {}).cost == pytest.approx(2.0)
 
     def test_storage_cost_added(self):
-        world = _world(alloc=4, price=0.5, storage=0.01)
-        assert compute_tick_cost(world, materialized_this_tick=100) == pytest.approx(3.0)
+        # 25 x 4 = 100 records/tick: all 100 arrivals materialize this tick
+        world = _world(base_rate=25, alloc=4, price=0.5, storage=0.01)
+        report = step(world, {"p": 100})
+        assert report.materialized == 100
+        assert report.cost == pytest.approx(3.0)
 
     def test_halted_pipelines_cost_nothing(self):
         world = _world(alloc=4)
         world.pipelines["p"].health = Health.HALTED
-        assert compute_tick_cost(world) == 0.0
+        assert step(world, {}).cost == 0.0
+
+    def test_deferred_pipelines_cost_nothing(self):
+        world = _world(alloc=4)
+        world.pipelines["p"].health = Health.DEFERRED
+        assert step(world, {}).cost == 0.0
+
+    def test_failing_pipelines_keep_paying(self):
+        world = _world(alloc=4, price=0.5)
+        world.pipelines["p"].health = Health.FAILING
+        assert step(world, {}).cost == pytest.approx(2.0)
 
     def test_cost_monotone_in_allocation(self):
         random.seed(5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -64,6 +65,57 @@ class TestMetricStore:
             store.record_sample("p", "ingress", t, float(t))
         window = store.query_window("p", "ingress", 5)
         assert [t for t, _ in window] == [9, 10]  # ticks in (5, 10]
+
+    def test_rejected_sample_leaves_series_unchanged(self):
+        store = MetricStore()
+        store.record_sample("p", "queue_depth", 5, 1.0)
+        store.record_sample("p", "queue_depth", 6, 2.0)
+        with pytest.raises(NonMonotonicTick, match="tick 6 is not after last tick 6"):
+            store.record_sample("p", "queue_depth", 6, 3)
+        assert store.series("p", "queue_depth") == [(5, 1.0), (6, 2.0)]
+        ticks, values = store._series[("p", "queue_depth")]
+        assert len(ticks) == len(values) == 2
+
+    def test_returned_series_is_a_copy(self):
+        store = MetricStore()
+        store.record_sample("p", "ingress", 1, 1.5)
+        series = store.series("p", "ingress")
+        series.append((2, 2.5))
+        series[0] = (0, 0.0)
+        assert store.series("p", "ingress") == [(1, 1.5)]
+        store.record_sample("p", "ingress", 2, 3.5)  # the copy's tick 2 never reached the store
+        assert store.series("p", "ingress") == [(1, 1.5), (2, 3.5)]
+
+    def test_non_float_value_kept_exactly(self):
+        store = MetricStore()
+        store.record_sample("p", "cost", 1, 0.1)
+        store.record_sample("p", "cost", 2, -0.0)
+        store.record_sample("p", "cost", 3, 12345678901234567890)
+        store.record_sample("p", "cost", 4, 2.5)
+        series = store.series("p", "cost")
+        assert series == [(1, 0.1), (2, -0.0), (3, 12345678901234567890), (4, 2.5)]
+        assert [type(v) for _, v in series] == [float, float, int, float]
+        assert repr(series[1][1]) == "-0.0"
+        store.record_sample("p", "other", 1, 3)  # another series is unaffected
+        assert store.series("p", "other") == [(1, 3)]
+        assert store.series("p", "cost")[0] == (1, 0.1)
+
+    def test_float_samples_are_stored_without_per_sample_objects(self):
+        # 100,000 samples: about 1.6 MB as tick and value columns, about
+        # 8.8 MB as one (tick, value) tuple and boxed float per sample.
+        ticks = range(10_000)
+        values = [t * 0.5 for t in ticks]
+        tracemalloc.start()
+        try:
+            store = MetricStore()
+            for t, v in zip(ticks, values):
+                for i in range(10):
+                    store.record_sample("p", f"m{i}", t, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store.series("p", "m9")) == 10_000
+        assert peak < 3_000_000, f"{peak} bytes for 100,000 samples"
 
     def test_unknown_series_raises(self):
         store = MetricStore()
