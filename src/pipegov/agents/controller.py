@@ -42,13 +42,13 @@ over to the next incident on the same pipeline. A trigger for a
 it. These records, in creation order, are the only table the controller
 walks.
 
-Approvals and operator tasks wait in FIFO queues. Every entry is due
-``operator_delay`` ticks after the tick it was queued in, and within a
-tick entries are queued in audit order (approvals) or incident order
-(operator tasks), so each queue is already in due order and is drained
-from the left. The queues are drained at the start of a tick, before
-that tick's proposals, so the earliest an entry runs is the next tick:
-``max(operator_delay, 1)`` ticks after it was queued.
+Approvals and operator tasks wait in FIFO queues. The queues are drained
+at the start of a tick, before that tick's proposals, so every entry is
+due ``max(operator_delay, 1)`` ticks after the tick it was queued in
+(``OperatorModel.due``), and that is the tick an operator task's audit
+record names. Within a tick entries are queued in audit order
+(approvals) or incident order (operator tasks), so each queue is already
+in due order and is drained from the left.
 """
 
 from __future__ import annotations
@@ -124,6 +124,12 @@ class OperatorModel:
             raise ValueError("retry_backoff must be >= 1")
         if self.operator_delay < 0:
             raise ValueError("operator_delay must be >= 0")
+
+    def due(self, t: int) -> int:
+        """The tick operator work queued at tick ``t`` runs: the queues are
+        drained at the start of a tick, so never before ``t + 1``."""
+
+        return t + max(self.operator_delay, 1)
 
 
 @dataclass
@@ -332,10 +338,10 @@ class Controller:
         if prev_report is None:
             return
 
-        for failure in prev_report.failures:
-            incident_class = _FAILURE_CLASSES.get(failure["kind"])
+        for pid, kind in prev_report.failures:
+            incident_class = _FAILURE_CLASSES.get(kind)
             if incident_class is not None:
-                self._note_incident(failure["pipeline"], incident_class, t).failed = True
+                self._note_incident(pid, incident_class, t).failed = True
 
         tolerance = self.policy.freshness.breach_tolerance
         for pid, sample in prev_report.snapshot.pipelines.items():
@@ -551,7 +557,7 @@ class Controller:
         self, t: int, kind: ActionKind, record: _IncidentControl
     ) -> None:
         incident = record.incident
-        due = t + self.operator.operator_delay
+        due = self.operator.due(t)
         self._operator_tasks.append(
             _OperatorTask(due, kind, incident.pipeline, incident.id)
         )
@@ -683,7 +689,7 @@ class Controller:
             self._apply(world, t, action, decided.seq)
         elif decision.verdict is Verdict.REQUIRE_APPROVAL:
             self._approvals.append(
-                _PendingApproval(t + self.operator.operator_delay, action, decided.seq)
+                _PendingApproval(self.operator.due(t), action, decided.seq)
             )
             self.interventions += 1
             if record is not None:

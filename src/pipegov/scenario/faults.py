@@ -42,63 +42,24 @@ def _apply_schema_drift(world: SimWorld, event: FaultEvent, tick: int) -> None:
         )
         if p.health is Health.HEALTHY:
             p.health = Health.FAILING
-            world.pending_transitions.append(
-                {"tick": tick, "pipeline": event.pipeline, "event": "health", "from": "Healthy", "to": "Failing"}
-            )
         p.failing_cause = "schema_drift"
         p.failing_stage = p.topo[0]
-        world.pending_failures.append(
-            {
-                "tick": tick,
-                "pipeline": event.pipeline,
-                "kind": "schema_drift",
-                "stage": p.topo[0],
-                "partition": event.partition,
-            }
-        )
+        world.pending_failures.append((event.pipeline, "schema_drift"))
     else:
-        old_version = p.schema.version
         p.schema = new_schema
-        world.pending_transitions.append(
-            {
-                "tick": tick,
-                "pipeline": event.pipeline,
-                "event": "schema_version",
-                "from": old_version,
-                "to": new_schema.version,
-            }
-        )
 
 
 def _apply_upstream_delay(world: SimWorld, event: FaultEvent, tick: int) -> None:
     p = world.pipelines[event.pipeline]
     p.suppress_until = tick + event.delay_ticks
     p.missing_fraction = event.missing_fraction
-    world.pending_transitions.append(
-        {
-            "tick": tick,
-            "pipeline": event.pipeline,
-            "event": "upstream_delay",
-            "until": p.suppress_until,
-            "missing_fraction": event.missing_fraction,
-        }
-    )
 
 
 def _apply_contention(world: SimWorld, event: FaultEvent, tick: int) -> None:
     world.capacity_reductions.append((tick + event.duration_ticks, event.capacity_reduction))
-    world.pending_transitions.append(
-        {
-            "tick": tick,
-            "pipeline": None,
-            "event": "capacity_reduction",
-            "units": event.capacity_reduction,
-            "until": tick + event.duration_ticks,
-        }
-    )
 
 
-def _apply_task_failure(world: SimWorld, event: FaultEvent, tick: int) -> None:
+def _apply_task_failure(world: SimWorld, event: FaultEvent) -> None:
     p = world.pipelines[event.pipeline]
     if p.health in (Health.HALTED, Health.DEFERRED):
         return  # nothing is running, so no task can fail
@@ -106,12 +67,7 @@ def _apply_task_failure(world: SimWorld, event: FaultEvent, tick: int) -> None:
         p.health = Health.FAILING
         p.failing_cause = "task_failure"
         p.failing_stage = event.stage
-        world.pending_transitions.append(
-            {"tick": tick, "pipeline": event.pipeline, "event": "health", "from": "Healthy", "to": "Failing"}
-        )
-    world.pending_failures.append(
-        {"tick": tick, "pipeline": event.pipeline, "kind": "task_failure", "stage": event.stage}
-    )
+    world.pending_failures.append((event.pipeline, "task_failure"))
 
 
 def inject_faults(spec: ScenarioSpec, world: SimWorld, tick: int) -> list[FaultEvent]:
@@ -135,6 +91,6 @@ def inject_faults(spec: ScenarioSpec, world: SimWorld, tick: int) -> list[FaultE
         elif event.kind is FaultKind.RESOURCE_CONTENTION:
             _apply_contention(world, event, tick)
         elif event.kind is FaultKind.TRANSIENT_TASK_FAILURE:
-            _apply_task_failure(world, event, tick)
+            _apply_task_failure(world, event)
         applied.append(event)
     return applied

@@ -149,10 +149,8 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     pids = world.pipeline_ids()
     _check_conservation(world, pids)
     t = world.tick
-    failures: list[dict] = list(world.pending_failures)
-    transitions: list[dict] = list(world.pending_transitions)
+    failures: list[tuple[str, str]] = list(world.pending_failures)
     world.pending_failures = []
-    world.pending_transitions = []
 
     world.capacity_reductions = [(until, u) for until, u in world.capacity_reductions if t < until]
     capacity_now = world.effective_capacity(t)
@@ -161,14 +159,10 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     for pid in pids:
         p = world.pipelines[pid]
         if p.recover_at is not None and t >= p.recover_at:
-            old = p.health
             p.health = Health.HEALTHY
             p.recover_at = None
             p.failing_cause = None
             p.failing_stage = None
-            transitions.append(
-                {"tick": t, "pipeline": pid, "event": "health", "from": old.value, "to": p.health.value}
-            )
 
     # 2. arrivals, suppression, release, batch triggers
     ingress_now: dict[str, int] = {}
@@ -217,11 +211,8 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         ):
             if p.health is Health.HEALTHY:
                 p.health = Health.FAILING
-                transitions.append(
-                    {"tick": t, "pipeline": pid, "event": "health", "from": "Healthy", "to": "Failing"}
-                )
             p.failing_cause = "missing_input"
-            failures.append({"tick": t, "pipeline": pid, "kind": "missing_input", "stage": p.topo[0]})
+            failures.append((pid, "missing_input"))
 
     # 3. quarantine diversion and drift-window resolution
     for pid in pids:
@@ -230,17 +221,10 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         if drift is None:
             continue
         if drift.quarantine_mode:
-            moved = _divert_quarantined(p)
-            if moved:
-                transitions.append(
-                    {"tick": t, "pipeline": pid, "event": "quarantined", "records": moved, "partition": drift.partition}
-                )
+            _divert_quarantined(p)
             # diversion left nothing tagged queued, so a closed window resolves it
             if t > drift.window_end:
                 p.pending_drift = None
-                transitions.append(
-                    {"tick": t, "pipeline": pid, "event": "drift_resolved", "partition": drift.partition}
-                )
 
     # 4. contention from busy allocation; health and pauses are settled for
     # the rest of the tick, so each pipeline's processing gate is read once.
@@ -252,8 +236,8 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
 
     # 5. per pipeline: process queues, take checkpoints, and sample
     failure_counts: dict[str, int] = {}
-    for f in failures:
-        failure_counts[f["pipeline"]] = failure_counts.get(f["pipeline"], 0) + 1
+    for failed_pid, _ in failures:
+        failure_counts[failed_pid] = failure_counts.get(failed_pid, 0) + 1
     materialized_now = 0
     compute_units = 0  # allocation of pipelines that are neither halted nor deferred
     samples: dict[str, PipelineSample] = {}
@@ -350,7 +334,6 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         tick=t,
         snapshot=snapshot,
         failures=tuple(failures),
-        transitions=tuple(transitions),
         materialized=materialized_now,
         cost=cost,
         stage_processed=stage_processed,
@@ -422,9 +405,6 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
                 clamped = True
             changes[stage.spec.id] = new
             stage.alloc = new
-        world.pending_transitions.append(
-            {"tick": t, "pipeline": action.pipeline, "event": "allocation", "stages": changes}
-        )
         return outcome("applied", "allocation updated", allocations=changes, clamped=clamped)
 
     if kind is ActionKind.REPLAY:
@@ -455,9 +435,6 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
         p.materialized -= requeued
         p.materialized_since_checkpoint = []
         p.paused_until = max(p.paused_until, t + world.constants.rollback_latency)
-        world.pending_transitions.append(
-            {"tick": t, "pipeline": action.pipeline, "event": "rollback", "records": requeued}
-        )
         return outcome("applied", "output since checkpoint invalidated", requeued=requeued)
 
     if kind is ActionKind.PARTIAL_RECOMPUTE:
@@ -495,9 +472,6 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
             p.recover_at = t + world.constants.quarantine_latency
         if world.tick > drift.window_end:  # nothing tagged is left queued
             p.pending_drift = None
-        world.pending_transitions.append(
-            {"tick": t, "pipeline": action.pipeline, "event": "quarantine", "records": moved, "partition": drift.partition}
-        )
         return outcome("applied", "partition isolated", quarantined=moved, partition=drift.partition)
 
     if kind is ActionKind.DEFER:
@@ -505,14 +479,10 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
             raise IllegalTransition(f"Defer on already deferred pipeline {action.pipeline!r}")
         if p.health is Health.HALTED:
             raise IllegalTransition(f"Defer on halted pipeline {action.pipeline!r}")
-        old = p.health
         p.health = Health.DEFERRED
         p.failing_cause = None
         p.failing_stage = None
         p.recover_at = None
-        world.pending_transitions.append(
-            {"tick": t, "pipeline": action.pipeline, "event": "health", "from": old.value, "to": "Deferred"}
-        )
         return outcome("applied", f"deferred until {action.condition or 'resumed'}")
 
     if kind is ActionKind.RESUME:
@@ -533,24 +503,16 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
             except SchemaError:
                 pass  # schema moved on since the drift; keep the current one
             p.pending_drift = None
-        old = p.health
         p.failing_cause = None
         p.failing_stage = None
         p.recover_at = t + world.constants.resume_latency
-        world.pending_transitions.append(
-            {"tick": t, "pipeline": action.pipeline, "event": "resume", "from": old.value}
-        )
         return outcome("applied", "resume scheduled", accepted_records=accepted, healthy_at=p.recover_at)
 
     if kind is ActionKind.HALT:
         if p.health is Health.HALTED:
             raise IllegalTransition(f"Halt on already halted pipeline {action.pipeline!r}")
-        old = p.health
         p.health = Health.HALTED
         p.recover_at = None
-        world.pending_transitions.append(
-            {"tick": t, "pipeline": action.pipeline, "event": "health", "from": old.value, "to": "Halted"}
-        )
         return outcome("applied", "pipeline halted")
 
     raise InvalidTarget(f"unknown action kind {kind!r}")

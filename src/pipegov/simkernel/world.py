@@ -267,8 +267,9 @@ class TelemetrySnapshot:
 class TickReport:
     tick: int
     snapshot: TelemetrySnapshot
-    failures: tuple[dict, ...]
-    transitions: tuple[dict, ...]
+    # (pipeline, kind) per failure this tick; kind is "task_failure",
+    # "schema_drift" or "missing_input"
+    failures: tuple[tuple[str, str], ...]
     materialized: int
     cost: float
     stage_processed: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -282,8 +283,8 @@ class SimWorld:
     tick: int = 0
     capacity_reductions: list[tuple[int, int]] = field(default_factory=list)  # (until, units)
     consumed_faults: set[tuple] = field(default_factory=set)
-    pending_failures: list[dict] = field(default_factory=list)
-    pending_transitions: list[dict] = field(default_factory=list)
+    # (pipeline, kind) failures raised by fault injection, reported by the next step
+    pending_failures: list[tuple[str, str]] = field(default_factory=list)
 
     def pipeline_ids(self) -> list[str]:
         return sorted(self.pipelines)

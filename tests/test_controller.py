@@ -721,6 +721,21 @@ class TestOperatorQueues:
         assert outcomes == [(3, grants[0].seq, "applied")]
         assert loop.interventions == 1
 
+    def test_zero_delay_task_due_tick_is_when_the_operator_acts(self):
+        spec = make_mini_scenario(faults=[_task_failure(2)])
+        world, loop = _make(spec, _policy(), operator=OperatorModel(0, 5, 0))
+        _drive(spec, world, loop, 6)
+
+        (page,) = _events(loop, "operator_task_enqueued")
+        assert page.tick == 2
+        operator_actions = [
+            r.payload["action"]
+            for r in loop.audit.records
+            if r.payload.get("kind") == "proposal" and r.payload["action"]["agent"] == "Operator"
+        ]
+        assert [(a["tick"], a["kind"]) for a in operator_actions] == [(3, "Replay")]
+        assert page.payload["due_tick"] == operator_actions[0]["tick"]
+
 
 class TestMonitoring:
     def test_ingress_spike_is_flagged_and_audited(self):

@@ -1,9 +1,15 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used, and every dataclass field is read.
 
-Package ``__init__`` modules are skipped: their imports are re-exports.
-``from __future__`` imports are skipped. A name counts as used when it
-appears as a ``Name`` node, as the root of an attribute chain (``np`` in
-``np.array``), or inside a string annotation such as ``"Incident"``.
+Imports: package ``__init__`` modules are skipped, since their imports are
+re-exports, and so are ``from __future__`` imports. A name counts as used
+when it appears as a ``Name`` node, as the root of an attribute chain
+(``np`` in ``np.array``), or inside a string annotation such as
+``"Incident"``.
+
+Fields: every field declared in a ``src/pipegov`` dataclass must be read
+as an attribute (``x.field`` in a load context) somewhere in ``src/``,
+``tests/`` or ``perfbench/``. The match is by name, not by type, and a
+field read only through ``getattr`` or ``asdict`` does not count.
 """
 
 from __future__ import annotations
@@ -20,6 +26,13 @@ MODULES = sorted(
     for path in base.rglob("*.py")
     if path.name != "__init__.py"
 )
+
+# Fields kept although no code reads them, each with its reason.
+UNREAD_FIELDS = {
+    # The audit seq of the Allow or approval decision: the type carries it so
+    # no action reaches apply_action without a decision to point at.
+    ("ApprovedAction", "decision_ref"),
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -88,3 +101,61 @@ def test_no_unused_imports():
     assert "tests/test_imports.py" in scanned
     found = {name: unused_imports(path.read_text()) for name, path in scanned.items()}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr == "dataclass"
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for every annotated field of every dataclass."""
+
+    return [
+        (node.name, stmt.target.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def attribute_reads(source: str) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_field_scanner():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "class B:\n    z: int\n"
+        "def f(a):\n    a.y = 1\n    return a.x\n"
+    )
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y")]
+    assert attribute_reads(source) == {"x"}
+
+
+def test_every_dataclass_field_is_read():
+    reads: set[str] = set()
+    for base in ("src", "tests", "perfbench"):
+        for path in (ROOT / base).rglob("*.py"):
+            reads |= attribute_reads(path.read_text())
+    declared = [
+        (path.relative_to(ROOT).as_posix(), *field)
+        for path in sorted((ROOT / "src" / "pipegov").rglob("*.py"))
+        for field in dataclass_fields(path.read_text())
+    ]
+    assert ("src/pipegov/simkernel/world.py", "SimWorld", "pending_failures") in declared
+    unread = [
+        (where, cls, name)
+        for where, cls, name in declared
+        if name not in reads and (cls, name) not in UNREAD_FIELDS
+    ]
+    assert unread == []

@@ -294,7 +294,7 @@ class TestDriftAndFailureFaults:
         spec, world = _stream_world([fault])
         assert len(inject_faults(spec, world, 1)) == 1
         assert inject_faults(spec, world, 1) == []
-        assert len(world.pending_failures) == 1
+        assert world.pending_failures == [("s", "task_failure")]
 
 
 class TestMutateSchema:

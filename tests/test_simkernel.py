@@ -5,6 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from pipegov.core import (
     ActionKind,
@@ -34,8 +43,19 @@ from pipegov.simkernel import (
     check_accounting,
     step,
 )
-from pipegov.core.schema import DropColumn, SchemaDelta
+from pipegov.core.schema import DropColumn, SchemaDelta, schema_delta
+from pipegov.scenario import (
+    ArrivalModel,
+    BatchModel,
+    FaultEvent,
+    FaultKind,
+    ScenarioSpec,
+    inject_faults,
+    mutate_schema,
+)
 from pipegov.simkernel.kernel import _contended_rate
+
+from conftest import make_batch_pipeline, make_stream_pipeline
 
 
 def _pipeline(pid: str = "p", base_rate: int = 10, max_alloc: int = 8, stages: int = 1) -> PipelineSpec:
@@ -168,6 +188,74 @@ class TestCost:
             world = _world(base_rate=10, alloc=alloc, capacity=64)
             totals.append(sum(step(world, {"p": n}).cost for n in trace))
         assert totals[1] >= totals[0]
+
+
+def _faulted_world(
+    faults=(), stream: PipelineSpec | None = None, allocations=None
+) -> tuple[ScenarioSpec, SimWorld]:
+    """A streaming pipeline and a batch pipeline triggered every 10 ticks."""
+
+    stream = stream or make_stream_pipeline()
+    spec = ScenarioSpec(
+        horizon=100,
+        seed=7,
+        resource_model=ResourceModel(capacity=16, unit_price=0.5, storage_price=0.01),
+        pipelines=(stream, make_batch_pipeline(schedule_period=10)),
+        arrival_models={stream.id: ArrivalModel(base_rate=15.0)},
+        batch_models={"batch-a": BatchModel(dataset_size=300, schedule_period=10)},
+        fault_schedule=tuple(faults),
+    )
+    return spec, build_world(list(spec.pipelines), spec.resource_model, allocations)
+
+
+def _faulted_run(faults, ticks: int) -> tuple[SimWorld, list[TickReport]]:
+    spec, world = _faulted_world(faults)
+    reports = []
+    for t in range(ticks):
+        inject_faults(spec, world, t)
+        reports.append(step(world, {"stream-a": 10}))
+    return world, reports
+
+
+class TestFailureEvents:
+    def test_task_failure_is_one_pair(self):
+        fault = FaultEvent(tick=2, kind=FaultKind.TRANSIENT_TASK_FAILURE, pipeline="stream-a", stage="sink")
+        _, reports = _faulted_run([fault], 4)
+        assert [r.failures for r in reports] == [(), (), (("stream-a", "task_failure"),), ()]
+        samples = reports[2].snapshot.pipelines
+        assert samples["stream-a"].failure_count == 1
+        assert samples["batch-a"].failure_count == 0
+
+    def test_incompatible_drift_is_a_schema_drift_pair(self):
+        base = make_stream_pipeline().schema
+        delta = schema_delta(base, mutate_schema(base, "incompatible", seed=4))
+        fault = FaultEvent(
+            tick=1, kind=FaultKind.SCHEMA_DRIFT, pipeline="stream-a", delta=delta, partition="pt-1"
+        )
+        _, reports = _faulted_run([fault], 2)
+        assert reports[1].failures == (("stream-a", "schema_drift"),)
+        assert reports[1].snapshot.pipelines["stream-a"].failure_count == 1
+
+    def test_suppressed_batch_trigger_is_a_missing_input_pair(self):
+        fault = FaultEvent(
+            tick=5, kind=FaultKind.UPSTREAM_DELAY, pipeline="batch-a", delay_ticks=10, missing_fraction=0.0
+        )
+        world, reports = _faulted_run([fault], 11)
+        assert [(r.tick, r.failures) for r in reports if r.failures] == [
+            (10, (("batch-a", "missing_input"),))
+        ]
+        assert reports[10].snapshot.pipelines["batch-a"].failure_count == 1
+        assert world.pipelines["batch-a"].failing_cause == "missing_input"
+
+    def test_task_failure_on_deferred_pipeline_is_silent(self):
+        fault = FaultEvent(tick=1, kind=FaultKind.TRANSIENT_TASK_FAILURE, pipeline="stream-a", stage="ingest")
+        spec, world = _faulted_world([fault])
+        step(world, {})
+        apply_action(world, _op(ActionKind.DEFER, pipeline="stream-a"))
+        inject_faults(spec, world, 1)
+        report = step(world, {})
+        assert report.failures == ()
+        assert report.snapshot.pipelines["stream-a"].failure_count == 0
 
 
 class TestScaling:
@@ -407,22 +495,34 @@ class TestDeterminismAndAccounting:
         assert SimConstants.from_dict(constants.to_dict()) == constants
 
 
-def _diamond_world() -> SimWorld:
+_DIAMOND = {"s0": (), "s1": ("s0",), "s2": ("s0",), "s3": ("s1", "s2")}
+
+
+def _diamond_spec(pid: str = "p", checkpoint_interval: int = 40) -> PipelineSpec:
     """s0 fans out to s1 and s2, which both feed the sink s3."""
 
     schema = Schema(columns=(Column("a", Dtype.INT64),))
-    upstream = {"s0": (), "s1": ("s0",), "s2": ("s0",), "s3": ("s1", "s2")}
     stages = tuple(
-        StageSpec(id=sid, upstream=up, base_rate=10, min_alloc=1, max_alloc=4, checkpoint_interval=40)
-        for sid, up in upstream.items()
+        StageSpec(
+            id=sid,
+            upstream=up,
+            base_rate=10,
+            min_alloc=1,
+            max_alloc=4,
+            checkpoint_interval=checkpoint_interval,
+        )
+        for sid, up in _DIAMOND.items()
     )
-    spec = PipelineSpec(
-        id="p", kind=PipelineKind.STREAMING, stages=stages, schema=schema, freshness_target=10
+    return PipelineSpec(
+        id=pid, kind=PipelineKind.STREAMING, stages=stages, schema=schema, freshness_target=10
     )
+
+
+def _diamond_world() -> SimWorld:
     return build_world(
-        [spec],
+        [_diamond_spec()],
         ResourceModel(capacity=8, unit_price=0.5, storage_price=0.01),
-        allocations={"p": {sid: 2 for sid in upstream}},
+        allocations={"p": {sid: 2 for sid in _DIAMOND}},
     )
 
 
@@ -529,3 +629,123 @@ class TestQueueTotals:
         assert p.stages["s0"].depth() == 25
         assert p.stages["s1"].depth() == 16
         check_accounting(world)
+
+
+_FAN_OUT = _diamond_spec("fan-out", checkpoint_interval=12)
+_MACHINE_PIPELINES = (_FAN_OUT, make_batch_pipeline(schedule_period=10))
+_MACHINE_PARTITIONS = [f"pt-{k}" for k in range(8)] + ["pt-ghost"]
+_MACHINE_ALLOCATIONS = st.fixed_dictionaries(
+    {
+        p.id: st.fixed_dictionaries({s.id: st.integers(s.min_alloc, s.max_alloc) for s in p.stages})
+        for p in _MACHINE_PIPELINES
+    }
+)
+
+
+@st.composite
+def _fault_schedules(draw) -> list[FaultEvent]:
+    """Up to eight faults of any kind in ticks 0..12. A drift's delta is taken
+    against the declared schema, so each pipeline drifts at most once."""
+
+    events: list[FaultEvent] = []
+    drifted: set[str] = set()
+    for k in range(draw(st.integers(0, 8))):
+        tick = draw(st.integers(0, 12))
+        kind = draw(st.sampled_from(FaultKind))
+        target = draw(st.sampled_from(_MACHINE_PIPELINES))
+        if kind is FaultKind.TRANSIENT_TASK_FAILURE:
+            stage = draw(st.sampled_from(target.stages)).id
+            events.append(FaultEvent(tick, kind, target.id, stage=stage))
+        elif kind is FaultKind.UPSTREAM_DELAY:
+            events.append(
+                FaultEvent(
+                    tick,
+                    kind,
+                    target.id,
+                    delay_ticks=draw(st.integers(1, 12)),
+                    missing_fraction=draw(st.floats(0.0, 1.0)),
+                )
+            )
+        elif kind is FaultKind.RESOURCE_CONTENTION:
+            events.append(
+                FaultEvent(
+                    tick,
+                    kind,
+                    capacity_reduction=draw(st.integers(1, 20)),
+                    duration_ticks=draw(st.integers(1, 12)),
+                )
+            )
+        elif target.id not in drifted:
+            drifted.add(target.id)
+            mode = draw(st.sampled_from(["compatible", "incompatible"]))
+            changed = mutate_schema(target.schema, mode, seed=draw(st.integers(0, 99)))
+            delta = schema_delta(target.schema, changed)
+            events.append(FaultEvent(tick, kind, target.id, delta=delta, partition=f"pt-{k}"))
+    return events
+
+
+def _troubled(p) -> bool:
+    return p.health is not Health.HEALTHY or p.pending_drift is not None
+
+
+class KernelMachine(RuleBasedStateMachine):
+    """Faults, arrivals and actions, legal or not, in any interleaving."""
+
+    @initialize(faults=_fault_schedules(), allocations=_MACHINE_ALLOCATIONS)
+    def build(self, faults, allocations):
+        self.spec, self.world = _faulted_world(faults, _FAN_OUT, allocations)
+
+    @rule(stream=st.integers(0, 120), batch=st.integers(0, 400))
+    def advance(self, stream, batch):
+        inject_faults(self.spec, self.world, self.world.tick)
+        step(self.world, {"fan-out": stream, "batch-a": batch})
+
+    @rule(
+        kind=st.sampled_from(ActionKind),
+        pipeline=st.sampled_from(["fan-out", "batch-a", "ghost"]),
+        stage=st.sampled_from([None, *_DIAMOND, "extract", "load", "ghost"]),
+        partition=st.none() | st.sampled_from(_MACHINE_PARTITIONS),
+        delta_units=st.integers(-3, 3),
+    )
+    def act(self, kind, pipeline, stage, partition, delta_units):
+        action = ProposedAction(
+            id="ACT-1",
+            tick=self.world.tick,
+            agent=Actor.OPERATOR,
+            kind=kind,
+            pipeline=pipeline,
+            stage=stage,
+            partition=partition,
+            delta_units=delta_units,
+        )
+        try:  # any other exception fails the test
+            apply_action(self.world, ApprovedAction(action=action, decision_ref=1))
+        except (InvalidTarget, IllegalTransition):
+            pass
+
+    # Random draws rarely hit a failing or drifted pipeline with a matching
+    # partition, so this rule aims any action kind at one.
+    @precondition(lambda self: any(map(_troubled, self.world.pipelines.values())))
+    @rule(kind=st.sampled_from(ActionKind), data=st.data())
+    def act_on_trouble(self, kind, data):
+        troubled = [p for _, p in sorted(self.world.pipelines.items()) if _troubled(p)]
+        p = data.draw(st.sampled_from(troubled))
+        drift = p.pending_drift
+        partition = data.draw(st.sampled_from([None, drift.partition] if drift else [None]))
+        self.act(kind, p.spec.id, None, partition, 1)
+
+    @invariant()
+    def records_are_accounted(self):
+        check_accounting(self.world)
+
+    @invariant()
+    def allocations_stay_in_bounds(self):
+        for p in self.world.pipelines.values():
+            for stage in p.stages.values():
+                assert stage.spec.min_alloc <= stage.alloc <= stage.spec.max_alloc
+
+
+TestKernelMachine = KernelMachine.TestCase
+TestKernelMachine.settings = settings(
+    derandomize=True, max_examples=100, stateful_step_count=80, deadline=None
+)
