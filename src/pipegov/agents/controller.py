@@ -44,8 +44,8 @@ walks.
 
 Approvals and operator tasks wait in FIFO queues. The queues are drained
 at the start of a tick, before that tick's proposals, so every entry is
-due ``max(operator_delay, 1)`` ticks after the tick it was queued in
-(``OperatorModel.due``), and that is the tick an operator task's audit
+due ``operator_delay`` ticks, and at least one tick, after the tick it was
+queued in (``OperatorModel.due``); that is the tick an operator task's audit
 record names. Within a tick entries are queued in audit order
 (approvals) or incident order (operator tasks), so each queue is already
 in due order and is drained from the left.

@@ -6,8 +6,8 @@ Subcommands:
 - ``compare``           static vs agentic on the same scenario/seed(s)
 - ``validate-policy``   parse and check a policy document
 - ``validate-scenario`` parse and check a scenario file
-- ``replay-audit``      verify an audit log's hash chain and re-validate
-                        every recorded decision against the embedded policy
+- ``replay-audit``      check an audit log: chain, embedded policies, decision
+                        re-validation, grants and their due tick, outcome links
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 """
@@ -20,9 +20,9 @@ import os
 import sys
 
 from .agents.backends import BackendError, ReasoningBackend, make_backend
-from .core.actions import ProposedAction
 from .harness.baseline import BaselineConfig, derive_baseline_allocations
 from .harness.metrics import aggregate_comparisons, compare, compute_metrics
+from .harness.replay import replay_audit
 from .harness.report import (
     IoFailure,
     emit_aggregate_report,
@@ -30,7 +30,6 @@ from .harness.report import (
     write_run_artifacts,
 )
 from .harness.runner import reseed, run_experiment
-from .policy.engine import ValidationContext, Verdict, validate_action
 from .policy.model import PolicyDocument, PolicyError, parse_policy
 from .scenario.model import (
     ScenarioError,
@@ -39,7 +38,6 @@ from .scenario.model import (
     scenario_hash,
     validate_scenario,
 )
-from .telemetry.audit import AuditRecord, load_audit_jsonl
 
 
 def _err(message: str) -> None:
@@ -85,119 +83,13 @@ def _make_out_dir(path: str) -> None:
 # replay-audit
 
 def _replay_audit(path: str, quiet: bool) -> int:
-    records, first_bad, malformed = load_audit_jsonl(path)
-    if malformed is not None:
-        _err(f"{path}: malformed audit record at seq {first_bad}: {malformed}")
+    replay = replay_audit(path)
+    if replay.problem is not None:
+        _err(f"{path}: {replay.problem}")
         return 1
-    if first_bad is not None:
-        _err(f"{path}: audit chain broken at seq {first_bad}")
-        return 1
-    if not records:
-        _err(f"{path}: empty audit log")
-        return 1
-
-    policies: dict[int, PolicyDocument] = {}
-    operator_delay: int | None = None
-    by_seq: dict[int, AuditRecord] = {r.seq: r for r in records}
-
-    for record in records:
-        if record.payload.get("kind") != "policy_change":
-            continue
-        doc = record.payload.get("policy")
-        if doc is None:
-            continue
-        try:
-            policy = parse_policy(doc)
-        except PolicyError as exc:
-            _err(f"{path}: seq {record.seq}: embedded policy invalid: {exc}")
-            return 1
-        policies[policy.version] = policy
-        operator = record.payload.get("operator")
-        if isinstance(operator, dict) and "operator_delay" in operator:
-            operator_delay = operator["operator_delay"]
-            if type(operator_delay) is not int:
-                _err(
-                    f"{path}: seq {record.seq}: malformed run_start record: "
-                    f"operator_delay {operator_delay!r} is not an integer"
-                )
-                return 1
-
-    checked = 0
-    for record in records:
-        payload = record.payload
-        kind = payload.get("kind")
-        if kind == "decision":
-            phase = payload.get("phase")
-            if phase == "initial":
-                policy = policies.get(record.policy_version)
-                if policy is None:
-                    _err(
-                        f"{path}: seq {record.seq}: no policy document for "
-                        f"version {record.policy_version}"
-                    )
-                    return 1
-                try:
-                    action = ProposedAction.from_dict(payload["action"])
-                    context = ValidationContext.from_dict(payload["context"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    _err(f"{path}: seq {record.seq}: malformed decision record: {exc}")
-                    return 1
-                decision = validate_action(policy, action, context)
-                if decision.verdict.value != payload.get("verdict"):
-                    _err(
-                        f"{path}: seq {record.seq}: recorded verdict "
-                        f"{payload.get('verdict')!r} but policy says "
-                        f"{decision.verdict.value!r}"
-                    )
-                    return 1
-                if list(decision.rule_citations) != payload.get("citations", []):
-                    _err(f"{path}: seq {record.seq}: rule citations do not match policy")
-                    return 1
-                checked += 1
-            elif phase == "approval_grant":
-                ref = payload.get("approved_ref")
-                request = by_seq.get(ref) if isinstance(ref, int) else None
-                if request is None or request.payload.get("kind") != "decision":
-                    _err(f"{path}: seq {record.seq}: approval grant cites no decision")
-                    return 1
-                if request.payload.get("verdict") != Verdict.REQUIRE_APPROVAL.value:
-                    _err(
-                        f"{path}: seq {record.seq}: approval grant cites a decision "
-                        f"that did not require approval"
-                    )
-                    return 1
-                if request.payload.get("action") != payload.get("action"):
-                    _err(f"{path}: seq {record.seq}: approval grant action mismatch")
-                    return 1
-                # Approvals are drained at the start of a tick, so a grant
-                # lands no earlier than the tick after its request.
-                if operator_delay is not None:
-                    due = request.tick + max(operator_delay, 1)
-                    if record.tick != due:
-                        _err(
-                            f"{path}: seq {record.seq}: approval granted at tick "
-                            f"{record.tick}, expected {due}"
-                        )
-                        return 1
-                checked += 1
-        elif kind == "outcome" and payload.get("event") == "action_outcome":
-            ref = payload.get("decision_ref")
-            decision_rec = by_seq.get(ref) if isinstance(ref, int) else None
-            if decision_rec is None or decision_rec.payload.get("kind") != "decision":
-                _err(f"{path}: seq {record.seq}: action outcome cites no decision")
-                return 1
-            if decision_rec.payload.get("verdict") != Verdict.ALLOW.value:
-                _err(
-                    f"{path}: seq {record.seq}: action executed without an "
-                    f"Allow verdict"
-                )
-                return 1
-
     if not quiet:
-        print(
-            f"audit chain verified: {len(records)} records, "
-            f"{checked} decisions re-validated"
-        )
+        records, decisions = len(replay.records), replay.decisions
+        print(f"audit chain verified: {records} records, {decisions} decisions re-validated")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Experiment harness: baseline controller, runner, metrics, reports."""
+"""Experiment harness: baseline controller, runner, metrics, reports, audit replay."""
 
 from .baseline import (
     DEFAULT_HEADROOM,
@@ -16,6 +16,7 @@ from .metrics import (
     compute_metrics,
     percentile_nearest_rank,
 )
+from .replay import replay_audit
 from .report import (
     IoFailure,
     emit_aggregate_report,
@@ -42,6 +43,7 @@ __all__ = [
     "emit_aggregate_report",
     "emit_report",
     "percentile_nearest_rank",
+    "replay_audit",
     "reseed",
     "run_experiment",
     "write_run_artifacts",

@@ -5,7 +5,8 @@ concatenated with the canonical JSON encoding of the record's other fields
 (sorted keys, no insignificant whitespace). The first record chains from 32
 zero bytes. Any byte-level mutation of a persisted log is therefore
 detectable, and verification reports the first sequence number whose link
-fails.
+fails. A record is serialized once, when it is made: that text is what is
+hashed, written and read back.
 """
 
 from __future__ import annotations
@@ -33,43 +34,42 @@ PAYLOAD_KINDS = ("proposal", "decision", "outcome", "policy_change")
 
 @dataclass(frozen=True)
 class AuditRecord:
+    """A sealed record: ``body_json``, the hashed fields' canonical JSON, is
+    written once, and ``payload`` reads a fresh copy back from it."""
+
     seq: int
     tick: int
     actor: Actor
-    payload: dict
     policy_version: int
     prev_hash: str
     hash: str
+    body_json: str
 
-    def body(self) -> dict:
-        """The hashed fields: everything except the chain links."""
-
-        return {
-            "seq": self.seq,
-            "tick": self.tick,
-            "actor": self.actor.value,
-            "payload": self.payload,
-            "policy_version": self.policy_version,
-        }
-
-    def to_dict(self) -> dict:
-        d = self.body()
-        d["prev_hash"] = self.prev_hash
-        d["hash"] = self.hash
-        return d
+    @property
+    def payload(self) -> dict:
+        return json.loads(self.body_json)["payload"]
 
     def to_json_line(self) -> str:
-        return canonical_json(self.to_dict())
+        # Sorted, the line's keys are actor, hash, payload, policy_version,
+        # prev_hash, seq, tick. The links need no escaping: append makes hex
+        # digests, and a loaded record with other links fails verify_chain.
+        body = self.body_json
+        cut = body.index(',"payload":')
+        tail = body.rindex(',"seq":')
+        return (
+            f'{body[:cut]},"hash":"{self.hash}"{body[cut:tail]}'
+            f',"prev_hash":"{self.prev_hash}"{body[tail:]}'
+        )
 
 
-def compute_hash(prev_hash: str, body: dict) -> str:
-    try:
-        prev = bytes.fromhex(prev_hash)
-    except ValueError as exc:
-        raise AuditError(f"prev_hash is not hex: {prev_hash!r}") from exc
-    if len(prev) != 32:
-        raise AuditError(f"prev_hash must be 32 bytes, got {len(prev)}")
-    return hashlib.sha256(prev + canonical_json(body).encode("utf-8")).hexdigest()
+def _body_json(seq: int, tick: int, actor: Actor, payload: dict, policy_version: int) -> str:
+    return canonical_json(
+        dict(seq=seq, tick=tick, actor=actor.value, payload=payload, policy_version=policy_version)
+    )
+
+
+def _link(prev_hash: str, body_json: str) -> str:
+    return hashlib.sha256(bytes.fromhex(prev_hash) + body_json.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -82,22 +82,9 @@ class AuditLog:
             raise AuditError(f"payload kind must be one of {PAYLOAD_KINDS}, got {kind!r}")
         prev_hash = self.records[-1].hash if self.records else GENESIS_PREV_HASH
         seq = len(self.records) + 1
-        body = {
-            "seq": seq,
-            "tick": tick,
-            "actor": actor.value,
-            "payload": payload,
-            "policy_version": policy_version,
-        }
-        record = AuditRecord(
-            seq=seq,
-            tick=tick,
-            actor=actor,
-            payload=payload,
-            policy_version=policy_version,
-            prev_hash=prev_hash,
-            hash=compute_hash(prev_hash, body),
-        )
+        body = _body_json(seq, tick, actor, payload, policy_version)
+        hash_ = _link(prev_hash, body)
+        record = AuditRecord(seq, tick, actor, policy_version, prev_hash, hash_, body)
         self.records.append(record)
         return record
 
@@ -124,7 +111,8 @@ def verify_chain(records: Iterable[AuditRecord]) -> int | None:
             return expected_seq
         if record.prev_hash != prev_hash:
             return record.seq
-        if compute_hash(record.prev_hash, record.body()) != record.hash:
+        # prev_hash is the genesis hash or a hash verified above: valid hex.
+        if _link(record.prev_hash, record.body_json) != record.hash:
             return record.seq
         prev_hash = record.hash
         expected_seq += 1
@@ -136,15 +124,10 @@ def record_from_dict(raw: dict) -> AuditRecord:
         payload = raw["payload"]
         if not isinstance(payload, dict):
             raise TypeError(f"payload is {type(payload).__name__}, not an object")
-        return AuditRecord(
-            seq=int(raw["seq"]),
-            tick=int(raw["tick"]),
-            actor=Actor(raw["actor"]),
-            payload=payload,
-            policy_version=int(raw["policy_version"]),
-            prev_hash=str(raw["prev_hash"]),
-            hash=str(raw["hash"]),
-        )
+        seq, tick, actor = int(raw["seq"]), int(raw["tick"]), Actor(raw["actor"])
+        version, prev_hash = int(raw["policy_version"]), str(raw["prev_hash"])
+        body = _body_json(seq, tick, actor, payload, version)
+        return AuditRecord(seq, tick, actor, version, prev_hash, str(raw["hash"]), body)
     except KeyError as exc:
         raise AuditError(f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -12,7 +12,12 @@ import pytest
 from pipegov.agents import OperatorModel
 from pipegov.cli import main
 from pipegov.core import schema_delta
-from pipegov.harness import BaselineConfig, derive_baseline_allocations, run_experiment
+from pipegov.harness import (
+    BaselineConfig,
+    derive_baseline_allocations,
+    replay_audit,
+    run_experiment,
+)
 from pipegov.policy import parse_policy
 from pipegov.scenario import (
     FaultEvent,
@@ -23,13 +28,25 @@ from pipegov.scenario import (
     scenario_hash,
 )
 from pipegov.telemetry import GENESIS_PREV_HASH, canonical_json
-from pipegov.telemetry.audit import compute_hash
 
+import oracles
 from conftest import make_mini_scenario, make_stream_pipeline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RUN_FILES = {"audit.jsonl", "run.json", "telemetry.csv"}
 COMPARE_FILES = {"comparison.json", "metrics.csv", "mttr_bars.csv", "cost_bars.csv"}
+
+
+def _rechain(rows: list[dict]) -> str:
+    """The log of ``rows``, renumbered from 1 and hash-chained afresh."""
+
+    prev = GENESIS_PREV_HASH
+    out = []
+    for seq, raw in enumerate(rows, 1):
+        raw = {**raw, "seq": seq, "prev_hash": prev}
+        prev = raw["hash"] = oracles.oracle_record_hash(raw)
+        out.append(canonical_json(raw))
+    return "\n".join(out) + "\n"
 
 
 def _rechained(lines: list[str], seq: int, mutate) -> str:
@@ -38,17 +55,32 @@ def _rechained(lines: list[str], seq: int, mutate) -> str:
     Every hash from there on is recomputed, so the chain stays valid.
     """
 
-    prev = GENESIS_PREV_HASH
-    out = []
-    for line in lines:
-        raw = json.loads(line)
-        if raw["seq"] == seq:
-            raw["payload"] = mutate(raw["payload"])
-        body = {k: raw[k] for k in ("seq", "tick", "actor", "payload", "policy_version")}
-        raw["prev_hash"] = prev
-        prev = raw["hash"] = compute_hash(prev, body)
-        out.append(canonical_json(raw))
-    return "\n".join(out) + "\n"
+    rows = [json.loads(line) for line in lines]
+    rows[seq - 1]["payload"] = mutate(rows[seq - 1]["payload"])
+    return _rechain(rows)
+
+
+# Forgeries of a log's action outcomes: each takes the parsed rows and the
+# action_outcome rows among them, edits them in place, and returns the rows.
+
+def _refs_swapped(rows, outcomes):
+    first, second = (outcome["payload"] for outcome in outcomes[:2])
+    first["decision_ref"], second["decision_ref"] = second["decision_ref"], first["decision_ref"]
+    return rows
+
+
+def _outcome_duplicated(rows, outcomes):
+    return rows + [outcomes[0]]
+
+
+def _later_decision_cited(rows, outcomes):
+    outcomes[0]["payload"]["decision_ref"] = outcomes[-1]["payload"]["decision_ref"]
+    return rows
+
+
+def _action_id_changed(rows, outcomes):
+    outcomes[0]["payload"]["result"]["action_id"] = "ACT-99999"
+    return rows
 
 
 def _mini_spec():
@@ -90,6 +122,29 @@ def compare_out(cli_files, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def approval_log():
+    """An agentic log with one approval grant: a regulated stream's
+    incompatible drift at tick 2, operator_delay 0."""
+
+    base = make_stream_pipeline().schema
+    drift = FaultEvent(
+        tick=2,
+        kind=FaultKind.SCHEMA_DRIFT,
+        pipeline="stream-a",
+        delta=schema_delta(base, mutate_schema(base, "incompatible", seed=4)),
+        partition="pt-2",
+    )
+    spec = make_mini_scenario(faults=[drift], stream_tags=("regulated",))
+    config = BaselineConfig(
+        allocations=derive_baseline_allocations(spec), operator=OperatorModel(3, 5, 0)
+    )
+    result = run_experiment(
+        spec, parse_policy(default_policy_dict()), controller="agentic", config=config
+    )
+    return result.audit.to_jsonl()
 
 
 class TestRunCommand:
@@ -372,6 +427,91 @@ class TestReplayAudit:
         path.write_text("")
         assert main(["replay-audit", str(path)]) == 1
         assert "empty audit log" in capsys.readouterr().err
+
+    def test_unknown_decision_phase_is_rejected(self, compare_out, tmp_path, capsys):
+        # A decision no phase check re-validates could still authorise an outcome.
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        seq = next(
+            raw["seq"]
+            for raw in map(json.loads, lines)
+            if raw["payload"].get("phase") == "initial" and raw["payload"]["verdict"] == "Allow"
+        )
+
+        def relabel(payload):
+            action = {**payload["action"], "agent": "MonitoringAgent", "kind": "Halt"}
+            return {**payload, "phase": "bogus", "action": action}
+
+        path = tmp_path / "bogus.jsonl"
+        path.write_text(_rechained(lines, seq, relabel))
+
+        assert main(["replay-audit", str(path)]) == 1
+        assert f"seq {seq}: decision record has unknown phase 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (_refs_swapped, "which is not earlier"),
+            (_outcome_duplicated, "which already authorised an outcome"),
+            (_later_decision_cited, "which is not earlier"),
+            (_action_id_changed, "action outcome is not for its decision's action"),
+        ],
+        ids=["refs-swapped", "outcome-duplicated", "later-decision", "action-id"],
+    )
+    def test_outcome_must_spend_an_earlier_decision_once(
+        self, compare_out, tmp_path, capsys, forge, message
+    ):
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        outcomes = [row for row in rows if row["payload"].get("event") == "action_outcome"]
+        assert len(outcomes) >= 2
+        path = tmp_path / "forged.jsonl"
+        path.write_text(_rechain(forge(rows, outcomes)))
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "action outcome cites seq" in err or "action outcome is not" in err, err
+        assert message in err, err
+
+    def test_request_is_granted_once(self, approval_log, tmp_path, capsys):
+        rows = [json.loads(line) for line in approval_log.splitlines()]
+        grant = next(row for row in rows if row["payload"].get("phase") == "approval_grant")
+        path = tmp_path / "regranted.jsonl"
+        path.write_text(_rechain(rows + [grant]))
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"seq {len(rows) + 1}: approval grant cites seq " in err
+        assert "which was already granted" in err
+
+    def test_negative_operator_delay_is_malformed(self, approval_log, tmp_path, capsys):
+        lines = approval_log.splitlines()
+        path = tmp_path / "negative.jsonl"
+        path.write_text(
+            _rechained(lines, 1, lambda p: {**p, "operator": {**p["operator"], "operator_delay": -1}})
+        )
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "seq 1: malformed run_start record: operator_delay must be >= 0" in err
+
+    def test_library_returns_the_summary_and_prints_nothing(self, compare_out, tmp_path, capsys):
+        path = compare_out / "agentic" / "audit.jsonl"
+        replay = replay_audit(str(path))
+        assert capsys.readouterr() == ("", "")
+        assert replay.problem is None
+        assert len(replay.records) == len(path.read_text().splitlines())
+        assert main(["replay-audit", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"audit chain verified: {len(replay.records)} records, "
+            f"{replay.decisions} decisions re-validated\n"
+        )
+
+        tampered = tmp_path / "tampered.jsonl"
+        tampered.write_text(path.read_text().replace('"Allow"', '"AlloW"', 1))
+        problem = replay_audit(str(tampered)).problem
+        assert problem is not None and problem.startswith("audit chain broken at seq ")
+        assert main(["replay-audit", str(tampered)]) == 1
+        assert capsys.readouterr().err == f"{tampered}: {problem}\n"
 
 
 class TestUsageErrors:

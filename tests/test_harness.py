@@ -27,6 +27,7 @@ from pipegov.scenario import (
     default_policy_dict,
     scenario_hash,
 )
+from pipegov.telemetry import verify_chain
 from pipegov.telemetry.metrics import CLUSTER_SCOPE, MetricStore
 
 from conftest import make_mini_scenario
@@ -175,6 +176,17 @@ class TestRunExperiment:
         cost_series = result.store.series(CLUSTER_SCOPE, "cost")
         assert len(cost_series) == spec.horizon
         assert result.total_cost == pytest.approx(sum(v for _, v in cost_series))
+
+    def test_mutating_the_result_leaves_its_audit_intact(self, mini_policy):
+        # The run_start record embeds the allocations the result also holds.
+        result = run_experiment(make_mini_scenario(), mini_policy, controller="static")
+        text = result.audit.to_jsonl()
+        for stages in result.allocations.values():
+            for stage in stages:
+                stages[stage] += 1
+        assert verify_chain(result.audit.records) is None
+        assert result.audit.to_jsonl() == text
+        assert result.audit.records[0].payload["allocations"] != result.allocations
 
     def test_static_run_is_deterministic(self, mini_policy):
         spec = _faulted_mini()

@@ -159,3 +159,70 @@ def test_every_dataclass_field_is_read():
         if name not in reads and (cls, name) not in UNREAD_FIELDS
     ]
     assert unread == []
+
+
+# The package layers, lowest first: each package may import only those
+# listed for it. Audit replay needs the policy engine and the operator
+# model, so it lives in ``harness``, not in ``telemetry``.
+_BASE = {"core", "policy", "simkernel", "telemetry"}
+LAYERS = {
+    "core": set(),
+    "policy": {"core"},
+    "simkernel": {"core"},
+    "telemetry": {"core"},
+    "scenario": _BASE,
+    "agents": _BASE | {"scenario"},
+    "harness": _BASE | {"scenario", "agents"},
+    "cli": _BASE | {"scenario", "agents", "harness"},
+}
+
+
+def imported_packages(source: str, module: str) -> set[str]:
+    """The ``pipegov`` packages a module imports; ``module`` is its dotted
+    name, with ``__init__`` kept so relative imports resolve."""
+
+    package = module.split(".")[:-1]
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            target = base + (node.module.split(".") if node.module else [])
+            targets = [target + [alias.name] for alias in node.names] if not node.module else [target]
+        else:
+            continue
+        found.update(t[1] for t in targets if len(t) > 1 and t[0] == "pipegov")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, module, expected",
+    [
+        ("from ..agents.controller import OperatorModel\n", "pipegov.harness.replay", {"agents"}),
+        ("from .baseline import X\n", "pipegov.harness.__init__", {"harness"}),
+        ("from .harness.runner import run\n", "pipegov.cli", {"harness"}),
+        ("from pipegov.core.actions import Actor\nimport json\n", "pipegov.telemetry.audit", {"core"}),
+        ("import pipegov.policy.engine\n", "pipegov.agents.bundle", {"policy"}),
+        ("from .. import telemetry\n", "pipegov.harness.replay", {"telemetry"}),
+    ],
+)
+def test_import_resolver(source, module, expected):
+    assert imported_packages(source, module) == expected
+
+
+def test_packages_import_only_lower_layers():
+    src = ROOT / "src"
+    graph: dict[str, set[str]] = {}
+    for path in sorted((src / "pipegov").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[1] == "__init__":
+            continue  # the package docstring only
+        layer = parts[1]
+        graph.setdefault(layer, set()).update(
+            imported_packages(path.read_text(), ".".join(parts)) - {layer}
+        )
+    assert set(graph) == set(LAYERS)
+    assert "agents" in graph["harness"]  # the resolver sees relative imports
+    upward = {layer: sorted(used - LAYERS[layer]) for layer, used in graph.items()}
+    assert {layer: used for layer, used in upward.items() if used} == {}

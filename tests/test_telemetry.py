@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from pipegov.core import Actor
+from pipegov.telemetry import audit as audit_module
 from pipegov.telemetry import (
     AuditError,
     AuditLog,
@@ -256,3 +257,43 @@ class TestAuditLog:
             path.write_bytes(b"\n".join(corrupted))
             _, first_bad, _ = load_audit_jsonl(str(path))
             assert first_bad is not None and first_bad <= 3, f"byte {pos} escaped detection"
+
+    def test_mutating_the_appended_dict_changes_nothing(self):
+        log = _filled_log(3)
+        payload = {"kind": "outcome", "event": "anomaly_flag", "flag": {"tick": 3, "z": [1.0]}}
+        log.append(tick=3, actor=Actor.MONITORING_AGENT, payload=payload, policy_version=1)
+        text = log.to_jsonl()
+        payload["event"] = "forged"
+        payload["flag"]["z"].append(99.0)
+        assert verify_chain(log.records) is None
+        assert log.to_jsonl() == text
+        assert log.records[-1].payload["flag"] == {"tick": 3, "z": [1.0]}
+
+    def test_mutating_a_payload_read_back_changes_nothing(self):
+        log = _filled_log(3)
+        text = log.to_jsonl()
+        read = log.records[1].payload
+        read["index"] = 999
+        read.clear()
+        assert verify_chain(log.records) is None
+        assert log.to_jsonl() == text
+        assert log.records[1].payload == _payload(1)
+
+    def test_writing_and_verifying_run_no_json_encoder(self, monkeypatch):
+        log = AuditLog()
+        # Strings that look like the keys the writer splices around.
+        tricky = {"kind": "outcome", "note": ',"seq":1,"payload":{}', "unicode": "é ✓ \"q\""}
+        for i in range(4):
+            log.append(tick=i, actor=Actor.SCHEMA_AGENT, payload={**tricky, "i": i}, policy_version=2)
+
+        def refuse(value):
+            raise AssertionError("canonical_json called after the last append")
+
+        monkeypatch.setattr(audit_module, "canonical_json", refuse)
+        text = log.to_jsonl()
+        assert verify_chain(log.records) is None
+        for line in text.splitlines():
+            row = json.loads(line)
+            assert line == json.dumps(row, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+            assert row["hash"] == oracles.oracle_record_hash(row)
+        assert oracles.oracle_first_bad_seq([json.loads(line) for line in text.splitlines()]) is None
