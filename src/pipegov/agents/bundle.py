@@ -72,14 +72,26 @@ class OutcomeMemory:
 class ObservationBundle:
     """Read-only, plain-data view for one reasoning call.
 
+    Apart from ``memory``, it carries only the keys the builtin agents read.
+
+    ``snapshot`` is the previous tick's telemetry, pipelines in sorted
+    order, and ``{}`` at tick 0, before the first step::
+
+        {capacity_headroom,
+         pipelines: {pipeline_id: {freshness_lag, queue_depth, ingress}}}
+
+    ``open_incidents`` lists the open incidents in detection order::
+
+        ({id, pipeline, incident_class, claimed_by, approval_pending,
+          last_action_tick}, ...)
+
     ``pipelines`` carries per-pipeline operational context::
 
-        {kind, criticality, freshness_target, tags, health, recovering,
-         suppressed, ticks_since_alloc_change,
-         stages: {stage_id: {alloc, min_alloc, max_alloc, base_rate}},
-         drift: None | {partition, window_end, quarantine_mode, compatible,
-                        delta},
-         delay: None | {baseline_ingress}}
+        {pipeline_id: {criticality, freshness_target, health, failing_stage,
+                       recovering, suppressed, ticks_since_alloc_change,
+                       stages: {stage_id: {alloc, min_alloc, max_alloc}},
+                       drift: None | {partition, quarantine_mode, compatible},
+                       delay: None | {baseline_ingress}}}
 
     ``series`` carries short per-pipeline metric windows (newest last)::
 
@@ -89,6 +101,16 @@ class ObservationBundle:
     through the previous tick: the values the runner records into its
     MetricStore, kept by the controller in rolling windows as it folds
     each tick's report. Both lists are empty before the first report.
+
+    ``policy`` is the governance headroom::
+
+        {max_scale_step, budget_per_window, window_remaining,
+         committed_spend, unit_price, quarantine_allowed, schema_mode,
+         allowed_strategies}
+
+    ``memory`` is ``OutcomeMemory.extract()``, the form the report also
+    writes; agents read each cell's ``attempts``, ``success_rate`` and
+    ``mean_resolution``.
 
     The agents of one tick share every container except ``policy``; no
     container is handed to a backend on two ticks.
@@ -102,7 +124,6 @@ class ObservationBundle:
     series: dict[str, dict[str, list]]
     policy: dict
     memory: dict[str, dict]
-    faults: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -114,7 +135,6 @@ class ObservationBundle:
             "series": self.series,
             "policy": self.policy,
             "memory": self.memory,
-            "faults": list(self.faults),
         }
 
 

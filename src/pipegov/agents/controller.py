@@ -24,10 +24,14 @@ Each tick starts by folding the previous tick's report once: its compute
 spend goes into the current budget window and, when a backend is
 present, each pipeline's samples feed its rolling utilization and
 ingress windows and its ingress EWMA. A static run keeps no observation
-state. Each tick's bundles are built in fresh containers from the
-windows, the world and the open incidents: a backend that changes its
-bundle changes nothing the controller keeps or a later tick shows. The
-agents of one tick share every container but their policy view.
+state. The anomaly detector and the agents see the previous tick's
+snapshot cut down to what they read: capacity headroom and each
+pipeline's freshness lag, queue depth and ingress, or ``{}`` before the
+first step. Each tick's bundles are built in fresh containers from the
+windows, the world and the open incidents, and carry only the keys the
+builtin agents read: a backend that changes its bundle changes nothing
+the controller keeps or a later tick shows. The agents of one tick share
+every container but their policy view.
 
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. The
@@ -74,13 +78,7 @@ from ..simkernel.kernel import (
     InvalidTarget,
     apply_action,
 )
-from ..simkernel.world import (
-    Health,
-    PipelineSample,
-    SimWorld,
-    TelemetrySnapshot,
-    TickReport,
-)
+from ..simkernel.world import Health, SimWorld, TelemetrySnapshot, TickReport
 from ..telemetry.audit import AuditLog
 from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
@@ -212,10 +210,6 @@ class Controller:
         self._window_spend = 0.0
         self._windows: dict[str, _SeriesWindows] = {}  # stays empty without a backend
         self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
-        self._allowed_kinds = {
-            actor: tuple(k.value for k in policy.actions.allowed_for(actor))
-            for actor in AGENT_PHASES
-        }
 
     # ------------------------------------------------------------------
     # main entry points
@@ -241,12 +235,11 @@ class Controller:
         self._close_matured(world, t, prev_report)
 
         if self.backend is not None:
-            if prev_report is None:
-                snapshot = _zero_snapshot(world)
-            else:
-                snapshot = prev_report.snapshot.to_dict()
+            snapshot: dict = {}  # nothing observed before the first step
+            if prev_report is not None:
+                snapshot = _observed(prev_report.snapshot)
                 flags = self._monitoring_phase(t, snapshot)
-            for actor, bundle in self._bundles(world, t, snapshot, applied_faults):
+            for actor, bundle in self._bundles(world, t, snapshot):
                 for candidate in self._decide(bundle):
                     action = self._screen_candidate(world, t, actor, candidate)
                     if action is not None:
@@ -738,31 +731,32 @@ class Controller:
     # observation bundles
 
     def _bundles(
-        self,
-        world: SimWorld,
-        t: int,
-        snapshot: dict,
-        applied_faults: list[FaultEvent],
+        self, world: SimWorld, t: int, snapshot: dict
     ) -> Iterator[tuple[Actor, ObservationBundle]]:
         """Yield each reasoning agent's bundle for the tick, in phase order.
 
-        Every container is built fresh for the tick, with spec fields
-        copied out of the world and series out of the rolling windows, so
-        nothing handed to a backend is handed out again on a later tick.
-        The agents share every container but ``policy``, which is fresh
-        per agent.
+        The bundle carries only the keys the builtin agents read (see
+        ``ObservationBundle``). Every container is built fresh for the
+        tick, with spec fields copied out of the world and series out of
+        the rolling windows, so nothing handed to a backend is handed out
+        again on a later tick. The agents share every container but
+        ``policy``, which is fresh per agent.
         """
 
         delay_by_pipeline: dict[str, dict] = {}
         incidents: list[dict] = []
         for record in self._incidents.values():
             incident = record.incident
-            view = incident.to_dict()
-            view["claimed_by"] = record.claim
-            view["approval_pending"] = record.approval_pending
-            view["failed"] = record.failed
-            view["last_action_tick"] = record.last_action_tick
-            incidents.append(view)
+            incidents.append(
+                {
+                    "id": incident.id,
+                    "pipeline": incident.pipeline,
+                    "incident_class": incident.incident_class.value,
+                    "claimed_by": record.claim,
+                    "approval_pending": record.approval_pending,
+                    "last_action_tick": record.last_action_tick,
+                }
+            )
             if record.delay_baseline is not None:
                 delay_by_pipeline[incident.pipeline] = {
                     "baseline_ingress": record.delay_baseline
@@ -777,18 +771,13 @@ class Controller:
             if p.pending_drift is not None:
                 drift = {
                     "partition": p.pending_drift.partition,
-                    "window_end": p.pending_drift.window_end,
                     "quarantine_mode": p.pending_drift.quarantine_mode,
                     "compatible": not p.pending_drift.incompatible,
-                    "delta": p.pending_drift.delta.to_dict(),
                 }
             pipelines[pid] = {
-                "kind": spec.kind.value,
                 "criticality": spec.criticality,
                 "freshness_target": spec.freshness_target,
-                "tags": list(spec.tags),
                 "health": p.health.value,
-                "failing_cause": p.failing_cause,
                 "failing_stage": p.failing_stage,
                 "recovering": p.recover_at is not None,
                 "suppressed": p.suppress_until is not None,
@@ -798,7 +787,6 @@ class Controller:
                         "alloc": st.alloc,
                         "min_alloc": st.spec.min_alloc,
                         "max_alloc": st.spec.max_alloc,
-                        "base_rate": st.spec.base_rate,
                     }
                     for sid, st in p.stages.items()
                 },
@@ -815,22 +803,17 @@ class Controller:
         shared_policy = {
             "max_scale_step": self.policy.cost.max_scale_step,
             "budget_per_window": self.policy.cost.budget_per_window,
-            "window": self.policy.cost.window,
             "window_remaining": horizon,
-            "windowed_spend": self._window_spend,
             "committed_spend": committed,
             "unit_price": world.resource_model.unit_price,
             "quarantine_allowed": self.policy.schema.quarantine_allowed,
             "schema_mode": self.policy.schema.mode,
-            "breach_tolerance": self.policy.freshness.breach_tolerance,
         }
         memory = self.memory.extract()
-        faults = tuple(event.to_dict() for event in applied_faults)
 
         for actor in AGENT_PHASES[1:]:
             policy_view = dict(shared_policy)
             policy_view["allowed_strategies"] = list(self._allowed_strategies)
-            policy_view["allowed_kinds"] = list(self._allowed_kinds[actor])
             yield actor, ObservationBundle(
                 tick=t,
                 agent=actor.value,
@@ -840,33 +823,20 @@ class Controller:
                 series=series,
                 policy=policy_view,
                 memory=memory,
-                faults=faults,
             )
 
 
-def _zero_snapshot(world: SimWorld) -> dict:
-    """The snapshot agents see before the first step: no traffic, no cost."""
+def _observed(snapshot: TelemetrySnapshot) -> dict:
+    """The part of a tick's snapshot that agents read, pipelines in sorted order."""
 
-    capacity = world.effective_capacity(world.tick)
-    samples = {
-        pid: PipelineSample(
-            queue_depth=0,
-            effective_rate=0,
-            freshness_lag=0,
-            failure_count=0,
-            utilization=0.0,
-            allocation=p.allocation_total(),
-            ingress=0,
-            health=p.health.value,
-            suppressed=False,
-        )
-        for pid, p in world.pipelines.items()
+    return {
+        "capacity_headroom": snapshot.capacity_headroom,
+        "pipelines": {
+            pid: {
+                "freshness_lag": sample.freshness_lag,
+                "queue_depth": sample.queue_depth,
+                "ingress": sample.ingress,
+            }
+            for pid, sample in sorted(snapshot.pipelines.items())
+        },
     }
-    return TelemetrySnapshot(
-        tick=-1,
-        pipelines=samples,
-        total_cost=0.0,
-        capacity=capacity,
-        capacity_headroom=capacity,
-        contention_factor=1.0,
-    ).to_dict()

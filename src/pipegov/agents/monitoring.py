@@ -81,7 +81,8 @@ class AnomalyDetector:
         return None
 
     def observe_snapshot(self, tick: int, snapshot: dict) -> list[AnomalyFlag]:
-        """Scan one serialized TelemetrySnapshot; returns flags raised.
+        """Scan one observed snapshot (``pipelines`` maps each pipeline to
+        its watched metrics); returns flags raised.
 
         Equivalent to ``observe_sample`` for every pipeline (sorted) and
         watched metric, in that order.

@@ -1,7 +1,8 @@
 """Audit replay: the chain, the embedded policies, every decision re-validated
-against them, each approval grant and its due tick, and each outcome's link
-to the decision it cites. It lives in the harness, the one layer that sees
-the policy engine, ``OperatorModel`` and ``telemetry`` together.
+against them, each approval grant and its due tick (a log with a grant must
+carry the operator settings), and each outcome's link to the decision it
+cites. It lives in the harness, the one layer that sees the policy engine,
+``OperatorModel`` and ``telemetry`` together.
 """
 
 from __future__ import annotations
@@ -101,8 +102,12 @@ def _check_records(records: tuple[AuditRecord, ...]) -> int:
                 )
             if request.get("action") != payload.get("action"):
                 raise _Invalid(f"seq {seq}: approval grant action mismatch")
-            due = operator.due(records[ref - 1].tick) if operator is not None else None
-            if due is not None and record.tick != due:
+            if operator is None:
+                raise _Invalid(
+                    f"seq {seq}: approval grant, but no run_start record gives operator_delay"
+                )
+            due = operator.due(records[ref - 1].tick)
+            if record.tick != due:
                 raise _Invalid(f"seq {seq}: approval granted at tick {record.tick}, expected {due}")
             spend(seq, ref, "approval grant", "was already granted")
         elif kind == "outcome" and payload.get("event") == "action_outcome":

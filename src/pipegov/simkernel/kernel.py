@@ -244,7 +244,6 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     stage_processed: dict[str, dict[str, int]] = {}
     for pid in pids:
         p = world.pipelines[pid]
-        pipeline_rates: list[int] = []
         processed_total = 0
         capacity_total = 0
         stage_processed[pid] = {}
@@ -255,7 +254,6 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
                 if pid in allowed
                 else 0
             )
-            pipeline_rates.append(rate)
             if rate <= 0:
                 continue
             before = stage.queue.records
@@ -306,13 +304,10 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             util = min(1.0, processed_total / capacity_total)
         samples[pid] = PipelineSample(
             queue_depth=queued,
-            effective_rate=min(pipeline_rates) if pipeline_rates else 0,
             freshness_lag=t - p.newest_materialized_arrival,
             failure_count=failure_counts.get(pid, 0),
             utilization=util,
-            allocation=allocation,
             ingress=ingress_now[pid],
-            health=p.health.value,
             suppressed=suppressed_now[pid],
         )
 
@@ -322,9 +317,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         + materialized_now * world.resource_model.storage_price
     )
     snapshot = TelemetrySnapshot(
-        tick=t,
         pipelines=samples,
-        total_cost=cost,
         capacity=capacity_now,
         capacity_headroom=capacity_now - busy_alloc,
         contention_factor=factor,

@@ -220,47 +220,19 @@ class PipelineState:
 @dataclass(frozen=True)
 class PipelineSample:
     queue_depth: int
-    effective_rate: int
     freshness_lag: int
     failure_count: int
     utilization: float
-    allocation: int
     ingress: int
-    health: str
     suppressed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "queue_depth": self.queue_depth,
-            "effective_rate": self.effective_rate,
-            "freshness_lag": self.freshness_lag,
-            "failure_count": self.failure_count,
-            "utilization": self.utilization,
-            "allocation": self.allocation,
-            "ingress": self.ingress,
-            "health": self.health,
-            "suppressed": self.suppressed,
-        }
 
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
-    tick: int
     pipelines: dict[str, PipelineSample]
-    total_cost: float
     capacity: int
     capacity_headroom: int
     contention_factor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "pipelines": {pid: s.to_dict() for pid, s in sorted(self.pipelines.items())},
-            "total_cost": self.total_cost,
-            "capacity": self.capacity,
-            "capacity_headroom": self.capacity_headroom,
-            "contention_factor": self.contention_factor,
-        }
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ concatenated with the canonical JSON encoding of the record's other fields
 (sorted keys, no insignificant whitespace). The first record chains from 32
 zero bytes. Any byte-level mutation of a persisted log is therefore
 detectable, and verification reports the first sequence number whose link
-fails. A record is serialized once, when it is made: that text is what is
-hashed, written and read back.
+fails. A loaded record's ``seq``, ``tick`` and ``policy_version`` must be
+JSON integers, so retyping one (``1`` to ``true``, ``1.0`` or ``"1"``)
+is rejected rather than coerced back to the hashed value. A record is
+serialized once, when it is made: that text is what is hashed, written
+and read back.
 """
 
 from __future__ import annotations
@@ -124,8 +127,11 @@ def record_from_dict(raw: dict) -> AuditRecord:
         payload = raw["payload"]
         if not isinstance(payload, dict):
             raise TypeError(f"payload is {type(payload).__name__}, not an object")
-        seq, tick, actor = int(raw["seq"]), int(raw["tick"]), Actor(raw["actor"])
-        version, prev_hash = int(raw["policy_version"]), str(raw["prev_hash"])
+        for key in ("seq", "tick", "policy_version"):
+            if type(raw[key]) is not int:
+                raise TypeError(f"{key} is {type(raw[key]).__name__}, not an integer")
+        seq, tick, actor = raw["seq"], raw["tick"], Actor(raw["actor"])
+        version, prev_hash = raw["policy_version"], str(raw["prev_hash"])
         body = _body_json(seq, tick, actor, payload, version)
         return AuditRecord(seq, tick, actor, version, prev_hash, str(raw["hash"]), body)
     except KeyError as exc:

@@ -34,18 +34,17 @@ from pipegov.core import Actor
 
 def _stages(alloc=2, min_alloc=1, max_alloc=6, n=2) -> dict:
     return {
-        f"s{i}": {"alloc": alloc, "min_alloc": min_alloc, "max_alloc": max_alloc, "base_rate": 10}
+        f"s{i}": {"alloc": alloc, "min_alloc": min_alloc, "max_alloc": max_alloc}
         for i in range(n)
     }
 
 
 def _meta(**kw) -> dict:
     meta = {
-        "kind": "stream",
         "criticality": 2,
         "freshness_target": None,
-        "tags": [],
         "health": "Healthy",
+        "failing_stage": None,
         "recovering": False,
         "suppressed": False,
         "ticks_since_alloc_change": 0,

@@ -395,6 +395,46 @@ class TestReplayAudit:
         assert message in err
         assert re.search(rf"seq {seq}\b", err), err
 
+    @pytest.mark.parametrize(
+        "key, retype",
+        [
+            ("policy_version", lambda value: "true"),
+            ("seq", lambda value: f"{value}.0"),
+            ("tick", lambda value: f'"{value}"'),
+        ],
+        ids=["version-bool", "seq-float", "tick-string"],
+    )
+    def test_retyped_integer_field_is_malformed(
+        self, compare_out, tmp_path, capsys, key, retype
+    ):
+        # Each edit reads back as the hashed value under int(), so the chain
+        # would still verify; the record's type must be checked instead.
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        value = json.loads(lines[1])[key]
+        assert key != "policy_version" or value == 1
+        # The record's own fields follow its payload, so the last match is theirs.
+        head, _, tail = lines[1].rpartition(f'"{key}":{value}')
+        lines[1] = f'{head}"{key}":{retype(value)}{tail}'
+        path = tmp_path / "retyped.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "malformed audit record at seq 2: " in err, err
+        assert f"{key} is " in err, err
+
+    def test_grant_needs_the_operator_settings(self, approval_log, tmp_path, capsys):
+        # Without operator_delay the grant's due tick cannot be checked.
+        lines = approval_log.splitlines()
+        path = tmp_path / "no-operator.jsonl"
+        path.write_text(
+            _rechained(lines, 1, lambda p: {k: v for k, v in p.items() if k != "operator"})
+        )
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert ": approval grant, but no run_start record gives operator_delay" in err, err
+
     def test_zero_delay_approval_log_verifies(self, tmp_path, capsys):
         # Approvals are drained at the start of a tick, so with operator_delay
         # 0 the regulated drift's request at tick 2 is granted at tick 3.

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
+import pipegov.agents
 from pipegov.agents import (
     AGENT_PHASES,
     BackendError,
@@ -819,6 +822,74 @@ class MutatingBackend(RecordingBackend):
         return candidates
 
 
+# Agent modules whose reads define the bundle: the monitoring agent reads
+# the snapshot through the anomaly detector.
+_AGENT_MODULES = ("recovery", "optimization", "schema_agent", "monitoring")
+
+# Dict paths whose keys are data (pipeline, stage and memory-cell ids),
+# not names an agent looks up; "*" stands for any such key.
+_DATA_KEYED = {
+    ("pipelines",),
+    ("pipelines", "*", "stages"),
+    ("series",),
+    ("memory",),
+    ("snapshot", "pipelines"),
+}
+
+# Bundle keys no agent reads, each with its reason.
+_UNREAD_BUNDLE_KEYS = {
+    # memory is OutcomeMemory.extract(), which is also the report's memory
+    # section.
+    "successes",
+}
+
+
+def _read_by_agents() -> tuple[set[str], set[str]]:
+    """String subscripts and ``.get`` arguments, and ``bundle.<name>`` reads,
+    in the agent modules."""
+
+    keys: set[str] = set()
+    fields: set[str] = set()
+    package = Path(pipegov.agents.__file__).parent
+    for name in _AGENT_MODULES:
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            key = None
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and node.args
+            ):
+                key = node.args[0]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "bundle"
+            ):
+                fields.add(node.attr)
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.add(key.value)
+    return keys, fields
+
+
+def _bundle_keys(node, path: tuple[str, ...]) -> set[str]:
+    """Every dict key under ``node``, except the keys of ``_DATA_KEYED`` paths."""
+
+    found: set[str] = set()
+    if isinstance(node, dict):
+        data = path in _DATA_KEYED
+        for key, value in node.items():
+            if not data:
+                found.add(key)
+            found |= _bundle_keys(value, path + ("*" if data else key,))
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            found |= _bundle_keys(value, path)
+    return found
+
+
 class TestObservationBundles:
     def test_series_windows_equal_the_recorded_store(self, canonical_spec, policy):
         spec = _short_canonical(canonical_spec)
@@ -868,14 +939,18 @@ class TestObservationBundles:
             pid: [value for _, value in result.store.series(pid, "ingress")]
             for pid in result.world.pipelines
         }
+        delays = [i for i in result.incidents if i.incident_class == "UpstreamDelay"]
         for bundle in backend.seen:
+            t = bundle["tick"]
             for pid, meta in bundle["pipelines"].items():
                 if meta["delay"] is None:
                     continue
                 (detected,) = [
-                    i["detected_tick"]
-                    for i in bundle["open_incidents"]
-                    if i["pipeline"] == pid and i["incident_class"] == "UpstreamDelay"
+                    i.detected_tick
+                    for i in delays
+                    if i.pipeline == pid
+                    and i.detected_tick <= t
+                    and (i.resumed_tick is None or t < i.resumed_tick)
                 ]
                 mean = 0.0  # no sample before the first tick
                 for tick, value in enumerate(ingress[pid][:detected]):
@@ -911,6 +986,19 @@ class TestObservationBundles:
         pipelines = [b["pipelines"] for b in clean_backend.seen]
         assert any(meta["drift"] for p in pipelines for meta in p.values())
         assert any(meta["delay"] for p in pipelines for meta in p.values())
-        assert any(meta["tags"] for meta in pipelines[0].values())
         assert any(b["memory"] for b in clean_backend.seen)
-        assert any(b["faults"] for b in clean_backend.seen)
+
+    def test_bundles_carry_only_keys_the_agents_read(self, canonical_spec, policy):
+        backend = RecordingBackend()
+        run_experiment(
+            _short_canonical(canonical_spec), policy, controller="agentic", backend=backend
+        )
+        keys, fields = _read_by_agents()
+        top: set[str] = set()
+        nested: set[str] = set()
+        for bundle in backend.seen:
+            for key, value in bundle.items():
+                top.add(key)
+                nested |= _bundle_keys(value, (key,))
+        assert {"drift", "delay", "partition", "baseline_ingress", "attempts"} <= nested
+        assert (top - fields, nested - keys - _UNREAD_BUNDLE_KEYS) == (set(), set())
