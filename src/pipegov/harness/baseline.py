@@ -85,8 +85,6 @@ def derive_baseline_allocations(
         report = step(world, trace.at(t))
         for pid, stages in report.stage_processed.items():
             for sid, processed in stages.items():
-                if processed <= 0:
-                    continue
                 units = math.ceil(processed / base_rates[pid][sid])
                 if units > peak_units[pid][sid]:
                     peak_units[pid][sid] = units

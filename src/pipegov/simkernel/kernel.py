@@ -5,12 +5,15 @@ One ``step`` call advances the world by one tick:
 1. verify record accounting over the running queue totals (fail loudly,
    not silently); ``check_accounting`` adds a full recount of every queue
    and runs at the end of each experiment and calibration
-2. mature pending health recoveries
-3. enqueue arrivals, honouring upstream-delay suppression and release
-4. fire batch triggers (a suppressed dataset fails the scheduled run)
-5. divert quarantined partitions and resolve completed drift windows
-6. compute contention and process queues in topological stage order
-7. take checkpoints, price the tick, and emit a telemetry snapshot
+2. per pipeline, in one pass: mature pending health recoveries; enqueue
+   arrivals; under an upstream delay or its release plan only, withhold
+   and release records and fire batch triggers (a suppressed dataset
+   fails the scheduled run); divert quarantined partitions and resolve
+   completed drift windows
+3. compute contention from busy stages, those with records queued, then
+   process queues in topological stage order; an idle stage is skipped
+4. take checkpoints, price the tick, and emit a telemetry snapshot: the
+   capacity headroom and one ``PipelineSample`` tuple per pipeline
 
 Controllers mutate the world only through ``apply_action``, and only with
 an ``ApprovedAction`` carrying the audit reference of its Allow/approval
@@ -149,13 +152,18 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     pids = world.pipeline_ids()
     _check_conservation(world, pids)
     t = world.tick
-    failures: list[tuple[str, str]] = list(world.pending_failures)
+    failures = world.pending_failures
     world.pending_failures = []
-
-    world.capacity_reductions = [(until, u) for until, u in world.capacity_reductions if t < until]
+    if world.capacity_reductions:
+        world.capacity_reductions = [(u, n) for u, n in world.capacity_reductions if t < u]
     capacity_now = world.effective_capacity(t)
 
-    # 1. recoveries mature
+    # 2. one pass in id order, as each part touches only its own pipeline.
+    # Health and pauses are then settled for the tick, so the processing gate
+    # is read once, and busy stages (records queued) add to the contention.
+    ingress_now: dict[str, int] = {}
+    allowed: set[str] = set()
+    busy_alloc = 0
     for pid in pids:
         p = world.pipelines[pid]
         if p.recover_at is not None and t >= p.recover_at:
@@ -164,77 +172,67 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             p.failing_cause = None
             p.failing_stage = None
 
-    # 2. arrivals, suppression, release, batch triggers
-    ingress_now: dict[str, int] = {}
-    suppressed_now: dict[str, bool] = {}
-    for pid in pids:
-        p = world.pipelines[pid]
         raw = arrivals.get(pid, 0)
-        active_suppression = p.suppress_until is not None and t < p.suppress_until
-        suppressed_now[pid] = active_suppression
-        enq = 0
-        if active_suppression:
-            p.withheld += raw
-        else:
-            enq += _enqueue(p, t, raw)
+        if p.suppress_until is None and not p.release_plan:
+            ingress_now[pid] = _enqueue(p, t, raw)
+        else:  # under an upstream delay or its release plan
+            active_suppression = p.suppress_until is not None and t < p.suppress_until
+            enq = 0
+            if active_suppression:
+                p.withheld += raw
+            else:
+                enq += _enqueue(p, t, raw)
 
-        # Delay expired: declare the missing fraction dropped and spread the
-        # rest uniformly over the next release_span ticks.
-        if p.suppress_until is not None and t >= p.suppress_until and p.withheld > 0:
-            missing = math.floor(p.withheld * p.missing_fraction)
-            if missing:
-                p.ingress += missing
-                p.dropped += missing
-            remaining = p.withheld - missing
-            p.withheld = 0
-            span = max(1, world.constants.release_span)
-            base, extra = divmod(remaining, span)
-            for i in range(span):
-                share = base + (1 if i < extra else 0)
-                if share:
-                    p.release_plan.append((t + i, share))
-        while p.release_plan and p.release_plan[0][0] <= t:
-            _, count = p.release_plan.popleft()
-            enq += _enqueue(p, t, count)
-        if p.suppress_until is not None and t >= p.suppress_until and not p.release_plan:
-            p.suppress_until = None
-            p.missing_fraction = 0.0
-        ingress_now[pid] = enq
+            # Delay expired: declare the missing fraction dropped and spread the
+            # rest uniformly over the next release_span ticks.
+            if p.suppress_until is not None and t >= p.suppress_until and p.withheld > 0:
+                missing = math.floor(p.withheld * p.missing_fraction)
+                if missing:
+                    p.ingress += missing
+                    p.dropped += missing
+                remaining = p.withheld - missing
+                p.withheld = 0
+                span = max(1, world.constants.release_span)
+                base, extra = divmod(remaining, span)
+                for i in range(span):
+                    share = base + (1 if i < extra else 0)
+                    if share:
+                        p.release_plan.append((t + i, share))
+            while p.release_plan and p.release_plan[0][0] <= t:
+                _, count = p.release_plan.popleft()
+                enq += _enqueue(p, t, count)
+            if p.suppress_until is not None and t >= p.suppress_until and not p.release_plan:
+                p.suppress_until = None
+                p.missing_fraction = 0.0
 
-        if (
-            p.spec.kind is PipelineKind.BATCH
-            and p.spec.schedule_period
-            and t > 0
-            and t % p.spec.schedule_period == 0
-            and active_suppression
-            and p.health in (Health.HEALTHY, Health.FAILING)
-        ):
-            if p.health is Health.HEALTHY:
-                p.health = Health.FAILING
-            p.failing_cause = "missing_input"
-            failures.append((pid, "missing_input"))
+            if (
+                active_suppression
+                and p.spec.kind is PipelineKind.BATCH
+                and p.spec.schedule_period
+                and t > 0
+                and t % p.spec.schedule_period == 0
+                and p.health in (Health.HEALTHY, Health.FAILING)
+            ):
+                if p.health is Health.HEALTHY:
+                    p.health = Health.FAILING
+                p.failing_cause = "missing_input"
+                failures.append((pid, "missing_input"))
+            ingress_now[pid] = enq
 
-    # 3. quarantine diversion and drift-window resolution
-    for pid in pids:
-        p = world.pipelines[pid]
         drift = p.pending_drift
-        if drift is None:
-            continue
-        if drift.quarantine_mode:
+        if drift is not None and drift.quarantine_mode:
             _divert_quarantined(p)
             # diversion left nothing tagged queued, so a closed window resolves it
             if t > drift.window_end:
                 p.pending_drift = None
 
-    # 4. contention from busy allocation; health and pauses are settled for
-    # the rest of the tick, so each pipeline's processing gate is read once.
-    allowed = {pid for pid in pids if world.pipelines[pid].processing_allowed(t)}
-    busy_alloc = sum(
-        s.alloc for pid in allowed for s in world.pipelines[pid].stages.values() if s.queue
-    )
-    factor = capacity_now / busy_alloc if busy_alloc > capacity_now else 1.0
+        if p.processing_allowed(t):
+            allowed.add(pid)
+            for stage in p.stages.values():
+                if stage.queue.records:
+                    busy_alloc += stage.alloc
 
-    # 5. per pipeline: process queues, take checkpoints, and sample
+    # 3-4. per pipeline: process busy stages, take checkpoints, and sample
     failure_counts: dict[str, int] = {}
     for failed_pid, _ in failures:
         failure_counts[failed_pid] = failure_counts.get(failed_pid, 0) + 1
@@ -244,56 +242,53 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     stage_processed: dict[str, dict[str, int]] = {}
     for pid in pids:
         p = world.pipelines[pid]
+        stages = p.stages
         processed_total = 0
-        capacity_total = 0
-        stage_processed[pid] = {}
-        for sid in p.topo:
-            stage = p.stages[sid]
-            rate = (
-                _contended_rate(stage.spec.base_rate, stage.alloc, capacity_now, busy_alloc)
-                if pid in allowed
-                else 0
-            )
-            if rate <= 0:
-                continue
-            before = stage.queue.records
-            processed_cohorts = stage.queue.take_head(rate)
-            if processed_cohorts:  # the stage had work, so its whole rate was on offer
+        capacity_total = 0  # rate on offer at stages that had work
+        if pid in allowed:
+            moved: dict[str, int] = {}
+            for sid in p.topo:
+                stage = stages[sid]
+                queue = stage.queue
+                before = queue.records
+                if not before:  # an idle stage has nothing to take or route
+                    continue
+                rate = _contended_rate(stage.spec.base_rate, stage.alloc, capacity_now, busy_alloc)
+                if rate <= 0:
+                    continue
+                processed_cohorts = queue.take_head(rate)
                 capacity_total += rate
-            done = before - stage.queue.records
-            if done == 0:
-                continue
-            stage_processed[pid][sid] = done
-            processed_total += done
-            if stage.downstream:
-                # Route each processed cohort to the least-loaded downstream
-                # queue (ties by id order): conservation-preserving routing.
-                for cohort in processed_cohorts:
-                    target_id = min(stage.downstream, key=lambda d: (p.stages[d].queue.records, d))
-                    p.stages[target_id].queue.append(cohort)
-                    stage.forwarded_since_checkpoint[target_id] = (
-                        stage.forwarded_since_checkpoint.get(target_id, 0) + cohort.count
-                    )
-            else:
-                for cohort in processed_cohorts:
-                    p.materialized += cohort.count
-                    materialized_now += cohort.count
-                    if cohort.arrival_tick > p.newest_materialized_arrival:
-                        p.newest_materialized_arrival = cohort.arrival_tick
-                    p.materialized_since_checkpoint.append(cohort)
-
-        if t > 0:
-            for stage in p.stages.values():
-                if t % stage.spec.checkpoint_interval == 0:
-                    stage.forwarded_since_checkpoint.clear()
-            if t % p.sink_stage().spec.checkpoint_interval == 0:
-                p.materialized_since_checkpoint.clear()
+                done = before - queue.records
+                moved[sid] = done
+                processed_total += done
+                if stage.downstream:
+                    # Route each processed cohort to the least-loaded downstream
+                    # queue (ties by id order): conservation-preserving routing.
+                    for cohort in processed_cohorts:
+                        target_id = min(stage.downstream, key=lambda d: (stages[d].queue.records, d))
+                        stages[target_id].queue.append(cohort)
+                        stage.forwarded_since_checkpoint[target_id] = (
+                            stage.forwarded_since_checkpoint.get(target_id, 0) + cohort.count
+                        )
+                else:
+                    for cohort in processed_cohorts:
+                        p.materialized += cohort.count
+                        materialized_now += cohort.count
+                        if cohort.arrival_tick > p.newest_materialized_arrival:
+                            p.newest_materialized_arrival = cohort.arrival_tick
+                        p.materialized_since_checkpoint.append(cohort)
+            if moved:
+                stage_processed[pid] = moved
 
         queued = 0
         allocation = 0
-        for stage in p.stages.values():
+        for stage in stages.values():
+            if t > 0 and t % stage.spec.checkpoint_interval == 0:
+                stage.forwarded_since_checkpoint.clear()
             queued += stage.queue.records
             allocation += stage.alloc
+        if t > 0 and t % p.sink_stage().spec.checkpoint_interval == 0:
+            p.materialized_since_checkpoint.clear()
         # Halted and deferred pipelines release their allocation and accrue
         # no compute cost; failing pipelines keep paying for reserved units.
         if p.health not in (Health.HALTED, Health.DEFERRED):
@@ -303,29 +298,22 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         if capacity_total > 0:
             util = min(1.0, processed_total / capacity_total)
         samples[pid] = PipelineSample(
-            queue_depth=queued,
-            freshness_lag=t - p.newest_materialized_arrival,
-            failure_count=failure_counts.get(pid, 0),
-            utilization=util,
-            ingress=ingress_now[pid],
-            suppressed=suppressed_now[pid],
+            queued,
+            t - p.newest_materialized_arrival,
+            failure_counts.get(pid, 0),
+            util,
+            ingress_now[pid],
         )
 
-    # 6. price (allocation plus storage for records materialized this tick) and snapshot
+    # 4. price (allocation plus storage for records materialized this tick) and snapshot
     cost = (
         compute_units * world.resource_model.unit_price
         + materialized_now * world.resource_model.storage_price
     )
-    snapshot = TelemetrySnapshot(
-        pipelines=samples,
-        capacity=capacity_now,
-        capacity_headroom=capacity_now - busy_alloc,
-        contention_factor=factor,
-    )
     world.tick = t + 1
     return TickReport(
         tick=t,
-        snapshot=snapshot,
+        snapshot=TelemetrySnapshot(samples, capacity_now - busy_alloc),
         failures=tuple(failures),
         materialized=materialized_now,
         cost=cost,

@@ -24,6 +24,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from pipegov.core.pipeline import (
     PipelineSpec,
@@ -217,22 +218,18 @@ class PipelineState:
         return self.health is Health.HEALTHY and tick >= self.paused_until
 
 
-@dataclass(frozen=True)
-class PipelineSample:
+class PipelineSample(NamedTuple):
     queue_depth: int
     freshness_lag: int
     failure_count: int
     utilization: float
     ingress: int
-    suppressed: bool
 
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
     pipelines: dict[str, PipelineSample]
-    capacity: int
-    capacity_headroom: int
-    contention_factor: float
+    capacity_headroom: int  # effective capacity minus the allocation of busy stages
 
 
 @dataclass(frozen=True)
@@ -244,6 +241,7 @@ class TickReport:
     failures: tuple[tuple[str, str], ...]
     materialized: int
     cost: float
+    # pipeline -> stage -> records processed, only for pipelines that moved records
     stage_processed: dict[str, dict[str, int]] = field(default_factory=dict)
 
 

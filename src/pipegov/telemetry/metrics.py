@@ -36,14 +36,15 @@ class MetricStore:
 
     def record_sample(self, scope: str, name: str, tick: int, value: float) -> None:
         key = (scope, name)
-        columns = self._series.get(key)
-        if columns is None:
-            columns = self._series[key] = (array("q"), array("d"))
-        ticks, values = columns
-        if ticks and tick <= ticks[-1]:
-            raise NonMonotonicTick(
-                f"series {key}: tick {tick} is not after last tick {ticks[-1]}"
-            )
+        try:
+            ticks, values = self._series[key]
+        except KeyError:
+            ticks, values = self._series[key] = (array("q"), array("d"))
+        else:
+            if ticks and tick <= ticks[-1]:
+                raise NonMonotonicTick(
+                    f"series {key}: tick {tick} is not after last tick {ticks[-1]}"
+                )
         if type(value) is not float and type(values) is not list:
             values = list(values)
             self._series[key] = (ticks, values)

@@ -306,6 +306,26 @@ def test_canonical_artifacts_match_recorded_digests(canonical_compare_dirs):
     assert digests == CANONICAL_COMPARE_SHA256
 
 
+# SHA-256 over the 50 criterion-2 agentic runs in seed order: each run's
+# audit JSONL, then each telemetry series as (scope, name, samples). The
+# canonical digests above cover one scenario; these random worlds add
+# streaming drifts, contention, budgets and every fault kind, so kernel
+# and agent bytes are pinned off the reference scenario too. A change that
+# moves agent behaviour re-records it and lists the value old -> new.
+FUZZ_AGENTIC_SHA256 = "44b0def73e840b0b99f03d0ea7863ae84d4eeda3706ca361ae2f5623b3127565"
+
+
+def test_fuzz_runs_match_recorded_digest(fuzz_runs):
+    digest = hashlib.sha256()
+    for run in fuzz_runs:
+        result = run["result"]
+        digest.update(result.audit.to_jsonl().encode("utf-8"))
+        for scope, name in result.store.series_keys():
+            samples = result.store.series(scope, name)
+            digest.update(repr((scope, name, samples)).encode("utf-8"))
+    assert digest.hexdigest() == FUZZ_AGENTIC_SHA256
+
+
 def test_criterion_2_policy_safety(fuzz_runs, tmp_path):
     with _criterion(2, "every applied action cites an audited Allow verdict"):
         total_applied = 0

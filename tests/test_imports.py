@@ -111,13 +111,18 @@ def _is_dataclass(decorator: ast.expr) -> bool:
     return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
 
 
+def _is_named_tuple(base: ast.expr) -> bool:
+    return isinstance(base, ast.Name) and base.id == "NamedTuple"
+
+
 def dataclass_fields(source: str) -> list[tuple[str, str]]:
-    """(class, field) for every annotated field of every dataclass."""
+    """(class, field) for every annotated field of every dataclass or NamedTuple."""
 
     return [
         (node.name, stmt.target.id)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+        if isinstance(node, ast.ClassDef)
+        and (any(map(_is_dataclass, node.decorator_list)) or any(map(_is_named_tuple, node.bases)))
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     ]
@@ -136,9 +141,10 @@ def test_field_scanner():
         "from dataclasses import dataclass\n"
         "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
         "class B:\n    z: int\n"
+        "class C(NamedTuple):\n    w: int\n"
         "def f(a):\n    a.y = 1\n    return a.x\n"
     )
-    assert dataclass_fields(source) == [("A", "x"), ("A", "y")]
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("C", "w")]
     assert attribute_reads(source) == {"x"}
 
 
@@ -153,6 +159,7 @@ def test_every_dataclass_field_is_read():
         for field in dataclass_fields(path.read_text())
     ]
     assert ("src/pipegov/simkernel/world.py", "SimWorld", "pending_failures") in declared
+    assert ("src/pipegov/simkernel/world.py", "PipelineSample", "ingress") in declared
     unread = [
         (where, cls, name)
         for where, cls, name in declared

@@ -206,13 +206,14 @@ class TestUpstreamDelay:
             tick=2, kind=FaultKind.UPSTREAM_DELAY, pipeline="s", delay_ticks=10, missing_fraction=0.0
         )
         spec, world = _stream_world([fault])
+        p = world.pipelines["s"]
         inject_faults(spec, world, 0)
-        report = step(world, {"s": 10})
-        assert report.snapshot.pipelines["s"].suppressed is False
+        step(world, {"s": 10})
+        assert p.suppress_until is None
         for t in (1, 2):
             inject_faults(spec, world, t)
-            report = step(world, {"s": 10})
-        assert report.snapshot.pipelines["s"].suppressed is True
+            step(world, {"s": 10})
+        assert p.suppress_until == 12
 
 
 class TestContentionFault:
@@ -228,7 +229,8 @@ class TestContentionFault:
         capacities = []
         for t in range(60):
             inject_faults(spec, world, t)
-            capacities.append(step(world, {"s": 0}).snapshot.capacity)
+            # nothing is queued, so the headroom is the whole effective capacity
+            capacities.append(step(world, {"s": 0}).snapshot.capacity_headroom)
         assert capacities[2] == 32
         assert capacities[3] == 32 - 16
         assert capacities[52] == 16
@@ -243,7 +245,7 @@ class TestContentionFault:
         for t in range(3):
             inject_faults(spec, world, t)
             report = step(world, {"s": 0})
-        assert report.snapshot.capacity == 32 - 16
+        assert report.snapshot.capacity_headroom == 32 - 16
 
 
 class TestDriftAndFailureFaults:

@@ -129,15 +129,31 @@ class TestStepProcessing:
             allocations={"a": {"s0": 48}, "b": {"s0": 32}},
         )
         report = step(world, {"a": 10_000, "b": 10_000})
-        assert report.snapshot.contention_factor == pytest.approx(0.8)
         # 1 * 48 * 0.8 = 38.4 -> 38 ; 10 * 32 * 0.8 = 256
         assert report.stage_processed["a"]["s0"] == 38
         assert report.stage_processed["b"]["s0"] == 256
 
     def test_no_contention_under_capacity(self):
         world = _world(base_rate=10, alloc=4, capacity=64)
-        report = step(world, {"p": 5})
-        assert report.snapshot.contention_factor == 1.0
+        report = step(world, {"p": 100})
+        assert report.stage_processed["p"]["s0"] == 40
+        assert report.snapshot.capacity_headroom == 60
+
+    def test_idle_stages_add_no_busy_allocation(self):
+        # "a" reserves 8 units with nothing queued, and b's second stage is
+        # empty when contention is computed: only b's entry stage is busy.
+        a = _pipeline("a", max_alloc=8)
+        b = _pipeline("b", max_alloc=8, stages=2)
+        world = build_world(
+            [a, b],
+            ResourceModel(capacity=64, unit_price=0.5, storage_price=0.0),
+            allocations={"a": {"s0": 8}, "b": {"s0": 4, "s1": 6}},
+        )
+        report = step(world, {"b": 100})
+        assert report.snapshot.capacity_headroom == 64 - 4
+        assert report.snapshot.pipelines["a"].utilization == 0.0
+        assert report.stage_processed.get("a", {}) == {}
+        assert report.cost == (8 + 4 + 6) * 0.5  # idle reserved units still pay
 
     def test_multi_stage_flow_conserves_records(self):
         world = _world(base_rate=10, alloc=4, capacity=64, stages=3)
@@ -530,6 +546,20 @@ def _assert_queue_totals(world) -> None:
     for p in world.pipelines.values():
         for sid, stage in p.stages.items():
             assert stage.depth() == sum(c.count for c in stage.queue), sid
+
+
+class TestFanOutRouting:
+    def test_each_cohort_goes_to_the_least_loaded_downstream(self):
+        world = _diamond_world()
+        p = world.pipelines["p"]
+        p.stages["s1"].queue.append(Cohort(0, 5))
+        for count in (6, 1, 9):
+            p.stages["s0"].queue.append(Cohort(0, count))
+        p.ingress += 5 + 6 + 1 + 9
+        step(world, {"p": 0})
+        # 6 -> s2 (0 < 5); 1 -> s1 (5 < 6); 9 -> s1 (6 == 6, tie by id)
+        assert p.stages["s0"].forwarded_since_checkpoint == {"s1": 10, "s2": 6}
+        check_accounting(world)
 
 
 class TestQueueTotals:
