@@ -16,6 +16,7 @@ import json
 from typing import Protocol
 
 from ..core.actions import Actor
+from ..core.reader import list_of
 from .bundle import CandidateAction, ObservationBundle
 from .optimization import optimize_propose
 from .recovery import recovery_candidates
@@ -86,12 +87,10 @@ class StubBackend:
         entries = self._responses.get(key)
         if entries is None:
             return []
-        if not isinstance(entries, list):
-            raise BackendError(f"stub entry {key!r} must be a list of candidate actions")
         try:
-            return [CandidateAction.from_dict(entry) for entry in entries]
+            return list(list_of(CandidateAction.from_dict)(entries, key))
         except ValueError as exc:
-            raise BackendError(f"stub entry {key!r}: {exc}") from exc
+            raise BackendError(f"stub entry {exc}") from exc
 
 
 def make_backend(selector: str) -> ReasoningBackend:

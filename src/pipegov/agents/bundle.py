@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.reader import Fields, integer, string
+
 
 @dataclass
 class MemoryCell:
@@ -138,18 +140,6 @@ class ObservationBundle:
         }
 
 
-_CANDIDATE_KEYS = {
-    "kind",
-    "pipeline",
-    "stage",
-    "partition",
-    "delta_units",
-    "condition",
-    "rationale",
-    "incident_id",
-}
-
-
 @dataclass(frozen=True, slots=True)
 class CandidateAction:
     """What a reasoning backend emits: a plain, data-only action request.
@@ -185,33 +175,15 @@ class CandidateAction:
         return out
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "CandidateAction":
-        if not isinstance(raw, dict):
-            raise ValueError(f"candidate action must be a mapping, got {type(raw).__name__}")
-        unknown = set(raw) - _CANDIDATE_KEYS
-        if unknown:
-            raise ValueError(f"unknown candidate action keys: {sorted(unknown)}")
-        for key in ("kind", "pipeline"):
-            if key not in raw:
-                raise ValueError(f"candidate action missing required key {key!r}")
-            if not isinstance(raw[key], str):
-                raise ValueError(f"candidate action key {key!r} must be a string")
-        delta = raw.get("delta_units", 0)
-        if not isinstance(delta, int) or isinstance(delta, bool):
-            raise ValueError("candidate action delta_units must be an integer")
-        for key in ("stage", "partition", "condition", "incident_id"):
-            if raw.get(key) is not None and not isinstance(raw[key], str):
-                raise ValueError(f"candidate action key {key!r} must be a string or null")
-        rationale = raw.get("rationale", "")
-        if not isinstance(rationale, str):
-            raise ValueError("candidate action rationale must be a string")
-        return cls(
-            kind=raw["kind"],
-            pipeline=raw["pipeline"],
-            stage=raw.get("stage"),
-            partition=raw.get("partition"),
-            delta_units=delta,
-            condition=raw.get("condition"),
-            rationale=rationale,
-            incident_id=raw.get("incident_id"),
-        )
+    def from_dict(cls, raw: object, path: str = "") -> CandidateAction:
+        with Fields(raw, path) as f:
+            return cls(
+                kind=f.take("kind", string),
+                pipeline=f.take("pipeline", string),
+                stage=f.take("stage", string, None),
+                partition=f.take("partition", string, None),
+                delta_units=f.take("delta_units", integer, 0),
+                condition=f.take("condition", string, None),
+                rationale=f.take("rationale", string, ""),
+                incident_id=f.take("incident_id", string, None),
+            )

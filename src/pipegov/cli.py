@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, TypeVar
 
 from .agents.backends import BackendError, ReasoningBackend, make_backend
 from .harness.baseline import BaselineConfig, derive_baseline_allocations
@@ -40,43 +41,37 @@ from .scenario.model import (
 )
 
 
+T = TypeVar("T")
+
+
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_json_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load(path: str, parse: Callable[[object], T], error: type[ValueError]) -> T:
+    """``parse`` of the JSON file at ``path``; every problem is an ``error``
+    whose message starts with the path."""
 
-
-def _load_scenario(path: str) -> ScenarioSpec:
     try:
-        raw = _load_json_file(path)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        raise error(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:
-        return parse_scenario(raw)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        return parse(raw)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
-def _load_policy(path: str) -> PolicyDocument:
-    try:
-        raw = _load_json_file(path)
-    except OSError as exc:
-        raise PolicyError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PolicyError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    try:
-        return parse_policy(raw)
-    except PolicyError as exc:
-        raise PolicyError(f"{path}: {exc}") from exc
+def _report_issues(path: str, spec: ScenarioSpec) -> bool:
+    """Print each of the scenario's validation issues; True when there are any."""
 
-
-def _make_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+    issues = validate_scenario(spec)
+    for issue in issues:
+        _err(f"{path}: {issue.code}: {issue.subject}: {issue.message}")
+    return bool(issues)
 
 
 # ----------------------------------------------------------------------
@@ -102,15 +97,12 @@ def _prepare_experiment(
     """Scenario, policy, backend and seeds for run/compare; None after reporting a problem."""
 
     try:
-        spec = _load_scenario(args.scenario)
-        policy = _load_policy(args.policy)
+        spec = _load(args.scenario, parse_scenario, ScenarioError)
+        policy = _load(args.policy, parse_policy, PolicyError)
     except (ScenarioError, PolicyError) as exc:
         _err(str(exc))
         return None
-    issues = validate_scenario(spec)
-    if issues:
-        for issue in issues:
-            _err(f"{args.scenario}: {issue.code}: {issue.subject}: {issue.message}")
+    if _report_issues(args.scenario, spec):
         return None
     try:
         backend = make_backend(args.backend)
@@ -135,7 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out_dir = (
                 args.out if len(seeds) == 1 else os.path.join(args.out, f"seed-{seed}")
             )
-            _make_out_dir(out_dir)
+            os.makedirs(out_dir, exist_ok=True)
             write_run_artifacts(result, out_dir)
             if not args.quiet:
                 closed = sum(1 for inc in result.incidents if not inc.open)
@@ -171,11 +163,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             seed_dir = (
                 args.out if len(seeds) == 1 else os.path.join(args.out, f"seed-{seed}")
             )
-            _make_out_dir(seed_dir)
+            os.makedirs(seed_dir, exist_ok=True)
             emit_report(comparison, seed_dir)
             for result in (static, agentic):
                 run_dir = os.path.join(seed_dir, result.controller)
-                _make_out_dir(run_dir)
+                os.makedirs(run_dir, exist_ok=True)
                 write_run_artifacts(result, run_dir)
             if not args.quiet:
                 deltas = ", ".join(
@@ -198,7 +190,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_validate_policy(args: argparse.Namespace) -> int:
     try:
-        policy = _load_policy(args.file)
+        policy = _load(args.file, parse_policy, PolicyError)
     except PolicyError as exc:
         _err(str(exc))
         return 1
@@ -209,14 +201,11 @@ def _cmd_validate_policy(args: argparse.Namespace) -> int:
 
 def _cmd_validate_scenario(args: argparse.Namespace) -> int:
     try:
-        spec = _load_scenario(args.file)
+        spec = _load(args.file, parse_scenario, ScenarioError)
     except ScenarioError as exc:
         _err(str(exc))
         return 1
-    issues = validate_scenario(spec)
-    if issues:
-        for issue in issues:
-            _err(f"{args.file}: {issue.code}: {issue.subject}: {issue.message}")
+    if _report_issues(args.file, spec):
         return 1
     if not args.quiet:
         print(

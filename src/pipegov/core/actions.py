@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping
 
+from pipegov.core.reader import Fields, integer, one_of, string
+
 
 class ActionKind(str, Enum):
     SCALE_UP = "ScaleUp"
@@ -97,17 +99,18 @@ class ProposedAction:
         }
 
     @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "ProposedAction":
-        return cls(
-            id=str(raw["id"]),
-            tick=int(raw["tick"]),
-            agent=Actor(raw["agent"]),
-            kind=ActionKind(raw["kind"]),
-            pipeline=str(raw["pipeline"]),
-            stage=raw.get("stage"),
-            partition=raw.get("partition"),
-            delta_units=int(raw.get("delta_units", 0)),
-            condition=raw.get("condition"),
-            justification=str(raw.get("justification", "")),
-            incident_id=raw.get("incident_id"),
-        )
+    def from_dict(cls, raw: object, path: str = "") -> ProposedAction:
+        with Fields(raw, path) as f:
+            return cls(
+                id=f.take("id", string),
+                tick=f.take("tick", integer),
+                agent=f.take("agent", one_of(Actor)),
+                kind=f.take("kind", one_of(ActionKind)),
+                pipeline=f.take("pipeline", string),
+                stage=f.take("stage", string, None),
+                partition=f.take("partition", string, None),
+                delta_units=f.take("delta_units", integer, 0),
+                condition=f.take("condition", string, None),
+                justification=f.take("justification", string, ""),
+                incident_id=f.take("incident_id", string, None),
+            )

@@ -10,18 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from pipegov.core.reader import Fields, checked, integer, list_of, number, one_of, string
 from pipegov.core.schema import Schema
 
 
 class PipelineKind(str, Enum):
     BATCH = "batch"
     STREAMING = "streaming"
-
-
-def _check_keys(data: dict, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -51,20 +46,16 @@ class StageSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> StageSpec:
-        _check_keys(
-            data,
-            {"id", "upstream", "base_rate", "min_alloc", "max_alloc", "checkpoint_interval"},
-            "stage",
-        )
-        return cls(
-            id=data["id"],
-            upstream=tuple(data.get("upstream", ())),
-            base_rate=int(data.get("base_rate", 25)),
-            min_alloc=int(data.get("min_alloc", 1)),
-            max_alloc=int(data.get("max_alloc", 4)),
-            checkpoint_interval=int(data.get("checkpoint_interval", 60)),
-        )
+    def from_dict(cls, raw: object, path: str = "") -> StageSpec:
+        with Fields(raw, path) as f:
+            return cls(
+                id=f.take("id", string),
+                upstream=f.take("upstream", list_of(string), ()),
+                base_rate=f.take("base_rate", integer, 25),
+                min_alloc=f.take("min_alloc", integer, 1),
+                max_alloc=f.take("max_alloc", integer, 4),
+                checkpoint_interval=f.take("checkpoint_interval", integer, 60),
+            )
 
 
 @dataclass(frozen=True)
@@ -94,37 +85,21 @@ class PipelineSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> PipelineSpec:
-        _check_keys(
-            data,
-            {
-                "id",
-                "kind",
-                "stages",
-                "schema",
-                "criticality",
-                "tags",
-                "freshness_target",
-                "schedule_period",
-            },
-            "pipeline",
-        )
-        try:
-            kind = PipelineKind(data["kind"])
-        except ValueError as exc:
-            raise ValueError(f"pipeline {data.get('id')!r}: unknown kind {data.get('kind')!r}") from exc
-        freshness = data.get("freshness_target")
-        period = data.get("schedule_period")
-        return cls(
-            id=data["id"],
-            kind=kind,
-            stages=tuple(StageSpec.from_dict(s) for s in data["stages"]),
-            schema=Schema.from_dict(data["schema"]),
-            criticality=int(data.get("criticality", 3)),
-            freshness_target=None if freshness is None else int(freshness),
-            schedule_period=None if period is None else int(period),
-            tags=tuple(data.get("tags", ())),
-        )
+    def from_dict(cls, raw: object, path: str = "") -> PipelineSpec:
+        with Fields(raw, path) as f:
+            return cls(
+                id=f.take("id", string),
+                kind=f.take("kind", one_of(PipelineKind)),
+                stages=f.take("stages", list_of(StageSpec.from_dict)),
+                schema=f.take("schema", Schema.from_dict),
+                criticality=f.take("criticality", integer, 3),
+                freshness_target=f.take("freshness_target", integer, None),
+                schedule_period=f.take("schedule_period", integer, None),
+                tags=f.take("tags", list_of(string), ()),
+            )
+
+
+_CAPACITY = checked(integer, lambda capacity: capacity >= 1, "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,16 +118,13 @@ class ResourceModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> ResourceModel:
-        _check_keys(data, {"capacity", "unit_price", "storage_price"}, "resource_model")
-        capacity = int(data["capacity"])
-        if capacity < 1:
-            raise ValueError(f"resource_model: capacity must be >= 1, got {capacity}")
-        return cls(
-            capacity=capacity,
-            unit_price=float(data.get("unit_price", 0.5)),
-            storage_price=float(data.get("storage_price", 0.01)),
-        )
+    def from_dict(cls, raw: object, path: str = "") -> ResourceModel:
+        with Fields(raw, path) as f:
+            return cls(
+                capacity=f.take("capacity", _CAPACITY),
+                unit_price=f.take("unit_price", number, 0.5),
+                storage_price=f.take("storage_price", number, 0.01),
+            )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
+from pipegov.core.reader import Fields, boolean, integer, list_of, map_of, one_of, string
+
 
 class SchemaError(ValueError):
     """Raised for structurally invalid schemas or inapplicable deltas."""
@@ -27,6 +29,8 @@ class Dtype(str, Enum):
     BOOL = "bool"
     TIMESTAMP = "timestamp"
 
+
+_DTYPE = one_of(Dtype)
 
 # Type changes that existing readers tolerate: every value of the old type
 # is representable in the new one. Anything not listed here is a breaking
@@ -91,13 +95,22 @@ class Schema:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "Schema":
-        cols = tuple(
-            Column(c["name"], Dtype(c["dtype"]), bool(c["nullable"]))
-            for c in raw["columns"]
-        )
-        aliases = tuple(sorted((k, v) for k, v in raw.get("aliases", {}).items()))
-        return cls(columns=cols, version=int(raw["version"]), aliases=aliases)
+    def from_dict(cls, raw: object, path: str = "") -> Schema:
+        with Fields(raw, path) as f:
+            return cls(
+                columns=f.take("columns", list_of(_column_from_dict)),
+                version=f.take("version", integer),
+                aliases=tuple(sorted(f.take("aliases", map_of(string), {}).items())),
+            )
+
+
+def _read_column(f: Fields) -> Column:
+    return Column(f.take("name", string), f.take("dtype", _DTYPE), f.take("nullable", boolean))
+
+
+def _column_from_dict(raw: object, path: str) -> Column:
+    with Fields(raw, path) as f:
+        return _read_column(f)
 
 
 @dataclass(frozen=True)
@@ -148,8 +161,9 @@ class SchemaDelta:
         return {"changes": [_change_to_dict(c) for c in self.changes]}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SchemaDelta":
-        return cls(changes=tuple(_change_from_dict(c) for c in raw["changes"]))
+    def from_dict(cls, raw: object, path: str = "") -> SchemaDelta:
+        with Fields(raw, path) as f:
+            return cls(changes=f.take("changes", list_of(_change_from_dict)))
 
 
 def _change_to_dict(change: Change) -> dict:
@@ -186,19 +200,24 @@ def _change_to_dict(change: Change) -> dict:
     raise SchemaError(f"unknown change: {change!r}")
 
 
-def _change_from_dict(raw: dict) -> Change:
-    op = raw.get("op")
-    if op == "add_column":
-        return AddColumn(Column(raw["name"], Dtype(raw["dtype"]), bool(raw["nullable"])))
-    if op == "drop_column":
-        return DropColumn(raw["name"])
-    if op == "rename_column":
-        return RenameColumn(raw["old_name"], raw["new_name"], bool(raw.get("aliased", False)))
-    if op == "change_type":
-        return ChangeType(raw["name"], Dtype(raw["old_dtype"]), Dtype(raw["new_dtype"]))
-    if op == "change_nullability":
-        return ChangeNullability(raw["name"], bool(raw["old_nullable"]), bool(raw["new_nullable"]))
-    raise SchemaError(f"unknown change op: {op!r}")
+def _change_from_dict(raw: object, path: str) -> Change:
+    with Fields(raw, path) as f:
+        op = f.take("op", string)
+        if op == "add_column":
+            return AddColumn(_read_column(f))
+        if op == "drop_column":
+            return DropColumn(f.take("name", string))
+        if op == "rename_column":
+            return RenameColumn(
+                f.take("old_name", string), f.take("new_name", string), f.take("aliased", boolean, False)
+            )
+        if op == "change_type":
+            return ChangeType(f.take("name", string), f.take("old_dtype", _DTYPE), f.take("new_dtype", _DTYPE))
+        if op == "change_nullability":
+            return ChangeNullability(
+                f.take("name", string), f.take("old_nullable", boolean), f.take("new_nullable", boolean)
+            )
+        raise SchemaError(f"unknown change op: {op!r}")
 
 
 class DriftKind(str, Enum):

@@ -129,9 +129,9 @@ def _revalidate(record: AuditRecord, payload: dict, policy: PolicyDocument | Non
     if policy is None:
         raise _Invalid(f"seq {record.seq}: no policy document for version {record.policy_version}")
     try:
-        action = ProposedAction.from_dict(payload["action"])
-        context = ValidationContext.from_dict(payload["context"])
-    except (KeyError, TypeError, ValueError) as exc:
+        action = ProposedAction.from_dict(payload.get("action"), "action")
+        context = ValidationContext.from_dict(payload.get("context"), "context")
+    except ValueError as exc:
         raise _Invalid(f"seq {record.seq}: malformed decision record: {exc}") from None
     decision = validate_action(policy, action, context)
     if decision.verdict.value != payload.get("verdict"):

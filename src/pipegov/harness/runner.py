@@ -10,7 +10,7 @@ reports — consumes the RunResult this produces.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from ..agents.backends import BuiltinBackend, ReasoningBackend
 from ..agents.bundle import OutcomeMemory
@@ -54,11 +54,7 @@ class RunResult:
 def reseed(spec: ScenarioSpec, seed: int) -> ScenarioSpec:
     """The same scenario with a different arrival/fault seed."""
 
-    if seed == spec.seed:
-        return spec
-    raw = spec.to_dict()
-    raw["seed"] = seed
-    return ScenarioSpec.from_dict(raw)
+    return spec if seed == spec.seed else replace(spec, seed=seed)
 
 
 def run_experiment(

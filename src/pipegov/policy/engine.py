@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Any
 
 from pipegov.core.actions import ActionKind, ProposedAction, RECOVERY_KINDS
+from pipegov.core.reader import Fields, integer, list_of, number, string
 from pipegov.policy.model import PolicyDocument
 
 RULE_ALLOW_LIST = "actions.allow_list"
@@ -71,16 +72,17 @@ class ValidationContext:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ValidationContext":
-        return cls(
-            tick=int(raw["tick"]),
-            pipeline_tags=tuple(raw.get("pipeline_tags", ())),
-            windowed_spend=float(raw.get("windowed_spend", 0.0)),
-            committed_spend=float(raw.get("committed_spend", 0.0)),
-            window_remaining=int(raw.get("window_remaining", 0)),
-            unit_price=float(raw.get("unit_price", 0.0)),
-            delta_units_total=int(raw.get("delta_units_total", 0)),
-        )
+    def from_dict(cls, raw: object, path: str = "") -> ValidationContext:
+        with Fields(raw, path) as f:
+            return cls(
+                tick=f.take("tick", integer),
+                pipeline_tags=f.take("pipeline_tags", list_of(string), ()),
+                windowed_spend=f.take("windowed_spend", number, 0.0),
+                committed_spend=f.take("committed_spend", number, 0.0),
+                window_remaining=f.take("window_remaining", integer, 0),
+                unit_price=f.take("unit_price", number, 0.0),
+                delta_units_total=f.take("delta_units_total", integer, 0),
+            )
 
 
 @dataclass(frozen=True)

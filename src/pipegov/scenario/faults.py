@@ -9,7 +9,7 @@ module only makes the world misbehave.
 from __future__ import annotations
 
 from pipegov.core.pipeline import PipelineKind
-from pipegov.core.schema import DriftKind, apply_delta, classify_delta
+from pipegov.core.schema import SchemaError, apply_delta, classify_delta
 from pipegov.scenario.model import FaultEvent, FaultKind, ScenarioSpec
 from pipegov.simkernel.world import Health, PendingDrift, SimWorld
 
@@ -30,10 +30,16 @@ def _drift_window_end(world: SimWorld, pipeline_id: str, tick: int) -> int:
 
 
 def _apply_schema_drift(world: SimWorld, event: FaultEvent, tick: int) -> None:
+    """A compatible delta moves the live schema on. An incompatible one, or
+    one that no longer fits the live schema (an earlier drift changed it),
+    opens a pending drift and fails the pipeline."""
+
     p = world.pipelines[event.pipeline]
-    new_schema = apply_delta(p.schema, event.delta)
-    drift = classify_delta(event.delta)
-    if drift.kind is DriftKind.INCOMPATIBLE:
+    try:
+        new_schema = apply_delta(p.schema, event.delta)
+    except SchemaError:
+        new_schema = None
+    if new_schema is None or classify_delta(event.delta).incompatible:
         p.pending_drift = PendingDrift(
             partition=event.partition,
             delta=event.delta,

@@ -2,10 +2,14 @@
 
 A scenario is a single JSON document: pipeline fleet, shared resource
 model, arrival/batch workload models, a scripted fault schedule, and the
-simulator latency constants. Parsing is strict — unknown keys are
-rejected at every level so a typo cannot silently change an experiment —
-and ``scenario_hash`` fingerprints the parsed document so two runs can
-prove they executed the same world.
+simulator latency constants. Every object in it is read through
+``core.reader``, so a typo cannot silently change an experiment: each
+field is typed and nothing is coerced (an integer field takes a JSON
+integer, never ``3.7`` or ``"3"``; a list field never takes a string),
+unknown keys are rejected at every depth, and every error names the
+field's path, such as ``pipelines[4].tags``. Whatever is wrong reaches
+the caller as a ``ScenarioError``. ``scenario_hash`` fingerprints the
+parsed document so two runs can prove they executed the same world.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pipegov.core.pipeline import (
     ValidationIssue,
     validate_pipeline_spec,
 )
+from pipegov.core.reader import Fields, OutOfRange, ReadError, integer, list_of, map_of, number, one_of, string
 from pipegov.core.schema import SchemaDelta
 from pipegov.simkernel.world import SimConstants
 from pipegov.telemetry.audit import canonical_json
@@ -38,11 +43,12 @@ class FaultKind(str, Enum):
     TRANSIENT_TASK_FAILURE = "TransientTaskFailure"
 
 
-_FAULT_FIELDS: dict[FaultKind, set[str]] = {
-    FaultKind.SCHEMA_DRIFT: {"pipeline", "delta", "partition"},
-    FaultKind.UPSTREAM_DELAY: {"pipeline", "delay_ticks", "missing_fraction"},
-    FaultKind.RESOURCE_CONTENTION: {"capacity_reduction", "duration_ticks"},
-    FaultKind.TRANSIENT_TASK_FAILURE: {"pipeline", "stage"},
+# The fields of each fault kind, with the reader of each.
+_FAULT_FIELDS = {
+    FaultKind.SCHEMA_DRIFT: {"pipeline": string, "delta": SchemaDelta.from_dict, "partition": string},
+    FaultKind.UPSTREAM_DELAY: {"pipeline": string, "delay_ticks": integer, "missing_fraction": number},
+    FaultKind.RESOURCE_CONTENTION: {"capacity_reduction": integer, "duration_ticks": integer},
+    FaultKind.TRANSIENT_TASK_FAILURE: {"pipeline": string, "stage": string},
 }
 
 
@@ -64,26 +70,15 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.tick < 0:
             raise ScenarioError(f"fault tick must be >= 0, got {self.tick}")
-        if self.kind is FaultKind.SCHEMA_DRIFT:
-            if not self.pipeline or self.delta is None or not self.partition:
-                raise ScenarioError("SchemaDrift needs pipeline, delta and partition")
-        elif self.kind is FaultKind.UPSTREAM_DELAY:
-            if not self.pipeline or self.delay_ticks is None or self.missing_fraction is None:
-                raise ScenarioError("UpstreamDelay needs pipeline, delay_ticks and missing_fraction")
-            if self.delay_ticks < 1:
-                raise ScenarioError(f"delay_ticks must be >= 1, got {self.delay_ticks}")
-            if not 0.0 <= self.missing_fraction <= 1.0:
-                raise ScenarioError(f"missing_fraction must be in [0, 1], got {self.missing_fraction}")
-        elif self.kind is FaultKind.RESOURCE_CONTENTION:
-            if self.capacity_reduction is None or self.duration_ticks is None:
-                raise ScenarioError("ResourceContention needs capacity_reduction and duration_ticks")
-            if self.capacity_reduction < 1:
-                raise ScenarioError(f"capacity_reduction must be >= 1, got {self.capacity_reduction}")
-            if self.duration_ticks < 1:
-                raise ScenarioError(f"duration_ticks must be >= 1, got {self.duration_ticks}")
-        elif self.kind is FaultKind.TRANSIENT_TASK_FAILURE:
-            if not self.pipeline or not self.stage:
-                raise ScenarioError("TransientTaskFailure needs pipeline and stage")
+        missing = [name for name in _FAULT_FIELDS[self.kind] if getattr(self, name) in (None, "")]
+        if missing:
+            raise ScenarioError(f"{self.kind.value} needs {', '.join(missing)}")
+        for name in ("delay_ticks", "capacity_reduction", "duration_ticks"):
+            value = getattr(self, name)
+            if name in _FAULT_FIELDS[self.kind] and value < 1:
+                raise ScenarioError(f"{name} must be >= 1, got {value}")
+        if self.kind is FaultKind.UPSTREAM_DELAY and not 0.0 <= self.missing_fraction <= 1.0:
+            raise ScenarioError(f"missing_fraction must be in [0, 1], got {self.missing_fraction}")
 
     def to_dict(self) -> dict:
         out: dict = {"tick": self.tick, "kind": self.kind.value}
@@ -93,30 +88,11 @@ class FaultEvent:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> FaultEvent:
-        if "kind" not in data or "tick" not in data:
-            raise ScenarioError("fault event needs 'tick' and 'kind'")
-        try:
-            kind = FaultKind(data["kind"])
-        except ValueError as exc:
-            raise ScenarioError(f"unknown fault kind {data['kind']!r}") from exc
-        allowed = _FAULT_FIELDS[kind] | {"tick", "kind"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ScenarioError(f"{kind.value} fault: unknown keys {sorted(unknown)}")
-        kwargs: dict = {"tick": int(data["tick"]), "kind": kind}
-        for name in _FAULT_FIELDS[kind]:
-            if name not in data:
-                raise ScenarioError(f"{kind.value} fault: missing {name!r}")
-            value = data[name]
-            if name == "delta":
-                value = SchemaDelta.from_dict(value)
-            elif name in ("delay_ticks", "capacity_reduction", "duration_ticks"):
-                value = int(value)
-            elif name == "missing_fraction":
-                value = float(value)
-            kwargs[name] = value
-        return cls(**kwargs)
+    def from_dict(cls, raw: object, path: str = "") -> FaultEvent:
+        with Fields(raw, path) as f:
+            kind = f.take("kind", one_of(FaultKind))
+            fields = {name: f.take(name, read) for name, read in _FAULT_FIELDS[kind].items()}
+            return cls(tick=f.take("tick", integer), kind=kind, **fields)
 
 
 @dataclass(frozen=True)
@@ -149,18 +125,15 @@ class ArrivalModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> ArrivalModel:
-        unknown = set(data) - {"base_rate", "bursts"}
-        if unknown:
-            raise ScenarioError(f"arrival model: unknown keys {sorted(unknown)}")
-        if "base_rate" not in data:
-            raise ScenarioError("arrival model: missing 'base_rate'")
-        bursts = []
-        for entry in data.get("bursts", ()):
-            if len(entry) != 3:
-                raise ScenarioError(f"burst must be [start, end, multiplier], got {entry!r}")
-            bursts.append((int(entry[0]), int(entry[1]), float(entry[2])))
-        return cls(base_rate=float(data["base_rate"]), bursts=tuple(bursts))
+    def from_dict(cls, raw: object, path: str = "") -> ArrivalModel:
+        with Fields(raw, path) as f:
+            return cls(base_rate=f.take("base_rate", number), bursts=f.take("bursts", list_of(_burst), ()))
+
+
+def _burst(value: object, path: str) -> tuple[int, int, float]:
+    if type(value) is not list or len(value) != 3:
+        raise OutOfRange(path, f"must be [start, end, multiplier], got {value!r}")
+    return integer(value[0], f"{path}[0]"), integer(value[1], f"{path}[1]"), number(value[2], f"{path}[2]")
 
 
 @dataclass(frozen=True)
@@ -180,26 +153,12 @@ class BatchModel:
         return {"dataset_size": self.dataset_size, "schedule_period": self.schedule_period}
 
     @classmethod
-    def from_dict(cls, data: dict) -> BatchModel:
-        unknown = set(data) - {"dataset_size", "schedule_period"}
-        if unknown:
-            raise ScenarioError(f"batch model: unknown keys {sorted(unknown)}")
-        for key in ("dataset_size", "schedule_period"):
-            if key not in data:
-                raise ScenarioError(f"batch model: missing {key!r}")
-        return cls(dataset_size=int(data["dataset_size"]), schedule_period=int(data["schedule_period"]))
-
-
-_TOP_KEYS = {
-    "horizon",
-    "seed",
-    "resource_model",
-    "pipelines",
-    "arrival_models",
-    "batch_models",
-    "fault_schedule",
-    "sim_constants",
-}
+    def from_dict(cls, raw: object, path: str = "") -> BatchModel:
+        with Fields(raw, path) as f:
+            return cls(
+                dataset_size=f.take("dataset_size", integer),
+                schedule_period=f.take("schedule_period", integer),
+            )
 
 
 @dataclass(frozen=True)
@@ -233,38 +192,21 @@ class ScenarioSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> ScenarioSpec:
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario document must be a JSON object")
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ScenarioError(f"scenario: unknown keys {sorted(unknown)}")
-        for key in ("horizon", "seed", "resource_model", "pipelines"):
-            if key not in data:
-                raise ScenarioError(f"scenario: missing {key!r}")
+    def from_dict(cls, raw: object) -> ScenarioSpec:
         try:
-            pipelines = tuple(PipelineSpec.from_dict(p) for p in data["pipelines"])
-            resource_model = ResourceModel.from_dict(data["resource_model"])
-        except (ValueError, KeyError) as exc:
-            raise ScenarioError(str(exc)) from exc
-        try:
-            constants = SimConstants.from_dict(data.get("sim_constants", {}))
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-        return cls(
-            horizon=int(data["horizon"]),
-            seed=int(data["seed"]),
-            resource_model=resource_model,
-            pipelines=pipelines,
-            arrival_models={
-                k: ArrivalModel.from_dict(v) for k, v in data.get("arrival_models", {}).items()
-            },
-            batch_models={
-                k: BatchModel.from_dict(v) for k, v in data.get("batch_models", {}).items()
-            },
-            fault_schedule=tuple(FaultEvent.from_dict(f) for f in data.get("fault_schedule", ())),
-            sim_constants=constants,
-        )
+            with Fields(raw) as f:
+                return cls(
+                    horizon=f.take("horizon", integer),
+                    seed=f.take("seed", integer),
+                    resource_model=f.take("resource_model", ResourceModel.from_dict),
+                    pipelines=f.take("pipelines", list_of(PipelineSpec.from_dict)),
+                    arrival_models=f.take("arrival_models", map_of(ArrivalModel.from_dict), {}),
+                    batch_models=f.take("batch_models", map_of(BatchModel.from_dict), {}),
+                    fault_schedule=f.take("fault_schedule", list_of(FaultEvent.from_dict), ()),
+                    sim_constants=f.take("sim_constants", SimConstants.from_dict, SimConstants()),
+                )
+        except ReadError as exc:
+            raise ScenarioError(str(exc)) from None
 
 
 def parse_scenario(source: dict | str) -> ScenarioSpec:
@@ -272,12 +214,10 @@ def parse_scenario(source: dict | str) -> ScenarioSpec:
 
     if isinstance(source, str):
         try:
-            data = json.loads(source)
+            source = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON: {exc}") from exc
-    else:
-        data = source
-    return ScenarioSpec.from_dict(data)
+    return ScenarioSpec.from_dict(source)
 
 
 def validate_scenario(spec: ScenarioSpec) -> list[ValidationIssue]:

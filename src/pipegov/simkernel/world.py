@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -33,6 +33,7 @@ from pipegov.core.pipeline import (
     stage_topology,
     validate_pipeline_spec,
 )
+from pipegov.core.reader import Fields, checked, integer
 from pipegov.core.schema import Schema, SchemaDelta
 
 
@@ -115,6 +116,9 @@ class CohortQueue:
         return removed
 
 
+_TICKS = checked(integer, lambda ticks: ticks >= 0, "must be >= 0")
+
+
 @dataclass(slots=True)
 class SimConstants:
     """Latencies and spans the kernel charges for recovery work, in ticks."""
@@ -128,26 +132,12 @@ class SimConstants:
     release_span: int = 10  # ticks over which withheld records re-enter
 
     def to_dict(self) -> dict:
-        return {
-            "replay_latency": self.replay_latency,
-            "rollback_latency": self.rollback_latency,
-            "recompute_latency_per_partition": self.recompute_latency_per_partition,
-            "quarantine_latency": self.quarantine_latency,
-            "resume_latency": self.resume_latency,
-            "drift_span": self.drift_span,
-            "release_span": self.release_span,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SimConstants":
-        base = cls()
-        for key, value in raw.items():
-            if not hasattr(base, key):
-                raise ValueError(f"unknown sim constant: {key}")
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"sim constant {key} must be a non-negative integer")
-            setattr(base, key, value)
-        return base
+    def from_dict(cls, raw: object, path: str = "") -> SimConstants:
+        with Fields(raw, path) as f:
+            return cls(**{c.name: f.take(c.name, _TICKS, c.default) for c in fields(cls)})
 
 
 @dataclass

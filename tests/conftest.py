@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from pipegov.core import (
@@ -16,6 +19,8 @@ from pipegov.core import (
 from pipegov.policy import parse_policy
 from pipegov.scenario import ScenarioSpec, canonical_scenario, default_policy_dict
 from pipegov.scenario.model import ArrivalModel, BatchModel
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +103,46 @@ def make_mini_scenario(
 @pytest.fixture()
 def mini_scenario() -> ScenarioSpec:
     return make_mini_scenario()
+
+
+# Canonical scenario edits the strict reader must reject, as (keys to the
+# edited value, new value); ``DELETE`` removes the key, and an index one
+# past a list's end appends. Each one once parsed to a different experiment
+# (``pipelines[4]`` is events-stream, whose QuarantinePartition needs the
+# ``regulated`` tag to go to an operator), passed with an unknown key, or
+# ended in a traceback.
+DELETE = object()
+MALFORMED_CANONICAL = [
+    pytest.param(("pipelines", 4, "tags"), "regulated", id="tags-string"),
+    pytest.param(("fault_schedule", 0, "tick"), 3.7, id="tick-float"),
+    pytest.param(("pipelines", 0, "schema", "owner"), "ops", id="schema-unknown-key"),
+    pytest.param(("pipelines", 0, "schema", "columns", 0, "pii"), True, id="column-unknown-key"),
+    pytest.param(("fault_schedule", 0, "delta", "changes", 0, "why"), "x", id="change-unknown-key"),
+    pytest.param(("fault_schedule", 0, "delta", "changes"), DELETE, id="delta-without-changes"),
+    pytest.param(("horizon",), "long", id="horizon-string"),
+    pytest.param(("arrival_models", "events-stream", "base_rate"), "fast", id="base-rate-string"),
+    pytest.param(("fault_schedule", 2, "missing_fraction"), "x", id="missing-fraction-string"),
+    pytest.param(("pipelines",), 5, id="pipelines-int"),
+    pytest.param(("fault_schedule", 12), 7, id="fault-int"),
+]
+
+
+def malformed_canonical(keys: tuple, value) -> tuple[dict, str]:
+    """The canonical document with one edit, and the path of the edited field."""
+
+    doc = json.loads((REPO_ROOT / "scenarios" / "canonical.json").read_text(encoding="utf-8"))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    last = keys[-1]
+    if value is DELETE:
+        del parent[last]
+    elif isinstance(parent, list) and last == len(parent):
+        parent.append(value)
+    else:
+        parent[last] = value
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+    return doc, path
 
 
 # Verdict lines registered by the acceptance suite; echoed after the run so

@@ -30,7 +30,7 @@ from pipegov.scenario import (
 from pipegov.telemetry import GENESIS_PREV_HASH, canonical_json
 
 import oracles
-from conftest import make_mini_scenario, make_stream_pipeline
+from conftest import MALFORMED_CANONICAL, make_mini_scenario, make_stream_pipeline, malformed_canonical
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RUN_FILES = {"audit.jsonl", "run.json", "telemetry.csv"}
@@ -331,6 +331,16 @@ class TestValidateCommands:
         assert main(["validate-scenario", str(path)]) == 1
         assert "missing_arrival_model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys, value", MALFORMED_CANONICAL)
+    def test_scenario_malformed_field_is_named(self, tmp_path, capsys, keys, value):
+        doc, field = malformed_canonical(keys, value)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {field}: " in err, err
+        assert "Traceback" not in err
+
     def test_scenario_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("[1,")
@@ -422,6 +432,23 @@ class TestReplayAudit:
         err = capsys.readouterr().err
         assert "malformed audit record at seq 2: " in err, err
         assert f"{key} is " in err, err
+
+    def test_retyped_action_field_is_a_malformed_decision(self, compare_out, tmp_path, capsys):
+        # int("30") would replay as 30, so the retyped tick must be caught by type.
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        seq, tick = next(
+            (raw["seq"], raw["payload"]["action"]["tick"])
+            for raw in map(json.loads, lines)
+            if raw["payload"].get("phase") == "initial"
+        )
+        path = tmp_path / "retyped-action.jsonl"
+        path.write_text(
+            _rechained(lines, seq, lambda p: {**p, "action": {**p["action"], "tick": str(tick)}})
+        )
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"seq {seq}: malformed decision record: action.tick: must be an integer, got '{tick}'" in err, err
 
     def test_grant_needs_the_operator_settings(self, approval_log, tmp_path, capsys):
         # Without operator_delay the grant's due tick cannot be checked.

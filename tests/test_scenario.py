@@ -13,7 +13,7 @@ from pipegov.core import (
     classify_delta,
     schema_delta,
 )
-from pipegov.harness import reseed
+from pipegov.harness import reseed, run_experiment
 from pipegov.scenario import (
     FaultEvent,
     FaultKind,
@@ -25,9 +25,11 @@ from pipegov.scenario import (
     inject_faults,
     mutate_schema,
     tick_rng,
+    validate_scenario,
 )
 from pipegov.scenario.model import ArrivalModel, BatchModel
 from pipegov.simkernel import Health, build_world, check_accounting, step
+from pipegov.telemetry import IncidentClass
 
 import oracles
 from conftest import make_batch_pipeline, make_mini_scenario, make_stream_pipeline
@@ -275,6 +277,23 @@ class TestDriftAndFailureFaults:
         assert p.health is Health.HEALTHY
         assert p.pending_drift is None
         assert p.schema.version == old_version + 1
+
+    @pytest.mark.parametrize("controller", ["static", "agentic"])
+    def test_drift_that_no_longer_fits_opens_an_incompatible_drift(self, controller, policy):
+        # Both deltas are taken against the declared schema; after the first
+        # one widens ``id``, the second no longer applies to the live schema.
+        base = make_stream_pipeline().schema
+        delta = schema_delta(base, mutate_schema(base, "compatible", seed=1))
+        faults = [
+            FaultEvent(tick=t, kind=FaultKind.SCHEMA_DRIFT, pipeline="stream-a", delta=delta, partition=f"pt-{t}")
+            for t in (1, 2)
+        ]
+        spec = make_mini_scenario(faults=faults)
+        assert validate_scenario(spec) == []
+        result = run_experiment(spec, policy, controller=controller)
+        first = result.incidents[0]
+        assert (first.id, first.pipeline, first.detected_tick) == ("INC-0001", "stream-a", 2)
+        assert first.incident_class is IncidentClass.SCHEMA_INCOMPATIBLE
 
     def test_task_failure_marks_stage(self):
         fault = FaultEvent(tick=1, kind=FaultKind.TRANSIENT_TASK_FAILURE, pipeline="s", stage="ingest")
