@@ -53,9 +53,6 @@ class OutcomeMemory:
                 f"exceed attempts {cell.attempts}"
             )
 
-    def stats(self, incident_class: str, kind: str) -> MemoryCell:
-        return self._cells.get((incident_class, kind), MemoryCell())
-
     def extract(self) -> dict[str, dict]:
         """Plain-data form for embedding into ObservationBundles."""
 

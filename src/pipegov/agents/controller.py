@@ -23,28 +23,26 @@ identical audit trail.
 Each tick starts by folding the previous tick's report once: its compute
 spend goes into the current budget window and, when a backend is
 present, each pipeline's samples feed its rolling utilization and
-ingress windows and its ingress EWMA. A static run keeps no observation
-state. The anomaly detector and the agents see the previous tick's
-snapshot cut down to what they read: capacity headroom and each
-pipeline's freshness lag, queue depth and ingress, or ``{}`` before the
-first step. Each tick's bundles are built in fresh containers from the
-windows, the world and the open incidents, and carry only the keys the
-builtin agents read: a backend that changes its bundle changes nothing
-the controller keeps or a later tick shows. The agents of one tick share
-every container but their policy view.
+ingress windows and the anomaly detector, whose ingress mean is an
+UpstreamDelay's pre-delay baseline. A static run keeps no observation
+state. The detector and the agents see the previous tick's snapshot cut
+down to what they read: capacity headroom and each pipeline's freshness
+lag, queue depth and ingress, or ``{}`` before the first step. Each
+tick's bundles are built in fresh containers from the windows, the world
+and the open incidents, and carry only the keys the builtin agents read:
+a backend that changes its bundle changes nothing the controller keeps
+or a later tick shows. The agents of one tick share every container but
+their policy view.
 
 The audit log is the only record of what happened; the per-tick
-ControlReport carries just the proposals and anomaly flags. The
-controller owns the incident lifecycle. ``incidents`` holds every
-incident in detection order, numbered ``INC-0001`` on; it is what a run
-reports. Each open incident also has one control record (the incident
-itself, who claims it, which remedies policy denied, retry budget, last
-applied remedy, pending approval, pre-delay ingress baseline), created
-when the incident opens and dropped when it closes, so nothing carries
-over to the next incident on the same pipeline. A trigger for a
-(pipeline, class) pair that already has an open record coalesces into
-it. These records, in creation order, are the only table the controller
-walks.
+ControlReport carries just the proposals and anomaly flags. Incidents
+live in an ``IncidentLedger`` (``telemetry.incidents``, which states the
+coalescing and claim rules): the controller calls its transitions where
+it writes the matching audit records, except that a proposal claims its
+incident when it is screened, so that the same tick's sweep sees the
+claim. Audit replay folds the same transitions over the log.
+``incidents`` is the ledger's table of every incident in detection
+order, what a run reports; the controller walks only the open view.
 
 Approvals and operator tasks wait in FIFO queues. The queues are drained
 at the start of a tick, before that tick's proposals, so every entry is
@@ -80,12 +78,11 @@ from ..simkernel.kernel import (
 )
 from ..simkernel.world import Health, SimWorld, TelemetrySnapshot, TickReport
 from ..telemetry.audit import AuditLog
-from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass
+from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, IncidentLedger
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
 from .bundle import CandidateAction, ObservationBundle, OutcomeMemory
 from .monitoring import AnomalyDetector, AnomalyFlag
 
-INGRESS_EWMA_ALPHA = 0.2  # smoothing for the pre-incident ingress baseline
 UTILIZATION_WINDOW = 30  # ticks of utilization history shown to agents
 INGRESS_WINDOW = 20  # ticks of ingress history shown to agents
 
@@ -96,8 +93,6 @@ AGENT_PHASES = (
     Actor.RECOVERY_AGENT,
     Actor.OPTIMIZATION_AGENT,
 )
-
-_OPERATOR_CLAIM = "operator"
 
 # Kernel failure events that open (or re-mark as failed) an incident.
 _FAILURE_CLASSES = {
@@ -131,26 +126,9 @@ class OperatorModel:
 
 
 @dataclass
-class _IncidentControl:
-    """The controller's bookkeeping for one open incident."""
-
-    incident: Incident
-    claim: str | None = None  # actor value, or _OPERATOR_CLAIM
-    denied: set[str] = field(default_factory=set)  # action kinds policy denied
-    failed: bool = False  # a task failed; the retry fallback may act
-    retries_used: int = 0
-    retry_next_at: int = 0
-    last_applied: str | None = None  # action kind; the resolution on close
-    last_action_tick: int | None = None
-    approval_pending: bool = False
-    delay_baseline: float | None = None  # ingress EWMA when an UpstreamDelay opened
-
-
-@dataclass
 class _SeriesWindows:
     """One pipeline's recent samples, newest last, through the previous tick."""
 
-    ingress_ewma: float  # seeded by the first sample
     utilization: deque[float] = field(
         default_factory=lambda: deque(maxlen=UTILIZATION_WINDOW)
     )
@@ -197,12 +175,12 @@ class Controller:
         self.operator = operator or OperatorModel()
         self.memory = OutcomeMemory()
         self.interventions = 0
-        self.incidents: dict[str, Incident] = {}  # every incident, in detection order
+        self.ledger = IncidentLedger()
+        self.incidents = self.ledger.incidents  # every incident, in detection order
 
         self._builtin = BuiltinBackend()
         self._detector = AnomalyDetector()
         self._action_seq = 0
-        self._incidents: dict[str, _IncidentControl] = {}  # open incidents only
         self._approvals: deque[_PendingApproval] = deque()  # FIFO: due order
         self._operator_tasks: deque[_OperatorTask] = deque()  # FIFO: due order
         self._alloc_changed_at: dict[str, int] = {}
@@ -223,11 +201,12 @@ class Controller:
     ) -> ControlReport:
         """Run one control cycle. Called after fault injection, before step."""
 
+        snapshot: dict = {}  # nothing observed before the first step
         flags: list[AnomalyFlag] = []
         proposals: list[ProposedAction] = []
 
         if prev_report is not None:
-            self._fold_statistics(world, prev_report)
+            snapshot, flags = self._fold_statistics(world, t, prev_report)
 
         self._run_due_approvals(world, t)
         self._run_due_operator_tasks(world, t)
@@ -235,10 +214,9 @@ class Controller:
         self._close_matured(world, t, prev_report)
 
         if self.backend is not None:
-            snapshot: dict = {}  # nothing observed before the first step
-            if prev_report is not None:
-                snapshot = _observed(prev_report.snapshot)
-                flags = self._monitoring_phase(t, snapshot)
+            for flag in flags:
+                payload = {"kind": "outcome", "event": "anomaly_flag", "flag": flag.to_dict()}
+                self.audit.append(t, Actor.MONITORING_AGENT, payload, self.policy.version)
             for actor, bundle in self._bundles(world, t, snapshot):
                 for candidate in self._decide(bundle):
                     action = self._screen_candidate(world, t, actor, candidate)
@@ -255,8 +233,11 @@ class Controller:
     # ------------------------------------------------------------------
     # chassis statistics
 
-    def _fold_statistics(self, world: SimWorld, prev_report: TickReport) -> None:
-        """Account the previous tick's compute spend and, with a backend, its samples."""
+    def _fold_statistics(
+        self, world: SimWorld, t: int, prev_report: TickReport
+    ) -> tuple[dict, list[AnomalyFlag]]:
+        """Account the previous tick's compute spend and, with a backend, its
+        samples; returns the observed snapshot and the detector's flags."""
 
         idx = prev_report.tick // self.policy.cost.window
         if idx != self._window_index:
@@ -265,44 +246,33 @@ class Controller:
         storage = prev_report.materialized * world.resource_model.storage_price
         self._window_spend += prev_report.cost - storage
         if self.backend is None:
-            return
+            return {}, []
         for pid, sample in prev_report.snapshot.pipelines.items():
-            value = float(sample.ingress)
             windows = self._windows.get(pid)
             if windows is None:
-                windows = self._windows[pid] = _SeriesWindows(value)
-            else:
-                mu = windows.ingress_ewma
-                windows.ingress_ewma = mu + INGRESS_EWMA_ALPHA * (value - mu)
+                windows = self._windows[pid] = _SeriesWindows()
             windows.utilization.append(float(sample.utilization))
-            windows.ingress.append(value)
+            windows.ingress.append(float(sample.ingress))
+        snapshot = _observed(prev_report.snapshot)
+        return snapshot, self._detector.observe_snapshot(t, snapshot)
 
     # ------------------------------------------------------------------
     # incident detection and closure
 
     def _note_incident(
-        self, pipeline: str, incident_class: IncidentClass, t: int
-    ) -> _IncidentControl:
-        """Open (or coalesce into) an incident and return its control record."""
+        self, pipeline: str, incident_class: IncidentClass, t: int, failed: bool = False
+    ) -> None:
+        """Open (or coalesce into) an incident, auditing a new one."""
 
-        for record in self._incidents.values():
-            incident = record.incident
-            if incident.pipeline == pipeline and incident.incident_class is incident_class:
-                return record
-        incident = Incident(f"INC-{len(self.incidents) + 1:04d}", pipeline, incident_class, t)
-        self.incidents[incident.id] = incident
-        record = _IncidentControl(incident)
+        baseline = None
         if incident_class is IncidentClass.UPSTREAM_DELAY:
-            windows = self._windows.get(pipeline)
-            record.delay_baseline = windows.ingress_ewma if windows is not None else 0.0
-        self._incidents[incident.id] = record
-        payload = {
-            "kind": "outcome",
-            "event": "incident_opened",
-            "incident": incident.to_dict(),
-        }
-        self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
-        return record
+            baseline = self._detector.mean(pipeline, "ingress")
+        incident, new = self.ledger.opened(
+            pipeline, incident_class, t, failed=failed, delay_baseline=baseline
+        )
+        if new:
+            payload = {"kind": "outcome", "event": "incident_opened", "incident": incident.to_dict()}
+            self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
 
     def _detect(
         self,
@@ -325,8 +295,8 @@ class Controller:
                 )
             elif event.kind is FaultKind.TRANSIENT_TASK_FAILURE:
                 self._note_incident(
-                    event.pipeline, IncidentClass.TRANSIENT_TASK_FAILURE, t
-                ).failed = True
+                    event.pipeline, IncidentClass.TRANSIENT_TASK_FAILURE, t, failed=True
+                )
 
         if prev_report is None:
             return
@@ -334,7 +304,7 @@ class Controller:
         for pid, kind in prev_report.failures:
             incident_class = _FAILURE_CLASSES.get(kind)
             if incident_class is not None:
-                self._note_incident(pid, incident_class, t).failed = True
+                self._note_incident(pid, incident_class, t, failed=True)
 
         tolerance = self.policy.freshness.breach_tolerance
         for pid, sample in prev_report.snapshot.pipelines.items():
@@ -348,8 +318,7 @@ class Controller:
         self, world: SimWorld, t: int, prev_report: TickReport | None
     ) -> None:
         prev_snap = prev_report.snapshot if prev_report is not None else None
-        for record in list(self._incidents.values()):
-            incident = record.incident
+        for incident in list(self.ledger.open.values()):
             if incident.detected_tick >= t:
                 continue
             cls = incident.incident_class
@@ -377,29 +346,14 @@ class Controller:
                     done = prev_snap.pipelines[incident.pipeline].freshness_lag <= target
             if not done:
                 continue
-            del self._incidents[incident.id]
-            incident.resumed_tick = t
-            incident.resolution = record.last_applied
+            self.ledger.closed(incident.id, t)
             if incident.resolution is not None:
-                self.memory.record_success(
-                    cls.value, incident.resolution, incident.duration()
-                )
-            payload = {
-                "kind": "outcome",
-                "event": "incident_closed",
-                "incident": incident.to_dict(),
-            }
+                self.memory.record_success(cls.value, incident.resolution, incident.duration())
+            payload = {"kind": "outcome", "event": "incident_closed", "incident": incident.to_dict()}
             self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
 
     # ------------------------------------------------------------------
     # agent phases
-
-    def _monitoring_phase(self, t: int, snapshot: dict) -> list[AnomalyFlag]:
-        flags = self._detector.observe_snapshot(t, snapshot)
-        for flag in flags:
-            payload = {"kind": "outcome", "event": "anomaly_flag", "flag": flag.to_dict()}
-            self.audit.append(t, Actor.MONITORING_AGENT, payload, self.policy.version)
-        return flags
 
     def _decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
         try:
@@ -446,17 +400,17 @@ class Controller:
         if kind in SCALING_KINDS and candidate.delta_units <= 0:
             violation("scaling candidate requires positive delta_units")
             return None
-        record = None
         if candidate.incident_id is not None:
-            record = self._incidents.get(candidate.incident_id)
-            if record is None:
+            incident = self.ledger.open.get(candidate.incident_id)
+            if incident is None:
                 violation(f"no open incident {candidate.incident_id!r}")
                 return None
-            if record.claim not in (None, actor.value):
+            if incident.claim not in (None, actor.value):
                 return None  # someone else is already handling it
-            if kind.value in record.denied:
+            if kind.value in incident.denied:
                 return None  # policy already denied this remedy
-        action = self._next_action(
+        self.ledger.proposed(candidate.incident_id, actor.value, t)
+        return self._next_action(
             t,
             actor,
             kind,
@@ -468,9 +422,6 @@ class Controller:
             justification=candidate.rationale,
             incident_id=candidate.incident_id,
         )
-        if record is not None:
-            record.claim = actor.value
-        return action
 
     def _next_action(
         self,
@@ -507,29 +458,28 @@ class Controller:
     def _fallback_sweep(
         self, world: SimWorld, t: int, proposals: list[ProposedAction]
     ) -> None:
-        for record in self._incidents.values():
-            incident = record.incident
+        for incident in self.ledger.open.values():
             cls = incident.incident_class
             if cls is IncidentClass.SCHEMA_INCOMPATIBLE:
-                if record.claim is None:
-                    self._enqueue_operator_task(t, ActionKind.RESUME, record)
+                if incident.claim is None:
+                    self._enqueue_operator_task(t, ActionKind.RESUME, incident)
             elif cls in (
                 IncidentClass.TRANSIENT_TASK_FAILURE,
                 IncidentClass.UPSTREAM_DELAY,
             ):
-                if not record.failed:
+                if not incident.failed:
                     continue
-                if record.claim not in (None, Actor.BASELINE.value):
+                if incident.claim not in (None, Actor.BASELINE.value):
                     continue
                 pipeline = world.pipelines[incident.pipeline]
                 if pipeline.health is not Health.FAILING:
                     continue
-                if t < record.retry_next_at:
+                if t < incident.retry_next_at:
                     continue
-                if record.retries_used < self.operator.max_retries:
-                    record.retries_used += 1
-                    record.retry_next_at = t + self.operator.retry_backoff
-                    record.claim = Actor.BASELINE.value
+                if incident.retries_used < self.operator.max_retries:
+                    self.ledger.proposed(
+                        incident.id, Actor.BASELINE.value, t, self.operator.retry_backoff
+                    )
                     proposals.append(
                         self._next_action(
                             t,
@@ -537,24 +487,19 @@ class Controller:
                             ActionKind.REPLAY,
                             incident.pipeline,
                             justification=(
-                                f"automatic retry {record.retries_used}"
+                                f"automatic retry {incident.retries_used}"
                                 f"/{self.operator.max_retries}"
                             ),
                             incident_id=incident.id,
                         )
                     )
                 else:
-                    self._enqueue_operator_task(t, ActionKind.REPLAY, record)
+                    self._enqueue_operator_task(t, ActionKind.REPLAY, incident)
 
-    def _enqueue_operator_task(
-        self, t: int, kind: ActionKind, record: _IncidentControl
-    ) -> None:
-        incident = record.incident
+    def _enqueue_operator_task(self, t: int, kind: ActionKind, incident: Incident) -> None:
         due = self.operator.due(t)
-        self._operator_tasks.append(
-            _OperatorTask(due, kind, incident.pipeline, incident.id)
-        )
-        record.claim = _OPERATOR_CLAIM
+        self._operator_tasks.append(_OperatorTask(due, kind, incident.pipeline, incident.id))
+        self.ledger.escalated(incident.id)
         self.interventions += 1
         payload = {
             "kind": "outcome",
@@ -569,7 +514,7 @@ class Controller:
     def _run_due_operator_tasks(self, world: SimWorld, t: int) -> None:
         while self._operator_tasks and self._operator_tasks[0].due <= t:
             task = self._operator_tasks.popleft()
-            if task.incident_id not in self._incidents:
+            if task.incident_id not in self.ledger.open:
                 continue  # resolved itself while the operator was paged
             action = self._next_action(
                 t,
@@ -598,9 +543,7 @@ class Controller:
                 "explanation": "operator approval granted after review delay",
             }
             granted = self.audit.append(t, Actor.OPERATOR, grant, self.policy.version)
-            record = self._incidents.get(action.incident_id)
-            if record is not None:  # None once the incident has closed
-                record.approval_pending = False
+            self.ledger.granted(action.incident_id)
             self._apply(world, t, action, granted.seq)
 
     # ------------------------------------------------------------------
@@ -677,7 +620,6 @@ class Controller:
         }
         decided = self.audit.append(t, Actor.POLICY_ENGINE, decision_payload, self.policy.version)
 
-        record = self._incidents.get(action.incident_id)
         if decision.verdict is Verdict.ALLOW:
             self._apply(world, t, action, decided.seq)
         elif decision.verdict is Verdict.REQUIRE_APPROVAL:
@@ -685,13 +627,9 @@ class Controller:
                 _PendingApproval(self.operator.due(t), action, decided.seq)
             )
             self.interventions += 1
-            if record is not None:
-                record.approval_pending = True
-                record.claim = action.agent.value
-        elif record is not None:  # Deny
-            record.denied.add(action.kind.value)
-            if record.claim == action.agent.value:
-                record.claim = None
+            self.ledger.approval_requested(action.incident_id, action.agent.value)
+        else:
+            self.ledger.denied(action.incident_id, action.agent.value, action.kind.value)
 
     def _apply(
         self, world: SimWorld, t: int, action: ProposedAction, decision_ref: int
@@ -709,23 +647,15 @@ class Controller:
             "result": result.to_dict(),
         }
         self.audit.append(t, action.agent, payload, self.policy.version)
-
-        # None when there is no incident, or an approval landed after it closed.
-        record = self._incidents.get(action.incident_id)
+        self.ledger.acted(
+            action.incident_id, action.agent.value, action.kind.value, t, result.applied
+        )
         if result.applied:
             if action.kind in SCALING_KINDS:
                 self._alloc_changed_at[action.pipeline] = t
-            if action.incident_id is not None:
-                incident = self.incidents[action.incident_id]
-                self.memory.record_attempt(
-                    incident.incident_class.value, action.kind.value
-                )
-            if record is not None:
-                record.last_applied = action.kind.value
-                record.last_action_tick = t
-                record.claim = action.agent.value
-        elif record is not None and record.claim == action.agent.value:
-            record.claim = None
+            if action.incident_id is not None:  # counted even after the incident closed
+                cls = self.incidents[action.incident_id].incident_class
+                self.memory.record_attempt(cls.value, action.kind.value)
 
     # ------------------------------------------------------------------
     # observation bundles
@@ -745,21 +675,20 @@ class Controller:
 
         delay_by_pipeline: dict[str, dict] = {}
         incidents: list[dict] = []
-        for record in self._incidents.values():
-            incident = record.incident
+        for incident in self.ledger.open.values():
             incidents.append(
                 {
                     "id": incident.id,
                     "pipeline": incident.pipeline,
                     "incident_class": incident.incident_class.value,
-                    "claimed_by": record.claim,
-                    "approval_pending": record.approval_pending,
-                    "last_action_tick": record.last_action_tick,
+                    "claimed_by": incident.claim,
+                    "approval_pending": incident.approval_pending,
+                    "last_action_tick": incident.last_action_tick,
                 }
             )
-            if record.delay_baseline is not None:
+            if incident.delay_baseline is not None:
                 delay_by_pipeline[incident.pipeline] = {
-                    "baseline_ingress": record.delay_baseline
+                    "baseline_ingress": incident.delay_baseline
                 }
         open_incidents = tuple(incidents)
 

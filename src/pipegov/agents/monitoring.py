@@ -80,6 +80,12 @@ class AnomalyDetector:
             return AnomalyFlag(tick, pipeline, metric, value, mean, dev)
         return None
 
+    def mean(self, pipeline: str, metric: str) -> float:
+        """The series' running mean; 0.0 before its first sample."""
+
+        state = self._states.get((pipeline, metric))
+        return state.mean if state is not None else 0.0
+
     def observe_snapshot(self, tick: int, snapshot: dict) -> list[AnomalyFlag]:
         """Scan one observed snapshot (``pipelines`` maps each pipeline to
         its watched metrics); returns flags raised.

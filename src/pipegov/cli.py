@@ -7,7 +7,8 @@ Subcommands:
 - ``validate-policy``   parse and check a policy document
 - ``validate-scenario`` parse and check a scenario file
 - ``replay-audit``      check an audit log: chain, embedded policies, decision
-                        re-validation, grants and their due tick, outcome links
+                        re-validation, grants and their due tick, outcome
+                        links, and the incident ledger folded over the log
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 """

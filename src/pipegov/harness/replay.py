@@ -1,8 +1,9 @@
 """Audit replay: the chain, the embedded policies, every decision re-validated
 against them, each approval grant and its due tick (a log with a grant must
 carry the operator settings), and each outcome's link to the decision it
-cites. It lives in the harness, the one layer that sees the policy engine,
-``OperatorModel`` and ``telemetry`` together.
+cites. Then it folds the controller's incident ledger transitions over the
+log and rejects the first illegal one. It lives in the harness, the one
+layer that sees the policy engine, ``OperatorModel`` and ``telemetry`` together.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from ..core.actions import ProposedAction
 from ..policy.engine import ValidationContext, Verdict, validate_action
 from ..policy.model import PolicyDocument, PolicyError, parse_policy
 from ..telemetry.audit import AuditRecord, load_audit_jsonl
+from ..telemetry.incidents import IllegalIncidentTransition, IncidentClass, IncidentLedger
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,54 @@ def _check_records(records: tuple[AuditRecord, ...]) -> int:
             result = payload.get("result")
             if not isinstance(result, dict) or result.get("action_id") != decision["action"]["id"]:
                 raise _Invalid(f"seq {seq}: action outcome is not for its decision's action")
+    _fold_incidents(records, payloads)
     return checked
+
+
+def _fold_incidents(records: tuple[AuditRecord, ...], payloads: list) -> None:
+    """Fold the controller's ledger transitions over the log. The checks above
+    passed, so every decision's action parsed and every outcome cites one."""
+
+    ledger = IncidentLedger()
+    for record, payload in zip(records, payloads):
+        seq, event = record.seq, payload.get("event")
+        try:
+            if payload.get("kind") == "decision":
+                action = payload["action"]
+                incident_id, agent = action["incident_id"], action["agent"]
+                if payload["phase"] == "approval_grant":
+                    ledger.granted(incident_id)
+                    continue
+                if seq < 2 or payloads[seq - 2] != {"kind": "proposal", "action": action}:
+                    raise _Invalid(f"seq {seq}: decision does not follow its proposal")
+                ledger.proposed(incident_id, agent, record.tick)
+                if payload["verdict"] == Verdict.REQUIRE_APPROVAL.value:
+                    ledger.approval_requested(incident_id, agent)
+                elif payload["verdict"] == Verdict.DENY.value:
+                    ledger.denied(incident_id, agent, action["kind"])
+            elif event == "action_outcome":
+                action = payloads[payload["decision_ref"] - 1]["action"]
+                applied = payload["result"].get("status") == "applied"
+                ledger.acted(action["incident_id"], action["agent"], action["kind"], record.tick, applied)
+            elif event == "operator_task_enqueued":
+                ledger.escalated(str(payload.get("incident_id")))
+            elif event in ("incident_opened", "incident_closed"):
+                raw = payload.get("incident")
+                if not isinstance(raw, dict):
+                    raise _Invalid(f"seq {seq}: malformed {event} record")
+                if event == "incident_closed":
+                    incident = ledger.closed(str(raw.get("id")), record.tick)
+                elif raw.get("incident_class") not in list(IncidentClass):
+                    raise _Invalid(f"seq {seq}: malformed {event} record")
+                else:
+                    cls = IncidentClass(raw["incident_class"])
+                    incident, new = ledger.opened(str(raw.get("pipeline")), cls, record.tick)
+                    if not new:
+                        raise IllegalIncidentTransition(f"{incident.id} is still open")
+                if raw != incident.to_dict():
+                    raise _Invalid(f"seq {seq}: {event} record {raw} differs from the ledger's")
+        except IllegalIncidentTransition as exc:
+            raise _Invalid(f"seq {seq}: illegal incident transition: {exc}") from None
 
 
 def _revalidate(record: AuditRecord, payload: dict, policy: PolicyDocument | None) -> None:

@@ -1,7 +1,10 @@
 """Observability: metric series, incident records, and the append-only audit log.
 
-Incident records are opened and closed by the control chassis in
-``pipegov.agents.controller``; this package only defines them.
+``telemetry.incidents.IncidentLedger`` owns every incident transition and
+its rules: a trigger coalesces into an open incident on the same pipeline
+and class, and a claim (the proposer, ``"Baseline"`` or an escalation's
+``"operator"``) is released only by its own deny or rejection. The control
+chassis calls the transitions and audit replay folds them over a log.
 """
 
 from pipegov.telemetry.audit import (

@@ -499,12 +499,12 @@ class TestRecoveryPropose:
         memory.record_attempt("TransientTaskFailure", "Replay")
         memory.record_attempt("TransientTaskFailure", "Replay")
         memory.record_success("TransientTaskFailure", "Replay", resolution_ticks=8)
-        cell = memory.stats("TransientTaskFailure", "Replay")
-        assert cell.success_rate() == pytest.approx(0.5)
-        assert cell.mean_resolution() == pytest.approx(8.0)
         extracted = memory.extract()
-        assert extracted["TransientTaskFailure:Replay"]["attempts"] == 2
-        assert memory.stats("Nope", "Replay").attempts == 0
+        cell = extracted["TransientTaskFailure:Replay"]
+        assert cell["success_rate"] == pytest.approx(0.5)
+        assert cell["mean_resolution"] == pytest.approx(8.0)
+        assert cell["attempts"] == 2
+        assert "Nope:Replay" not in extracted
 
     def test_memory_rejects_excess_successes(self):
         memory = OutcomeMemory()

@@ -83,6 +83,53 @@ def _action_id_changed(rows, outcomes):
     return rows
 
 
+# Forgeries of a log's incident records: each takes the parsed rows, edits
+# or extends them, and returns the rows and the seq replay must reject.
+
+def _first(rows, match) -> int:
+    return next(i for i, row in enumerate(rows) if match(row["payload"]))
+
+
+def _closed_twice(rows):
+    at = _first(rows, lambda p: p.get("event") == "incident_closed")
+    return rows[: at + 1] + [rows[at]] + rows[at + 1 :], at + 2
+
+
+def _cites(agent, kind, incident_id):
+    def forge(rows):
+        at = _first(
+            rows,
+            lambda p: p.get("kind") == "proposal"
+            and (p["action"]["agent"], p["action"]["kind"]) == (agent, kind),
+        )
+        for row in rows[at : at + 2]:  # the proposal and its decision
+            row["payload"]["action"]["incident_id"] = incident_id
+        return rows, at + 2
+
+    return forge
+
+
+def _decision_uncited(rows):
+    # An agent remedy may cite no incident, but its proposal cited one.
+    at = _first(rows, lambda p: p.get("kind") == "proposal" and p["action"]["kind"] == "Defer")
+    rows[at + 1]["payload"]["action"]["incident_id"] = None
+    return rows, at + 2
+
+
+def _resolution_forged(rows):
+    at = _first(rows, lambda p: p.get("event") == "incident_closed")
+    rows[at]["payload"]["incident"]["resolution"] = "Halt"
+    return rows, at + 1
+
+
+def _delay_opened_twice(rows):
+    # The next incident opened on stream-a, while its UpstreamDelay is still open.
+    delay = _first(rows, lambda p: p.get("incident", {}).get("incident_class") == "UpstreamDelay")
+    at = delay + 1 + _first(rows[delay + 1 :], lambda p: p.get("event") == "incident_opened")
+    rows[at]["payload"]["incident"]["incident_class"] = "UpstreamDelay"
+    return rows, at + 1
+
+
 def _mini_spec():
     return make_mini_scenario(
         faults=[
@@ -385,8 +432,20 @@ class TestReplayAudit:
             ("initial", lambda p: {**p, "context": [p["context"]]}, "malformed decision record"),
             ("initial", lambda p: {**p, "citations": 5}, "rule citations do not match"),
             ("initial", lambda p: [p], "malformed audit record"),
+            (
+                "incident_opened",
+                lambda p: {**p, "incident": {**p["incident"], "incident_class": "Gremlin"}},
+                "malformed incident_opened record",
+            ),
         ],
-        ids=["operator-delay-string", "action-list", "context-list", "citations-int", "payload-list"],
+        ids=[
+            "operator-delay-string",
+            "action-list",
+            "context-list",
+            "citations-int",
+            "payload-list",
+            "incident-class-unknown",
+        ],
     )
     def test_malformed_fields_in_a_valid_chain_are_rejected(
         self, compare_out, tmp_path, capsys, record, mutate, message
@@ -538,6 +597,39 @@ class TestReplayAudit:
         err = capsys.readouterr().err
         assert "action outcome cites seq" in err or "action outcome is not" in err, err
         assert message in err, err
+
+    @pytest.mark.parametrize(
+        "controller, forge, message",
+        [
+            ("static", _closed_twice, "no open incident 'INC-0001'"),
+            ("agentic", _cites("RecoveryAgent", "Defer", "INC-0001"), "no open incident 'INC-0001'"),
+            ("agentic", _cites("RecoveryAgent", "Defer", "INC-0099"), "no open incident 'INC-0099'"),
+            ("static", _cites("Baseline", "Replay", None), "Baseline proposal cites no incident"),
+            ("agentic", _decision_uncited, "decision does not follow its proposal"),
+            ("agentic", _resolution_forged, "'resolution': 'Halt', 'resumed_tick': 56} differs"),
+            ("agentic", _delay_opened_twice, "illegal incident transition: INC-0002 is still open"),
+        ],
+        ids=[
+            "closed-twice",
+            "defer-to-closed",
+            "defer-to-unknown",
+            "retry-uncited",
+            "decision-uncited",
+            "resolution-not-applied",
+            "delay-opened-twice",
+        ],
+    )
+    def test_illegal_incident_transition_is_rejected(
+        self, compare_out, tmp_path, capsys, controller, forge, message
+    ):
+        lines = (compare_out / controller / "audit.jsonl").read_text().splitlines()
+        rows, seq = forge([json.loads(line) for line in lines])
+        path = tmp_path / "forged.jsonl"
+        path.write_text(_rechain(rows))
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"seq {seq}: " in err and message in err, err
 
     def test_request_is_granted_once(self, approval_log, tmp_path, capsys):
         rows = [json.loads(line) for line in approval_log.splitlines()]

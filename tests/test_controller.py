@@ -142,8 +142,8 @@ class TestStaticFallback:
         assert incident.resumed_tick == 7
         assert incident.resolution == "Replay"
         assert loop.interventions == 0
-        cell = loop.memory.stats("TransientTaskFailure", "Replay")
-        assert (cell.attempts, cell.successes) == (1, 1)
+        cell = loop.memory.extract()["TransientTaskFailure:Replay"]
+        assert (cell["attempts"], cell["successes"]) == (1, 1)
         assert world.pipelines["stream-a"].health is Health.HEALTHY
 
     def test_exhausted_retries_page_the_operator(self):
@@ -266,8 +266,8 @@ class TestAgenticDrift:
         assert incident.resumed_tick == 4
         assert loop.interventions == 0
         assert _events(loop, "operator_task_enqueued") == []
-        cell = loop.memory.stats("SchemaIncompatible", "QuarantinePartition")
-        assert (cell.attempts, cell.successes) == (1, 1)
+        cell = loop.memory.extract()["SchemaIncompatible:QuarantinePartition"]
+        assert (cell["attempts"], cell["successes"]) == (1, 1)
 
     def test_regulated_pipeline_waits_for_approval(self):
         spec = make_mini_scenario(
@@ -583,10 +583,10 @@ class TestIncidentState:
             (7, "INC-0001", "automatic retry 2/3"),
             (21, "INC-0002", "automatic retry 1/3"),
         ]
-        record = loop._incidents["INC-0002"]
+        record = loop.ledger.open["INC-0002"]
         assert record.denied == {"Defer"}
         assert record.retries_used == 1
-        assert loop._incidents.keys() == {i.id for i in loop.incidents.values() if i.open}
+        assert loop.ledger.open.keys() == {i.id for i in loop.incidents.values() if i.open}
 
     def test_approval_granted_after_close_counts_without_a_record(self, tmp_path):
         policy = _policy(
@@ -634,9 +634,9 @@ class TestIncidentState:
             if e.payload["result"]["status"] == "applied"
         ]
         assert applied == [44]  # request tick 4 + operator delay 40
-        cell = loop.memory.stats("UpstreamDelay", "ScaleUp")
-        assert (cell.attempts, cell.successes) == (1, 0)
-        assert loop._incidents == {}
+        cell = loop.memory.extract()["UpstreamDelay:ScaleUp"]
+        assert (cell["attempts"], cell["successes"]) == (1, 0)
+        assert loop.ledger.open == {}
 
     def test_duplicate_open_coalesces(self):
         # The second failure fires while INC-0001 is still open (it closes at 7).
@@ -661,7 +661,7 @@ class TestIncidentState:
             ("INC-0001", "stream-a", "TransientTaskFailure", 1, 7),
             ("INC-0002", "stream-a", "TransientTaskFailure", 20, 26),
         ]
-        assert loop._incidents == {}
+        assert loop.ledger.open == {}
 
 
 class TestOperatorQueues:
@@ -969,7 +969,7 @@ class TestObservationBundles:
             loop.tick(world, t, inject_faults(spec, world, t), prev)
             prev = step(world, generate_arrivals(spec, t))
             open_ids = [i.id for i in loop.incidents.values() if i.open]
-            assert list(loop._incidents) == open_ids, t
+            assert list(loop.ledger.open) == open_ids, t
             most_open = max(most_open, len(open_ids))
         assert most_open >= 2, "the order check needs overlapping incidents"
 

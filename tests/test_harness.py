@@ -8,13 +8,18 @@ import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipegov.agents import NullBackend, OperatorModel
+from pipegov.core import ActionKind, schema_delta
 from pipegov.harness import (
     BaselineConfig,
     derive_baseline_allocations,
+    replay_audit,
     reseed,
     run_experiment,
 )
@@ -25,6 +30,7 @@ from pipegov.scenario import (
     FaultKind,
     ScenarioSpec,
     default_policy_dict,
+    mutate_schema,
     scenario_hash,
 )
 from pipegov.telemetry import verify_chain
@@ -325,3 +331,83 @@ class TestTelemetryCsv:
         os.symlink("/dev/full", tmp_path / "telemetry.csv")
         with pytest.raises(IoFailure, match="telemetry.csv"):
             write_run_artifacts(result, str(tmp_path))
+
+
+_FOLD_HORIZON = 320
+_FOLD_PIPELINES = {p.id: p for p in make_mini_scenario().pipelines}
+_FOLD_ALLOCATIONS = derive_baseline_allocations(make_mini_scenario(horizon=_FOLD_HORIZON))
+_RECOVERY_KINDS = ["Replay", "Rollback", "PartialRecompute", "Defer", "Resume"]
+
+
+@st.composite
+def _fault(draw, k: int) -> FaultEvent:
+    tick = draw(st.integers(0, _FOLD_HORIZON - 20))
+    kind = draw(st.sampled_from(FaultKind))
+    target = _FOLD_PIPELINES[draw(st.sampled_from(sorted(_FOLD_PIPELINES)))]
+    if kind is FaultKind.TRANSIENT_TASK_FAILURE:
+        stage = draw(st.sampled_from(target.stages)).id
+        return FaultEvent(tick, kind, target.id, stage=stage)
+    if kind is FaultKind.UPSTREAM_DELAY:
+        return FaultEvent(
+            tick,
+            kind,
+            target.id,
+            delay_ticks=draw(st.integers(1, 60)),
+            missing_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        )
+    if kind is FaultKind.RESOURCE_CONTENTION:
+        return FaultEvent(
+            tick,
+            kind,
+            capacity_reduction=draw(st.integers(1, 30)),
+            duration_ticks=draw(st.integers(1, 40)),
+        )
+    mode = draw(st.sampled_from(["compatible", "incompatible"]))
+    changed = mutate_schema(target.schema, mode, seed=draw(st.integers(0, 99)))
+    delta = schema_delta(target.schema, changed)
+    return FaultEvent(tick, kind, target.id, delta=delta, partition=f"pt-{k}")
+
+
+@st.composite
+def _governed_run(draw):
+    """A mini scenario with random faults, governed by a random policy."""
+
+    count = draw(st.integers(1, 8))
+    faults = sorted((draw(_fault(k)) for k in range(count)), key=lambda event: event.tick)
+    spec = make_mini_scenario(
+        horizon=_FOLD_HORIZON,
+        faults=faults,
+        stream_tags=draw(st.sampled_from([(), ("regulated",)])),
+    )
+    doc = default_policy_dict()
+    doc["recovery"]["allowed_strategies"] = draw(
+        st.lists(st.sampled_from(_RECOVERY_KINDS), min_size=1, unique=True)
+    )
+    doc["actions"]["approval_required"] = [
+        {"kind": kind.value, "tag": "regulated"}
+        for kind in draw(st.lists(st.sampled_from(ActionKind), min_size=1, max_size=5, unique=True))
+    ]
+    doc["schema"]["quarantine_allowed"] = draw(st.booleans())
+    doc["cost"]["budget_per_window"] = draw(st.sampled_from([50.0, 5000.0, 52000.0]))
+    operator = OperatorModel(
+        max_retries=draw(st.integers(0, 3)),
+        retry_backoff=draw(st.integers(1, 6)),
+        operator_delay=draw(st.integers(0, 15)),
+    )
+    controller = draw(st.sampled_from(["static", "agentic"]))
+    return spec, parse_policy(doc), operator, controller
+
+
+class TestReplayFold:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(run=_governed_run())
+    def test_every_governed_run_replays_clean(self, run):
+        # Replay folds the controller's incident ledger over the log, so a
+        # transition the controller makes but replay rejects fails here.
+        spec, policy, operator, controller = run
+        config = BaselineConfig(allocations=_FOLD_ALLOCATIONS, operator=operator)
+        result = run_experiment(spec, policy, controller=controller, config=config)
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "audit.jsonl")
+            result.audit.write_jsonl(path)
+            assert replay_audit(path).problem is None
