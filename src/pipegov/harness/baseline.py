@@ -73,28 +73,26 @@ def derive_baseline_allocations(
     )
     world = build_world(spec.pipelines, calibration_model, max_allocs, spec.sim_constants)
 
-    base_rates = {
-        p.id: {s.id: s.base_rate for s in p.stages} for p in spec.pipelines
-    }
-    peak_units: dict[str, dict[str, int]] = {
-        p.id: {s.id: 1 for s in p.stages} for p in spec.pipelines
-    }
+    # Peak records processed per stage; ceil is monotone, so the peak's
+    # ceil(processed / base_rate) is the peak of the per-tick units.
+    peak: dict[str, dict[str, int]] = {p.id: {s.id: 0 for s in p.stages} for p in spec.pipelines}
     # Draws go through this module's name, which perfbench's tracer wraps.
     trace = arrival_trace(spec, generate_arrivals)
     for t in range(spec.horizon):
         report = step(world, trace.at(t))
         for pid, stages in report.stage_processed.items():
+            peaks = peak[pid]
             for sid, processed in stages.items():
-                units = math.ceil(processed / base_rates[pid][sid])
-                if units > peak_units[pid][sid]:
-                    peak_units[pid][sid] = units
+                if processed > peaks[sid]:
+                    peaks[sid] = processed
     check_accounting(world)
 
     allocations: dict[str, dict[str, int]] = {}
     for pipeline in spec.pipelines:
         stage_allocs: dict[str, int] = {}
         for stage in pipeline.stages:
-            want = math.ceil(headroom * peak_units[pipeline.id][stage.id])
+            units = max(1, math.ceil(peak[pipeline.id][stage.id] / stage.base_rate))
+            want = math.ceil(headroom * units)
             stage_allocs[stage.id] = max(stage.min_alloc, min(stage.max_alloc, want))
         allocations[pipeline.id] = stage_allocs
     return allocations

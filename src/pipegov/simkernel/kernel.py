@@ -13,7 +13,9 @@ One ``step`` call advances the world by one tick:
 3. compute contention from busy stages, those with records queued, then
    process queues in topological stage order; an idle stage is skipped
 4. take checkpoints, price the tick, and emit a telemetry snapshot: the
-   capacity headroom and one ``PipelineSample`` tuple per pipeline
+   capacity headroom and one ``PipelineSample`` per pipeline; the
+   snapshot and the ``TickReport`` around it are NamedTuples, like the
+   samples, so a holder can reassign none of their fields
 
 Controllers mutate the world only through ``apply_action``, and only with
 an ``ApprovedAction`` carrying the audit reference of its Allow/approval
@@ -154,9 +156,10 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     t = world.tick
     failures = world.pending_failures
     world.pending_failures = []
+    capacity_now = max(1, world.resource_model.capacity)  # effective_capacity, unreduced
     if world.capacity_reductions:
         world.capacity_reductions = [(u, n) for u, n in world.capacity_reductions if t < u]
-    capacity_now = world.effective_capacity(t)
+        capacity_now = world.effective_capacity(t)
 
     # 2. one pass in id order, as each part touches only its own pipeline.
     # Health and pauses are then settled for the tick, so the processing gate
@@ -174,7 +177,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
 
         raw = arrivals.get(pid, 0)
         if p.suppress_until is None and not p.release_plan:
-            ingress_now[pid] = _enqueue(p, t, raw)
+            ingress_now[pid] = _enqueue(p, t, raw) if raw > 0 else 0
         else:  # under an upstream delay or its release plan
             active_suppression = p.suppress_until is not None and t < p.suppress_until
             enq = 0
@@ -226,13 +229,14 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             if t > drift.window_end:
                 p.pending_drift = None
 
-        if p.processing_allowed(t):
+        if p.health is Health.HEALTHY and t >= p.paused_until:
             allowed.add(pid)
             for stage in p.stages.values():
                 if stage.queue.records:
                     busy_alloc += stage.alloc
 
     # 3-4. per pipeline: process busy stages, take checkpoints, and sample
+    contended = busy_alloc > capacity_now
     failure_counts: dict[str, int] = {}
     for failed_pid, _ in failures:
         failure_counts[failed_pid] = failure_counts.get(failed_pid, 0) + 1
@@ -253,7 +257,11 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
                 before = queue.records
                 if not before:  # an idle stage has nothing to take or route
                     continue
-                rate = _contended_rate(stage.spec.base_rate, stage.alloc, capacity_now, busy_alloc)
+                rate = (
+                    _contended_rate(stage.spec.base_rate, stage.alloc, capacity_now, busy_alloc)
+                    if contended
+                    else stage.spec.base_rate * stage.alloc
+                )
                 if rate <= 0:
                     continue
                 processed_cohorts = queue.take_head(rate)
@@ -294,14 +302,11 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         if p.health not in (Health.HALTED, Health.DEFERRED):
             compute_units += allocation
 
-        util = 0.0
-        if capacity_total > 0:
-            util = min(1.0, processed_total / capacity_total)
         samples[pid] = PipelineSample(
             queued,
             t - p.newest_materialized_arrival,
             failure_counts.get(pid, 0),
-            util,
+            min(1.0, processed_total / capacity_total) if processed_total else 0.0,
             ingress_now[pid],
         )
 
@@ -311,14 +316,8 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         + materialized_now * world.resource_model.storage_price
     )
     world.tick = t + 1
-    return TickReport(
-        tick=t,
-        snapshot=TelemetrySnapshot(samples, capacity_now - busy_alloc),
-        failures=tuple(failures),
-        materialized=materialized_now,
-        cost=cost,
-        stage_processed=stage_processed,
-    )
+    snapshot = TelemetrySnapshot(samples, capacity_now - busy_alloc)
+    return TickReport(t, snapshot, tuple(failures), materialized_now, cost, stage_processed)
 
 
 def _get_pipeline(world: SimWorld, pipeline_id: str) -> PipelineState:

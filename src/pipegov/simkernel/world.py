@@ -204,9 +204,6 @@ class PipelineState:
     def sink_stage(self) -> StageState:
         return self.stages[self.topo[-1]]
 
-    def processing_allowed(self, tick: int) -> bool:
-        return self.health is Health.HEALTHY and tick >= self.paused_until
-
 
 class PipelineSample(NamedTuple):
     queue_depth: int
@@ -216,14 +213,12 @@ class PipelineSample(NamedTuple):
     ingress: int
 
 
-@dataclass(frozen=True)
-class TelemetrySnapshot:
+class TelemetrySnapshot(NamedTuple):
     pipelines: dict[str, PipelineSample]
     capacity_headroom: int  # effective capacity minus the allocation of busy stages
 
 
-@dataclass(frozen=True)
-class TickReport:
+class TickReport(NamedTuple):
     tick: int
     snapshot: TelemetrySnapshot
     # (pipeline, kind) per failure this tick; kind is "task_failure",
@@ -232,7 +227,7 @@ class TickReport:
     materialized: int
     cost: float
     # pipeline -> stage -> records processed, only for pipelines that moved records
-    stage_processed: dict[str, dict[str, int]] = field(default_factory=dict)
+    stage_processed: dict[str, dict[str, int]]
 
 
 @dataclass

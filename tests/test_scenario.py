@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipegov.core import (
     Column,
@@ -27,6 +30,7 @@ from pipegov.scenario import (
     tick_rng,
     validate_scenario,
 )
+from pipegov.scenario.arrivals import _seeded_generators
 from pipegov.scenario.model import ArrivalModel, BatchModel
 from pipegov.simkernel import Health, build_world, check_accounting, step
 from pipegov.telemetry import IncidentClass
@@ -148,9 +152,9 @@ class TestArrivalTrace:
         other = reseed(spec, 8)
         seeds_drawn = []
 
-        def counting(s, t):
+        def counting(s, t, rng=None):
             seeds_drawn.append(s.seed)
-            return generate_arrivals(s, t)
+            return generate_arrivals(s, t, rng)
 
         arrival_trace(other, counting)
         seeds_drawn.clear()
@@ -175,6 +179,69 @@ class TestArrivalTrace:
         assert trace.at(100) == generate_arrivals(spec, 100)
         arrival_trace(spec).at(100).clear()
         assert arrival_trace(spec).at(100) == generate_arrivals(spec, 100)
+
+
+class TestBlockSeeding:
+    """The trace seeds ticks a block at a time; each must equal ``tick_rng``."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+    @example([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_words_seed_pcg64_as_numpy_does(self, seeds):
+        block = _seeded_generators([np.array(seeds, dtype=np.uint64)])
+        for n, rng in zip(seeds, block, strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(n).bit_generator.state, n
+
+    def test_words_answer_only_pcg64s_request(self):
+        (rng,) = _seeded_generators([np.array([7], dtype=np.uint64)])
+        words = rng.bit_generator.seed_seq
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+            with pytest.raises(ValueError):
+                words.generate_state(n_words, dtype)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_tick_of_a_random_spec_equals_a_fresh_draw(self, data):
+        # Half the horizons cross the 1,024-tick seeding block.
+        horizon = data.draw(st.integers(1, 1_024) | st.integers(1_025, 2_600), label="horizon")
+        streams = data.draw(st.lists(st.sampled_from("zyxw"), max_size=3, unique=True), label="streams")
+        batches = data.draw(st.lists(st.sampled_from("qp"), max_size=2, unique=True), label="batches")
+        arrival_models = {}
+        for pid in streams:
+            bursts = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, horizon), st.integers(1, 400), st.floats(0.25, 6.0)),
+                    max_size=3,
+                ),
+                label=f"{pid} bursts",
+            )
+            arrival_models[f"s-{pid}"] = ArrivalModel(
+                base_rate=data.draw(st.floats(0.5, 80.0), label=f"{pid} rate"),
+                bursts=tuple((start, start + length, mult) for start, length, mult in bursts),
+            )
+        batch_models = {
+            f"b-{pid}": BatchModel(
+                dataset_size=data.draw(st.integers(1, 5_000)),
+                schedule_period=data.draw(st.integers(1, 700)),
+            )
+            for pid in batches
+        }
+        spec = ScenarioSpec(
+            horizon=horizon,
+            seed=data.draw(st.integers(0, 2**63), label="seed"),
+            resource_model=ResourceModel(capacity=32, unit_price=0.5, storage_price=0.0),
+            pipelines=tuple(
+                [make_stream_pipeline(pid=pid) for pid in arrival_models]
+                + [make_batch_pipeline(pid=pid, schedule_period=m.schedule_period) for pid, m in batch_models.items()]
+            ),
+            arrival_models=arrival_models,
+            batch_models=batch_models,
+        )
+        trace = arrival_trace(spec)
+        for t in range(horizon):
+            got, want = trace.at(t), generate_arrivals(spec, t)
+            assert got == want, t
+            assert list(got) == list(want), t
 
 
 class TestUpstreamDelay:

@@ -85,6 +85,15 @@ def _op(kind: ActionKind, pipeline: str = "p", **kw) -> ApprovedAction:
     return ApprovedAction(action=action, decision_ref=1)
 
 
+def test_report_types_are_read_only():
+    world = _world()
+    report = step(world, {"p": 30})
+    for held in (report, report.snapshot, report.snapshot.pipelines["p"]):
+        for name in type(held).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(held, name, getattr(held, name))
+
+
 class TestContendedRate:
     def test_uncontended(self):
         assert _contended_rate(10, 4, 64, 64) == 40
