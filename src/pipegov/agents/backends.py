@@ -33,19 +33,22 @@ class ReasoningBackend(Protocol):
     def decide(self, bundle: ObservationBundle) -> list[CandidateAction]: ...
 
 
+# The builtin rule for each reasoning agent, keyed by its actor value.
+_BUILTIN_RULES = {
+    Actor.OPTIMIZATION_AGENT.value: optimize_propose,
+    Actor.SCHEMA_AGENT.value: schema_candidates,
+    Actor.RECOVERY_AGENT.value: recovery_candidates,
+}
+
+
 class BuiltinBackend:
     """Deterministic rule-based reasoning, dispatched per agent."""
 
     name = "builtin"
 
     def decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
-        if bundle.agent == Actor.OPTIMIZATION_AGENT.value:
-            return optimize_propose(bundle)
-        if bundle.agent == Actor.SCHEMA_AGENT.value:
-            return schema_candidates(bundle)
-        if bundle.agent == Actor.RECOVERY_AGENT.value:
-            return recovery_candidates(bundle)
-        return []
+        rule = _BUILTIN_RULES.get(bundle.agent)
+        return rule(bundle) if rule is not None else []
 
 
 class NullBackend:

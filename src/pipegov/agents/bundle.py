@@ -1,7 +1,7 @@
 """What an agent is allowed to see, and what the system remembers.
 
-An ObservationBundle is a frozen, JSON-serializable view assembled by the
-control loop for exactly one (tick, agent) reasoning call. Everything a
+An ObservationBundle is a read-only view assembled by the control loop for
+exactly one (tick, agent) reasoning call. Everything a
 reasoning backend may use lives here — telemetry, open incidents, policy
 headroom, past-outcome statistics — so backends can be pure functions of
 the bundle and stay deterministic and replaceable.
@@ -9,7 +9,10 @@ the bundle and stay deterministic and replaceable.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from ..core.reader import Fields, integer, string
 
@@ -36,8 +39,10 @@ class OutcomeMemory:
 
     def __init__(self) -> None:
         self._cells: dict[tuple[str, str], MemoryCell] = {}
+        self._view: Mapping[str, Mapping] | None = None
 
     def _cell(self, incident_class: str, kind: str) -> MemoryCell:
+        self._view = None
         return self._cells.setdefault((incident_class, kind), MemoryCell())
 
     def record_attempt(self, incident_class: str, kind: str) -> None:
@@ -66,15 +71,38 @@ class OutcomeMemory:
             }
         return out
 
+    def view(self) -> Mapping[str, Mapping]:
+        """``extract()`` as read-only mappings, rebuilt only after a record."""
 
-@dataclass(frozen=True)
-class ObservationBundle:
-    """Read-only, plain-data view for one reasoning call.
+        if self._view is None:
+            self._view = MappingProxyType(
+                {key: MappingProxyType(cell) for key, cell in self.extract().items()}
+            )
+        return self._view
+
+
+def _plain(node: object) -> object:
+    """A JSON-ready copy: every mapping a dict, every tuple a list."""
+
+    if isinstance(node, Mapping):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, (tuple, list)):
+        return [_plain(value) for value in node]
+    return node
+
+
+class ObservationBundle(NamedTuple):
+    """Read-only view for one reasoning call.
 
     Apart from ``memory``, it carries only the keys the builtin agents read.
+    Every container in it is a ``MappingProxyType`` or a tuple, so nothing
+    a backend holds can be changed, by the backend or by the controller: a
+    view may be handed out again on later ticks, and stays equal to what it
+    was when first handed out. ``to_dict()`` returns plain, JSON-ready
+    copies.
 
     ``snapshot`` is the previous tick's telemetry, pipelines in sorted
-    order, and ``{}`` at tick 0, before the first step::
+    order, and empty at tick 0, before the first step::
 
         {capacity_headroom,
          pipelines: {pipeline_id: {freshness_lag, queue_depth, ingress}}}
@@ -87,53 +115,56 @@ class ObservationBundle:
     ``pipelines`` carries per-pipeline operational context::
 
         {pipeline_id: {criticality, freshness_target, health, failing_stage,
-                       recovering, suppressed, ticks_since_alloc_change,
+                       recovering, suppressed, alloc_changed_at,
                        stages: {stage_id: {alloc, min_alloc, max_alloc}},
                        drift: None | {partition, quarantine_mode, compatible},
                        delay: None | {baseline_ingress}}}
 
+    ``alloc_changed_at`` is the tick of the pipeline's last applied scaling
+    action, 0 before any. A pipeline's view is kept across ticks and
+    rebuilt only when one of the fields it shows changes; an incident's
+    view is kept while it stays open, and rebuilt only when its claim,
+    ``approval_pending`` or ``last_action_tick`` changes.
+
     ``series`` carries short per-pipeline metric windows (newest last)::
 
-        {pipeline_id: {"utilization": [...], "ingress": [...]}}
+        {pipeline_id: {"utilization": (...), "ingress": (...)}}
 
     They hold the last 30 utilization and the last 20 ingress samples
     through the previous tick: the values the runner records into its
     MetricStore, kept by the controller in rolling windows as it folds
-    each tick's report. Both lists are empty before the first report.
+    each tick's report. Both are empty before the first report.
 
-    ``policy`` is the governance headroom::
+    ``policy`` is the governance headroom, shared by the agents of a tick::
 
         {max_scale_step, budget_per_window, window_remaining,
          committed_spend, unit_price, quarantine_allowed, schema_mode,
          allowed_strategies}
 
-    ``memory`` is ``OutcomeMemory.extract()``, the form the report also
-    writes; agents read each cell's ``attempts``, ``success_rate`` and
-    ``mean_resolution``.
-
-    The agents of one tick share every container except ``policy``; no
-    container is handed to a backend on two ticks.
+    ``memory`` is ``OutcomeMemory.view()``, the read-only form of what the
+    report writes; agents read each cell's ``attempts``, ``success_rate``
+    and ``mean_resolution``.
     """
 
     tick: int
     agent: str
-    snapshot: dict
-    open_incidents: tuple[dict, ...]
-    pipelines: dict[str, dict]
-    series: dict[str, dict[str, list]]
-    policy: dict
-    memory: dict[str, dict]
+    snapshot: Mapping
+    open_incidents: tuple[Mapping, ...]
+    pipelines: Mapping[str, Mapping]
+    series: Mapping[str, Mapping[str, tuple[float, ...]]]
+    policy: Mapping
+    memory: Mapping[str, Mapping]
 
     def to_dict(self) -> dict:
         return {
             "tick": self.tick,
             "agent": self.agent,
-            "snapshot": self.snapshot,
-            "open_incidents": list(self.open_incidents),
-            "pipelines": self.pipelines,
-            "series": self.series,
-            "policy": self.policy,
-            "memory": self.memory,
+            "snapshot": _plain(self.snapshot),
+            "open_incidents": _plain(self.open_incidents),
+            "pipelines": _plain(self.pipelines),
+            "series": _plain(self.series),
+            "policy": _plain(self.policy),
+            "memory": _plain(self.memory),
         }
 
 

@@ -27,12 +27,19 @@ ingress windows and the anomaly detector, whose ingress mean is an
 UpstreamDelay's pre-delay baseline. A static run keeps no observation
 state. The detector and the agents see the previous tick's snapshot cut
 down to what they read: capacity headroom and each pipeline's freshness
-lag, queue depth and ingress, or ``{}`` before the first step. Each
-tick's bundles are built in fresh containers from the windows, the world
-and the open incidents, and carry only the keys the builtin agents read:
-a backend that changes its bundle changes nothing the controller keeps
-or a later tick shows. The agents of one tick share every container but
-their policy view.
+lag, queue depth and ingress, or an empty mapping before the first step.
+
+Bundles carry only the keys the builtin agents read, and every container
+in them is a read-only ``MappingProxyType`` or a tuple, so the agents of
+one tick share all of it and views are kept across ticks. A pipeline's
+view is rebuilt only when its key changes: its health, failing stage,
+whether ``recover_at`` and ``suppress_until`` are set, its stage
+allocations, its drift's (partition, quarantine mode, incompatible), its
+open UpstreamDelay's baseline and ``alloc_changed_at``, the tick of its
+last applied scaling action. The ``pipelines`` mapping is kept while no
+view in it changed. An open incident's view is rebuilt only when its
+claim, ``approval_pending`` or ``last_action_tick`` changes, and dropped
+when it closes. Series are copied from the rolling windows every tick.
 
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. Incidents
@@ -56,8 +63,10 @@ in due order and is drained from the left.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from ..core.actions import (
     AGENT_ACTION_TABLE,
@@ -76,7 +85,7 @@ from ..simkernel.kernel import (
     InvalidTarget,
     apply_action,
 )
-from ..simkernel.world import Health, SimWorld, TelemetrySnapshot, TickReport
+from ..simkernel.world import Health, PipelineState, SimWorld, TickReport
 from ..telemetry.audit import AuditLog
 from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, IncidentLedger
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
@@ -93,6 +102,10 @@ AGENT_PHASES = (
     Actor.RECOVERY_AGENT,
     Actor.OPTIMIZATION_AGENT,
 )
+
+_AGENT_NAMES = tuple((actor, actor.value) for actor in AGENT_PHASES[1:])
+_UNPAID = (Health.HALTED, Health.DEFERRED)  # reserve units but pay nothing
+_NOTHING_OBSERVED: Mapping = MappingProxyType({})  # the snapshot before the first step
 
 # Kernel failure events that open (or re-mark as failed) an incident.
 _FAILURE_CLASSES = {
@@ -150,8 +163,7 @@ class _OperatorTask:
     incident_id: str
 
 
-@dataclass(frozen=True)
-class ControlReport:
+class ControlReport(NamedTuple):
     """What the controller did in one tick."""
 
     tick: int
@@ -187,6 +199,10 @@ class Controller:
         self._window_index: int | None = None
         self._window_spend = 0.0
         self._windows: dict[str, _SeriesWindows] = {}  # stays empty without a backend
+        # Read-only views kept across ticks, each with the key it was built from.
+        self._pipeline_views: dict[str, tuple[tuple, Mapping]] = {}
+        self._pipelines_view: Mapping[str, Mapping] = _NOTHING_OBSERVED
+        self._incident_views: dict[str, tuple[tuple, Mapping]] = {}
         self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
 
     # ------------------------------------------------------------------
@@ -201,7 +217,7 @@ class Controller:
     ) -> ControlReport:
         """Run one control cycle. Called after fault injection, before step."""
 
-        snapshot: dict = {}  # nothing observed before the first step
+        snapshot = _NOTHING_OBSERVED
         flags: list[AnomalyFlag] = []
         proposals: list[ProposedAction] = []
 
@@ -235,9 +251,12 @@ class Controller:
 
     def _fold_statistics(
         self, world: SimWorld, t: int, prev_report: TickReport
-    ) -> tuple[dict, list[AnomalyFlag]]:
+    ) -> tuple[Mapping, list[AnomalyFlag]]:
         """Account the previous tick's compute spend and, with a backend, its
-        samples; returns the observed snapshot and the detector's flags."""
+        samples; returns the observed snapshot and the detector's flags.
+
+        One pass over the samples, in pipeline order, appends the rolling
+        windows and builds the snapshot."""
 
         idx = prev_report.tick // self.policy.cost.window
         if idx != self._window_index:
@@ -246,14 +265,27 @@ class Controller:
         storage = prev_report.materialized * world.resource_model.storage_price
         self._window_spend += prev_report.cost - storage
         if self.backend is None:
-            return {}, []
-        for pid, sample in prev_report.snapshot.pipelines.items():
+            return _NOTHING_OBSERVED, []
+        observed = {}
+        for pid, sample in sorted(prev_report.snapshot.pipelines.items()):
             windows = self._windows.get(pid)
             if windows is None:
                 windows = self._windows[pid] = _SeriesWindows()
             windows.utilization.append(float(sample.utilization))
             windows.ingress.append(float(sample.ingress))
-        snapshot = _observed(prev_report.snapshot)
+            observed[pid] = MappingProxyType(
+                {
+                    "freshness_lag": sample.freshness_lag,
+                    "queue_depth": sample.queue_depth,
+                    "ingress": sample.ingress,
+                }
+            )
+        snapshot = MappingProxyType(
+            {
+                "capacity_headroom": prev_report.snapshot.capacity_headroom,
+                "pipelines": MappingProxyType(observed),
+            }
+        )
         return snapshot, self._detector.observe_snapshot(t, snapshot)
 
     # ------------------------------------------------------------------
@@ -347,6 +379,7 @@ class Controller:
             if not done:
                 continue
             self.ledger.closed(incident.id, t)
+            self._incident_views.pop(incident.id, None)
             if incident.resolution is not None:
                 self.memory.record_success(cls.value, incident.resolution, incident.duration())
             payload = {"kind": "outcome", "event": "incident_closed", "incident": incident.to_dict()}
@@ -358,8 +391,8 @@ class Controller:
     def _decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
         try:
             candidates = self.backend.decide(bundle)
-            if not isinstance(candidates, list) or not all(
-                isinstance(c, CandidateAction) for c in candidates
+            if not isinstance(candidates, list) or (
+                candidates and not all(isinstance(c, CandidateAction) for c in candidates)
             ):
                 raise BackendError("backend response is not a list of candidate actions")
             return candidates
@@ -549,7 +582,9 @@ class Controller:
     # ------------------------------------------------------------------
     # validation and execution
 
-    def _spend_projection(self, world: SimWorld, t: int) -> tuple[float, int]:
+    def _spend_projection(
+        self, world: SimWorld, t: int, paying_units: int, reserved_units: int
+    ) -> tuple[float, int]:
         """Committed spend and the horizon (ticks) used to price new units.
 
         Two commitments are projected and the larger governs: finishing the
@@ -565,13 +600,6 @@ class Controller:
         window = self.policy.cost.window
         remaining = window - (t % window)
         price = world.resource_model.unit_price
-        paying_units = 0
-        reserved_units = 0
-        for p in world.pipelines.values():
-            units = p.allocation_total()
-            reserved_units += units
-            if p.health not in (Health.HALTED, Health.DEFERRED):
-                paying_units += units
         committed = max(
             self._window_spend + paying_units * price * remaining,
             reserved_units * price * window,
@@ -580,7 +608,13 @@ class Controller:
 
     def _context(self, world: SimWorld, t: int, action: ProposedAction) -> ValidationContext:
         price = world.resource_model.unit_price
-        committed, horizon = self._spend_projection(world, t)
+        paying_units = reserved_units = 0
+        for p in world.pipelines.values():
+            units = p.allocation_total()
+            reserved_units += units
+            if p.health not in _UNPAID:
+                paying_units += units
+        committed, horizon = self._spend_projection(world, t, paying_units, reserved_units)
         delta_total = 0
         if action.kind in SCALING_KINDS:
             pipeline = world.pipelines.get(action.pipeline)
@@ -661,23 +695,24 @@ class Controller:
     # observation bundles
 
     def _bundles(
-        self, world: SimWorld, t: int, snapshot: dict
+        self, world: SimWorld, t: int, snapshot: Mapping
     ) -> Iterator[tuple[Actor, ObservationBundle]]:
         """Yield each reasoning agent's bundle for the tick, in phase order.
 
-        The bundle carries only the keys the builtin agents read (see
-        ``ObservationBundle``). Every container is built fresh for the
-        tick, with spec fields copied out of the world and series out of
-        the rolling windows, so nothing handed to a backend is handed out
-        again on a later tick. The agents share every container but
-        ``policy``, which is fresh per agent.
+        Every view is built before the first bundle is yielded, and the
+        agents share all of them (see the module docstring for what is
+        kept across ticks). The pass over the pipelines also totals the
+        units the committed spend is projected from.
         """
 
-        delay_by_pipeline: dict[str, dict] = {}
-        incidents: list[dict] = []
+        delays: dict[str, float] = {}
+        incidents = []
+        incident_views = self._incident_views
         for incident in self.ledger.open.values():
-            incidents.append(
-                {
+            key = (incident.claim, incident.approval_pending, incident.last_action_tick)
+            kept = incident_views.get(incident.id)
+            if kept is None or kept[0] != key:
+                view = {
                     "id": incident.id,
                     "pipeline": incident.pipeline,
                     "incident_class": incident.incident_class.value,
@@ -685,87 +720,106 @@ class Controller:
                     "approval_pending": incident.approval_pending,
                     "last_action_tick": incident.last_action_tick,
                 }
-            )
+                kept = incident_views[incident.id] = (key, MappingProxyType(view))
+            incidents.append(kept[1])
             if incident.delay_baseline is not None:
-                delay_by_pipeline[incident.pipeline] = {
-                    "baseline_ingress": incident.delay_baseline
-                }
-        open_incidents = tuple(incidents)
+                delays[incident.pipeline] = incident.delay_baseline
 
-        pipelines: dict[str, dict] = {}
-        series: dict[str, dict[str, list[float]]] = {}
+        pipeline_views, windows_by_pipeline = self._pipeline_views, self._windows
+        alloc_changed_at = self._alloc_changed_at
+        changed = False
+        series = {}
+        paying_units = reserved_units = 0
         for pid, p in world.pipelines.items():
-            spec = p.spec
-            drift = None
-            if p.pending_drift is not None:
-                drift = {
-                    "partition": p.pending_drift.partition,
-                    "quarantine_mode": p.pending_drift.quarantine_mode,
-                    "compatible": not p.pending_drift.incompatible,
+            allocs = [st.alloc for st in p.stages.values()]
+            units = sum(allocs)
+            reserved_units += units
+            if p.health not in _UNPAID:
+                paying_units += units
+            drift = p.pending_drift
+            key = (
+                p.health,
+                p.failing_stage,
+                p.recover_at is None,
+                p.suppress_until is None,
+                allocs,
+                None if drift is None else (drift.partition, drift.quarantine_mode, drift.incompatible),
+                delays.get(pid),
+                alloc_changed_at.get(pid, 0),
+            )
+            kept = pipeline_views.get(pid)
+            if kept is None or kept[0] != key:
+                pipeline_views[pid] = (key, _pipeline_view(p, key))
+                changed = True
+            windows = windows_by_pipeline.get(pid)
+            series[pid] = MappingProxyType(
+                {
+                    "utilization": tuple(windows.utilization) if windows else (),
+                    "ingress": tuple(windows.ingress) if windows else (),
                 }
-            pipelines[pid] = {
-                "criticality": spec.criticality,
-                "freshness_target": spec.freshness_target,
-                "health": p.health.value,
-                "failing_stage": p.failing_stage,
-                "recovering": p.recover_at is not None,
-                "suppressed": p.suppress_until is not None,
-                "ticks_since_alloc_change": t - self._alloc_changed_at.get(pid, 0),
-                "stages": {
-                    sid: {
-                        "alloc": st.alloc,
-                        "min_alloc": st.spec.min_alloc,
-                        "max_alloc": st.spec.max_alloc,
-                    }
-                    for sid, st in p.stages.items()
-                },
-                "drift": drift,
-                "delay": delay_by_pipeline.get(pid),
-            }
-            windows = self._windows.get(pid)
-            series[pid] = {
-                "utilization": list(windows.utilization) if windows else [],
-                "ingress": list(windows.ingress) if windows else [],
-            }
+            )
+        if changed:
+            self._pipelines_view = MappingProxyType(
+                {pid: view for pid, (_, view) in pipeline_views.items()}
+            )
 
-        committed, horizon = self._spend_projection(world, t)
-        shared_policy = {
-            "max_scale_step": self.policy.cost.max_scale_step,
-            "budget_per_window": self.policy.cost.budget_per_window,
-            "window_remaining": horizon,
-            "committed_spend": committed,
-            "unit_price": world.resource_model.unit_price,
-            "quarantine_allowed": self.policy.schema.quarantine_allowed,
-            "schema_mode": self.policy.schema.mode,
-        }
-        memory = self.memory.extract()
-
-        for actor in AGENT_PHASES[1:]:
-            policy_view = dict(shared_policy)
-            policy_view["allowed_strategies"] = list(self._allowed_strategies)
+        committed, horizon = self._spend_projection(world, t, paying_units, reserved_units)
+        policy = MappingProxyType(
+            {
+                "max_scale_step": self.policy.cost.max_scale_step,
+                "budget_per_window": self.policy.cost.budget_per_window,
+                "window_remaining": horizon,
+                "committed_spend": committed,
+                "unit_price": world.resource_model.unit_price,
+                "quarantine_allowed": self.policy.schema.quarantine_allowed,
+                "schema_mode": self.policy.schema.mode,
+                "allowed_strategies": self._allowed_strategies,
+            }
+        )
+        open_incidents = tuple(incidents)
+        series_view = MappingProxyType(series)
+        memory = self.memory.view()
+        for actor, name in _AGENT_NAMES:
             yield actor, ObservationBundle(
-                tick=t,
-                agent=actor.value,
-                snapshot=snapshot,
-                open_incidents=open_incidents,
-                pipelines=pipelines,
-                series=series,
-                policy=policy_view,
-                memory=memory,
+                t, name, snapshot, open_incidents, self._pipelines_view, series_view, policy, memory
             )
 
 
-def _observed(snapshot: TelemetrySnapshot) -> dict:
-    """The part of a tick's snapshot that agents read, pipelines in sorted order."""
+def _pipeline_view(p: PipelineState, key: tuple) -> Mapping:
+    """A pipeline's read-only view, built from the key it is kept under."""
 
-    return {
-        "capacity_headroom": snapshot.capacity_headroom,
-        "pipelines": {
-            pid: {
-                "freshness_lag": sample.freshness_lag,
-                "queue_depth": sample.queue_depth,
-                "ingress": sample.ingress,
+    health, failing_stage, idle, unsuppressed, _, drift, baseline, alloc_changed_at = key
+    if drift is not None:
+        partition, quarantine_mode, incompatible = drift
+        drift = MappingProxyType(
+            {
+                "partition": partition,
+                "quarantine_mode": quarantine_mode,
+                "compatible": not incompatible,
             }
-            for pid, sample in sorted(snapshot.pipelines.items())
-        },
-    }
+        )
+    return MappingProxyType(
+        {
+            "criticality": p.spec.criticality,
+            "freshness_target": p.spec.freshness_target,
+            "health": health.value,
+            "failing_stage": failing_stage,
+            "recovering": not idle,
+            "suppressed": not unsuppressed,
+            "alloc_changed_at": alloc_changed_at,
+            "stages": MappingProxyType(
+                {
+                    sid: MappingProxyType(
+                        {
+                            "alloc": st.alloc,
+                            "min_alloc": st.spec.min_alloc,
+                            "max_alloc": st.spec.max_alloc,
+                        }
+                    )
+                    for sid, st in p.stages.items()
+                }
+            ),
+            "drift": drift,
+            "delay": None if baseline is None else MappingProxyType({"baseline_ingress": baseline}),
+        }
+    )

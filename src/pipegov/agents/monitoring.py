@@ -9,6 +9,7 @@ the control loop's detection phase regardless of these statistics.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 EWMA_ALPHA = 0.2
@@ -39,7 +40,7 @@ class AnomalyFlag:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class EwmaState:
     mean: float = 0.0
     deviation: float = 0.0
@@ -86,17 +87,18 @@ class AnomalyDetector:
         state = self._states.get((pipeline, metric))
         return state.mean if state is not None else 0.0
 
-    def observe_snapshot(self, tick: int, snapshot: dict) -> list[AnomalyFlag]:
+    def observe_snapshot(self, tick: int, snapshot: Mapping) -> list[AnomalyFlag]:
         """Scan one observed snapshot (``pipelines`` maps each pipeline to
         its watched metrics); returns flags raised.
 
         Equivalent to ``observe_sample`` for every pipeline (sorted) and
-        watched metric, in that order.
+        watched metric, in that order, with ``EwmaState.update`` inlined.
         """
 
         flags: list[AnomalyFlag] = []
         states = self._states
         pipelines = snapshot["pipelines"]
+        alpha, k, floor, least = EWMA_ALPHA, EWMA_K, EWMA_SIGMA_FLOOR, EWMA_MIN_SAMPLES
         for pid in sorted(pipelines):
             sample = pipelines[pid]
             for metric in WATCHED_METRICS:
@@ -105,6 +107,13 @@ class AnomalyDetector:
                     state = states[(pid, metric)] = EwmaState()
                 value = float(sample[metric])
                 mean, dev = state.mean, state.deviation
-                if state.update(value):
+                samples = state.samples = state.samples + 1
+                # ``floor if floor > dev else dev`` is ``max(dev, floor)``.
+                if samples >= least and abs(value - mean) > k * (floor if floor > dev else dev):
                     flags.append(AnomalyFlag(tick, pid, metric, value, mean, dev))
+                if samples == 1:
+                    state.mean = value
+                else:
+                    state.mean = mean + alpha * (value - mean)
+                    state.deviation = dev + alpha * (abs(value - mean) - dev)
         return flags

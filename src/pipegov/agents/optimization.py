@@ -7,7 +7,8 @@ a fixed order so output is deterministic:
    from the least-critical busy pipelines before anything else.
 2. Sustained-idle scale-down — a pipeline whose utilization stayed under
    ``LOW_UTIL_THRESHOLD`` for ``LOW_UTIL_TICKS`` consecutive ticks (and
-   whose allocation has not changed in that long) gives a step back.
+   whose allocation has not changed in that long, counted from its
+   ``alloc_changed_at``) gives a step back.
 3. Freshness scale-up — a healthy streaming pipeline lagging past its
    freshness target gets a step, most critical first, but only while the
    projected window spend stays inside budget.
@@ -18,6 +19,8 @@ budget check here just avoids proposing obvious denials.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .bundle import CandidateAction, ObservationBundle
 
 LOW_UTIL_THRESHOLD = 0.30
@@ -26,15 +29,15 @@ LOW_UTIL_TICKS = 30
 _HEALTHY = "Healthy"
 
 
-def _can_scale_down(stages: dict[str, dict]) -> bool:
+def _can_scale_down(stages: Mapping[str, Mapping]) -> bool:
     return any(s["alloc"] > s["min_alloc"] for s in stages.values())
 
 
-def _can_scale_up(stages: dict[str, dict]) -> bool:
+def _can_scale_up(stages: Mapping[str, Mapping]) -> bool:
     return any(s["alloc"] < s["max_alloc"] for s in stages.values())
 
 
-def _budget_allows(policy: dict, pending_units: int, extra_units: int) -> bool:
+def _budget_allows(policy: Mapping, pending_units: int, extra_units: int) -> bool:
     budget = policy.get("budget_per_window")
     if budget is None:
         return True
@@ -45,11 +48,10 @@ def _budget_allows(policy: dict, pending_units: int, extra_units: int) -> bool:
     return projected <= budget
 
 
-def _sustained_low(bundle: ObservationBundle, pid: str) -> bool:
-    meta = bundle.pipelines[pid]
-    if meta["ticks_since_alloc_change"] < LOW_UTIL_TICKS:
+def _sustained_low(bundle: ObservationBundle, pid: str, meta: Mapping) -> bool:
+    if bundle.tick - meta["alloc_changed_at"] < LOW_UTIL_TICKS:
         return False
-    window = bundle.series.get(pid, {}).get("utilization", [])
+    window = bundle.series.get(pid, {}).get("utilization", ())
     if len(window) < LOW_UTIL_TICKS:
         return False
     return all(u < LOW_UTIL_THRESHOLD for u in window[-LOW_UTIL_TICKS:])
@@ -61,67 +63,54 @@ def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
     snapshot_pipelines = bundle.snapshot.get("pipelines", {})
     contended = bundle.snapshot.get("capacity_headroom", 0) < 0
 
-    candidates: list[CandidateAction] = []
-    pending_units = 0
-
-    if contended:
-        # Shed load: least-critical busy pipelines first (ties by id).
-        busy = []
-        for pid in sorted(bundle.pipelines):
-            meta = bundle.pipelines[pid]
-            sample = snapshot_pipelines.get(pid, {})
-            if sample.get("queue_depth", 0) <= 0:
-                continue
-            if not _can_scale_down(meta["stages"]):
-                continue
-            busy.append((-meta["criticality"], pid))
-        for _, pid in sorted(busy):
-            candidates.append(
-                CandidateAction(
-                    kind="ScaleDown",
-                    pipeline=pid,
-                    delta_units=step,
-                    rationale="cluster over capacity; shedding least-critical load",
-                )
-            )
-
+    # One pass in pipeline order sorts every pipeline into the three rules.
+    busy = []  # (-criticality, pid): shed while contended, least critical first
+    idle = []  # pids given a step back, in id order
+    breaching = []  # (criticality, pid): given a step within budget, most critical first
     for pid in sorted(bundle.pipelines):
         meta = bundle.pipelines[pid]
+        stages = meta["stages"]
+        sample = snapshot_pipelines.get(pid, {})
+        shed = contended and sample.get("queue_depth", 0) > 0 and _can_scale_down(stages)
+        if shed:
+            busy.append((-meta["criticality"], pid))
         if meta["health"] != _HEALTHY or meta["recovering"]:
             continue
-        if contended and any(c.pipeline == pid for c in candidates):
-            continue
-        if _can_scale_down(meta["stages"]) and _sustained_low(bundle, pid):
-            candidates.append(
-                CandidateAction(
-                    kind="ScaleDown",
-                    pipeline=pid,
-                    delta_units=step,
-                    rationale=(
-                        f"utilization below {LOW_UTIL_THRESHOLD:.0%} for "
-                        f"{LOW_UTIL_TICKS} consecutive ticks"
-                    ),
-                )
-            )
-
-    # Freshness relief: most critical breaching pipeline first.
-    breaching = []
-    for pid in sorted(bundle.pipelines):
-        meta = bundle.pipelines[pid]
+        if not shed and _can_scale_down(stages) and _sustained_low(bundle, pid, meta):
+            idle.append(pid)
         target = meta.get("freshness_target")
-        if target is None:
-            continue
-        if meta["health"] != _HEALTHY or meta["recovering"] or meta["suppressed"]:
-            continue
-        sample = snapshot_pipelines.get(pid, {})
-        if sample.get("freshness_lag", 0) <= target:
-            continue
-        if not _can_scale_up(meta["stages"]):
-            continue
-        breaching.append((meta["criticality"], pid))
+        if (
+            target is not None
+            and not meta["suppressed"]
+            and sample.get("freshness_lag", 0) > target
+            and _can_scale_up(stages)
+        ):
+            breaching.append((meta["criticality"], pid))
+
+    candidates = [
+        CandidateAction(
+            kind="ScaleDown",
+            pipeline=pid,
+            delta_units=step,
+            rationale="cluster over capacity; shedding least-critical load",
+        )
+        for _, pid in sorted(busy)
+    ]
+    candidates += [
+        CandidateAction(
+            kind="ScaleDown",
+            pipeline=pid,
+            delta_units=step,
+            rationale=(
+                f"utilization below {LOW_UTIL_THRESHOLD:.0%} for "
+                f"{LOW_UTIL_TICKS} consecutive ticks"
+            ),
+        )
+        for pid in idle
+    ]
+    pending_units = 0
     for _, pid in sorted(breaching):
-        meta = bundle.pipelines[pid]
-        extra = step * len(meta["stages"])
+        extra = step * len(bundle.pipelines[pid]["stages"])
         if not _budget_allows(policy, pending_units, extra):
             continue
         pending_units += extra

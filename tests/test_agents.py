@@ -47,7 +47,7 @@ def _meta(**kw) -> dict:
         "failing_stage": None,
         "recovering": False,
         "suppressed": False,
-        "ticks_since_alloc_change": 0,
+        "alloc_changed_at": 100,
         "stages": _stages(),
         "drift": None,
         "delay": None,
@@ -232,7 +232,7 @@ class TestOptimizePropose:
         assert optimize_propose(bundle) == []
 
     def test_sustained_low_utilization_scales_down(self):
-        pipelines = {"p": _meta(ticks_since_alloc_change=LOW_UTIL_TICKS)}
+        pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
         series = {"p": {"utilization": [0.1] * LOW_UTIL_TICKS}}
         bundle = _bundle(
             pipelines=pipelines, snapshot_pipelines={"p": {"queue_depth": 1}}, series=series
@@ -241,19 +241,19 @@ class TestOptimizePropose:
         assert [(c.kind, c.pipeline, c.delta_units) for c in candidates] == [("ScaleDown", "p", 2)]
 
     def test_recent_alloc_change_blocks_scale_down(self):
-        pipelines = {"p": _meta(ticks_since_alloc_change=LOW_UTIL_TICKS - 1)}
+        pipelines = {"p": _meta(alloc_changed_at=100 - (LOW_UTIL_TICKS - 1))}
         series = {"p": {"utilization": [0.1] * LOW_UTIL_TICKS}}
         bundle = _bundle(pipelines=pipelines, series=series)
         assert optimize_propose(bundle) == []
 
     def test_single_busy_tick_blocks_scale_down(self):
         window = [0.1] * (LOW_UTIL_TICKS - 1) + [0.35]
-        pipelines = {"p": _meta(ticks_since_alloc_change=LOW_UTIL_TICKS)}
+        pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
         bundle = _bundle(pipelines=pipelines, series={"p": {"utilization": window}})
         assert optimize_propose(bundle) == []
 
     def test_short_history_blocks_scale_down(self):
-        pipelines = {"p": _meta(ticks_since_alloc_change=LOW_UTIL_TICKS)}
+        pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
         bundle = _bundle(
             pipelines=pipelines, series={"p": {"utilization": [0.1] * (LOW_UTIL_TICKS - 1)}}
         )
@@ -263,7 +263,7 @@ class TestOptimizePropose:
         pipelines = {
             "p": _meta(
                 health="Failing",
-                ticks_since_alloc_change=LOW_UTIL_TICKS,
+                alloc_changed_at=100 - LOW_UTIL_TICKS,
                 freshness_target=10,
             )
         }
