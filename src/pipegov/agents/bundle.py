@@ -86,9 +86,7 @@ def _plain(node: object) -> object:
 
     if isinstance(node, Mapping):
         return {key: _plain(value) for key, value in node.items()}
-    if isinstance(node, (tuple, list)):
-        return [_plain(value) for value in node]
-    return node
+    return [_plain(value) for value in node] if isinstance(node, tuple) else node
 
 
 class ObservationBundle(NamedTuple):
@@ -156,16 +154,7 @@ class ObservationBundle(NamedTuple):
     memory: Mapping[str, Mapping]
 
     def to_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "agent": self.agent,
-            "snapshot": _plain(self.snapshot),
-            "open_incidents": _plain(self.open_incidents),
-            "pipelines": _plain(self.pipelines),
-            "series": _plain(self.series),
-            "policy": _plain(self.policy),
-            "memory": _plain(self.memory),
-        }
+        return _plain(self._asdict())
 
 
 @dataclass(frozen=True, slots=True)

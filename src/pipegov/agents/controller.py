@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -138,16 +138,6 @@ class OperatorModel:
         return t + max(self.operator_delay, 1)
 
 
-@dataclass
-class _SeriesWindows:
-    """One pipeline's recent samples, newest last, through the previous tick."""
-
-    utilization: deque[float] = field(
-        default_factory=lambda: deque(maxlen=UTILIZATION_WINDOW)
-    )
-    ingress: deque[float] = field(default_factory=lambda: deque(maxlen=INGRESS_WINDOW))
-
-
 @dataclass(frozen=True)
 class _PendingApproval:
     due: int
@@ -198,7 +188,9 @@ class Controller:
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
-        self._windows: dict[str, _SeriesWindows] = {}  # stays empty without a backend
+        # Each pipeline's (utilization, ingress) samples, newest last, through
+        # the previous tick; stays empty without a backend.
+        self._windows: dict[str, tuple[deque[float], deque[float]]] = {}
         # Read-only views kept across ticks, each with the key it was built from.
         self._pipeline_views: dict[str, tuple[tuple, Mapping]] = {}
         self._pipelines_view: Mapping[str, Mapping] = _NOTHING_OBSERVED
@@ -270,9 +262,12 @@ class Controller:
         for pid, sample in sorted(prev_report.snapshot.pipelines.items()):
             windows = self._windows.get(pid)
             if windows is None:
-                windows = self._windows[pid] = _SeriesWindows()
-            windows.utilization.append(float(sample.utilization))
-            windows.ingress.append(float(sample.ingress))
+                windows = self._windows[pid] = (
+                    deque(maxlen=UTILIZATION_WINDOW),
+                    deque(maxlen=INGRESS_WINDOW),
+                )
+            windows[0].append(float(sample.utilization))
+            windows[1].append(float(sample.ingress))
             observed[pid] = MappingProxyType(
                 {
                     "freshness_lag": sample.freshness_lag,
@@ -737,26 +732,19 @@ class Controller:
             if p.health not in _UNPAID:
                 paying_units += units
             drift = p.pending_drift
+            if drift is not None:
+                drift = (drift.partition, drift.quarantine_mode, not drift.incompatible)
             key = (
-                p.health,
-                p.failing_stage,
-                p.recover_at is None,
-                p.suppress_until is None,
-                allocs,
-                None if drift is None else (drift.partition, drift.quarantine_mode, drift.incompatible),
-                delays.get(pid),
-                alloc_changed_at.get(pid, 0),
+                p.health, p.failing_stage, p.recover_at is None, p.suppress_until is None,
+                allocs, drift, delays.get(pid), alloc_changed_at.get(pid, 0),
             )
             kept = pipeline_views.get(pid)
             if kept is None or kept[0] != key:
                 pipeline_views[pid] = (key, _pipeline_view(p, key))
                 changed = True
-            windows = windows_by_pipeline.get(pid)
+            utilization, ingress = windows_by_pipeline.get(pid, ((), ()))
             series[pid] = MappingProxyType(
-                {
-                    "utilization": tuple(windows.utilization) if windows else (),
-                    "ingress": tuple(windows.ingress) if windows else (),
-                }
+                {"utilization": tuple(utilization), "ingress": tuple(ingress)}
             )
         if changed:
             self._pipelines_view = MappingProxyType(
@@ -790,36 +778,25 @@ def _pipeline_view(p: PipelineState, key: tuple) -> Mapping:
 
     health, failing_stage, idle, unsuppressed, _, drift, baseline, alloc_changed_at = key
     if drift is not None:
-        partition, quarantine_mode, incompatible = drift
-        drift = MappingProxyType(
-            {
-                "partition": partition,
-                "quarantine_mode": quarantine_mode,
-                "compatible": not incompatible,
-            }
+        partition, quarantine_mode, compatible = drift
+        drift = {"partition": partition, "quarantine_mode": quarantine_mode, "compatible": compatible}
+        drift = MappingProxyType(drift)
+    stages = {
+        sid: MappingProxyType(
+            {"alloc": st.alloc, "min_alloc": st.spec.min_alloc, "max_alloc": st.spec.max_alloc}
         )
-    return MappingProxyType(
-        {
-            "criticality": p.spec.criticality,
-            "freshness_target": p.spec.freshness_target,
-            "health": health.value,
-            "failing_stage": failing_stage,
-            "recovering": not idle,
-            "suppressed": not unsuppressed,
-            "alloc_changed_at": alloc_changed_at,
-            "stages": MappingProxyType(
-                {
-                    sid: MappingProxyType(
-                        {
-                            "alloc": st.alloc,
-                            "min_alloc": st.spec.min_alloc,
-                            "max_alloc": st.spec.max_alloc,
-                        }
-                    )
-                    for sid, st in p.stages.items()
-                }
-            ),
-            "drift": drift,
-            "delay": None if baseline is None else MappingProxyType({"baseline_ingress": baseline}),
-        }
-    )
+        for sid, st in p.stages.items()
+    }
+    view = {
+        "criticality": p.spec.criticality,
+        "freshness_target": p.spec.freshness_target,
+        "health": health.value,
+        "failing_stage": failing_stage,
+        "recovering": not idle,
+        "suppressed": not unsuppressed,
+        "alloc_changed_at": alloc_changed_at,
+        "stages": MappingProxyType(stages),
+        "drift": drift,
+        "delay": None if baseline is None else MappingProxyType({"baseline_ingress": baseline}),
+    }
+    return MappingProxyType(view)

@@ -108,8 +108,8 @@ class AnomalyDetector:
                 value = float(sample[metric])
                 mean, dev = state.mean, state.deviation
                 samples = state.samples = state.samples + 1
-                # ``floor if floor > dev else dev`` is ``max(dev, floor)``.
-                if samples >= least and abs(value - mean) > k * (floor if floor > dev else dev):
+                threshold = k * (floor if floor > dev else dev)  # k * max(dev, floor)
+                if samples >= least and abs(value - mean) > threshold:
                     flags.append(AnomalyFlag(tick, pid, metric, value, mean, dev))
                 if samples == 1:
                     state.mean = value

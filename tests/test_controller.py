@@ -6,15 +6,16 @@ import ast
 import copy
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import pipegov.agents
 from pipegov.agents import (
-    AGENT_PHASES,
     BackendError,
     BuiltinBackend,
     Controller,
+    NullBackend,
     OperatorModel,
     StubBackend,
 )
@@ -792,34 +793,109 @@ class RecordingBackend(BuiltinBackend):
         return super().decide(bundle)
 
 
-def _scramble(node) -> None:
-    """Mutate every dict and list reachable from ``node``."""
+def _read_only_containers(node) -> int:
+    """Count the containers reachable from ``node``, asserting that each is a
+    ``MappingProxyType`` or a tuple that refuses item assignment, and that
+    every leaf is plain JSON data."""
 
-    if isinstance(node, dict):
-        for value in list(node.values()):
-            _scramble(value)
-        node["scrambled"] = True
-    elif isinstance(node, (list, tuple)):
-        for value in node:
-            _scramble(value)
-        if isinstance(node, list):
-            node.append("scrambled")
+    if isinstance(node, (MappingProxyType, tuple)):
+        with pytest.raises(TypeError):
+            node["scrambled" if isinstance(node, MappingProxyType) else 0] = True
+        values = node.values() if isinstance(node, MappingProxyType) else node
+        return 1 + sum(_read_only_containers(value) for value in values)
+    assert node is None or isinstance(node, (bool, int, float, str)), type(node)
+    return 0
 
 
-class MutatingBackend(RecordingBackend):
-    """Takes the builtin candidates, then mutates the bundle it was shown.
+class KeepingBackend(RecordingBackend):
+    """The builtin rules, keeping every bundle object and its copy at hand-out."""
 
-    The three agents of one tick share every container but ``policy``, so
-    ``policy`` is scrambled on every call and the rest on the tick's last
-    call, when no backend reads them any more.
-    """
+    def __init__(self) -> None:
+        super().__init__()
+        self.kept: list = []
+        self.containers = 0
 
     def decide(self, bundle):
-        candidates = super().decide(bundle)
-        _scramble(bundle.policy)
-        if bundle.agent == AGENT_PHASES[-1].value:
-            _scramble(bundle.to_dict())
-        return candidates
+        self.containers += _read_only_containers(bundle)
+        self.kept.append(bundle)
+        return super().decide(bundle)
+
+
+class ViewCheckingBackend(BuiltinBackend):
+    """The builtin rules, checking every pipeline view against the world it
+    was built from, the ledger's delay baselines and the applied scalings in
+    the audit, and the first agent's incident views against the ledger
+    (later agents see the claims from before the tick's screening). Set
+    ``world`` and ``loop`` before the first tick."""
+
+    def __init__(self) -> None:
+        self.world = self.loop = None
+        self.claims: set = set()
+        self.pipeline_maps: list = []
+        self.seen_fields: set[str] = set()
+
+    def decide(self, bundle):
+        baselines = {
+            i.pipeline: i.delay_baseline
+            for i in self.loop.ledger.open.values()
+            if i.delay_baseline is not None
+        }
+        scaled_at: dict[str, int] = {}
+        for record in _events(self.loop, "action_outcome"):
+            result = record.payload["result"]
+            if result["status"] == "applied" and result["kind"] in ("ScaleUp", "ScaleDown"):
+                scaled_at[result["pipeline"]] = record.tick
+        if bundle.agent == Actor.SCHEMA_AGENT.value:
+            assert bundle.to_dict()["open_incidents"] == [
+                {
+                    "id": i.id,
+                    "pipeline": i.pipeline,
+                    "incident_class": i.incident_class.value,
+                    "claimed_by": i.claim,
+                    "approval_pending": i.approval_pending,
+                    "last_action_tick": i.last_action_tick,
+                }
+                for i in self.loop.ledger.open.values()
+            ], bundle.tick
+            self.claims |= {(i.claim, i.approval_pending) for i in self.loop.ledger.open.values()}
+        assert list(bundle.pipelines) == list(self.world.pipelines)
+        for pid, p in self.world.pipelines.items():
+            drift = p.pending_drift
+            expected = {
+                "criticality": p.spec.criticality,
+                "freshness_target": p.spec.freshness_target,
+                "health": p.health.value,
+                "failing_stage": p.failing_stage,
+                "recovering": p.recover_at is not None,
+                "suppressed": p.suppress_until is not None,
+                "alloc_changed_at": scaled_at.get(pid, 0),
+                "stages": {
+                    sid: {
+                        "alloc": st.alloc,
+                        "min_alloc": st.spec.min_alloc,
+                        "max_alloc": st.spec.max_alloc,
+                    }
+                    for sid, st in p.stages.items()
+                },
+                "drift": None
+                if drift is None
+                else {
+                    "partition": drift.partition,
+                    "quarantine_mode": drift.quarantine_mode,
+                    "compatible": not drift.incompatible,
+                },
+                "delay": None
+                if pid not in baselines
+                else {"baseline_ingress": baselines[pid]},
+            }
+            view = bundle.to_dict()["pipelines"][pid]
+            assert view == expected, (bundle.tick, pid)
+            self.seen_fields |= {key for key, value in expected.items() if value}
+            if p.failing_stage is not None:
+                self.seen_fields.add("failing_stage")
+        if not self.pipeline_maps or self.pipeline_maps[-1][1] is not bundle.pipelines:
+            self.pipeline_maps.append((bundle.tick, bundle.pipelines))
+        return super().decide(bundle)
 
 
 # Agent modules whose reads define the bundle: the monitoring agent reads
@@ -973,20 +1049,68 @@ class TestObservationBundles:
             most_open = max(most_open, len(open_ids))
         assert most_open >= 2, "the order check needs overlapping incidents"
 
-    def test_backend_mutating_its_bundle_changes_nothing(self, canonical_spec, policy):
+    def test_bundles_are_read_only_and_stay_valid(self, canonical_spec, policy):
         spec = _short_canonical(canonical_spec)
-        clean_backend = RecordingBackend()
-        clean = run_experiment(spec, policy, controller="agentic", backend=clean_backend)
-        mutating_backend = MutatingBackend()
-        mutated = run_experiment(spec, policy, controller="agentic", backend=mutating_backend)
-        assert mutated.audit.to_jsonl() == clean.audit.to_jsonl()
-        assert len(mutating_backend.seen) == len(clean_backend.seen) == 3 * spec.horizon
-        for seen, expected in zip(mutating_backend.seen, clean_backend.seen):
-            assert seen == expected, (seen["tick"], seen["agent"])
-        pipelines = [b["pipelines"] for b in clean_backend.seen]
+        clean = run_experiment(spec, policy, controller="agentic", backend=RecordingBackend())
+        backend = KeepingBackend()
+        kept = run_experiment(spec, policy, controller="agentic", backend=backend)
+        assert kept.audit.to_jsonl() == clean.audit.to_jsonl()
+        assert len(backend.kept) == len(backend.seen) == 3 * spec.horizon
+        assert backend.containers > 20 * len(backend.kept)
+        for bundle, copied in zip(backend.kept, backend.seen):
+            assert bundle.to_dict() == copied, (bundle.tick, bundle.agent)
+        pipelines = [b["pipelines"] for b in backend.seen]
         assert any(meta["drift"] for p in pipelines for meta in p.values())
         assert any(meta["delay"] for p in pipelines for meta in p.values())
-        assert any(b["memory"] for b in clean_backend.seen)
+        assert any(b["memory"] for b in backend.seen)
+        assert any(b["open_incidents"] for b in backend.seen)
+
+    def test_views_follow_the_world_every_tick(self, canonical_spec):
+        # A policy that denies the schema agent's quarantine makes the sweep
+        # escalate, and a replay of the regulated stream waits for approval.
+        denying = default_policy_dict()
+        denying["actions"]["allow_list"]["SchemaAgent"] = ["Resume", "Halt"]
+        denying["actions"]["approval_required"].append({"kind": "Replay", "tag": "regulated"})
+        spec = _short_canonical(canonical_spec)
+        claims = set()
+        for policy in (parse_policy(default_policy_dict()), parse_policy(denying)):
+            backend = ViewCheckingBackend()
+            world, loop = _make(spec, policy, agents=True, backend=backend, operator=OperatorModel())
+            backend.world, backend.loop = world, loop
+            _drive(spec, world, loop, spec.horizon)
+            # The mapping is kept across most ticks and rebuilt on some.
+            assert 1 < len(backend.pipeline_maps) < spec.horizon // 2
+            fields = {"drift", "delay", "recovering", "suppressed", "failing_stage"}
+            assert fields | {"alloc_changed_at"} <= backend.seen_fields
+            claims |= backend.claims
+        assert {
+            (None, False),
+            ("SchemaAgent", False),
+            ("RecoveryAgent", True),
+            ("operator", False),
+        } <= claims, claims
+
+    def test_incident_view_follows_each_field_it_shows(self):
+        spec = make_mini_scenario(faults=[_task_failure(2)])
+        world, loop = _make(spec, _policy(), agents=True, backend=NullBackend())
+        _drive(spec, world, loop, 3)
+        (incident,) = loop.ledger.open.values()
+        agent = Actor.RECOVERY_AGENT.value
+        changes = (
+            lambda: None,
+            lambda: loop.ledger.proposed(incident.id, agent, 3),  # the claim
+            lambda: loop.ledger.approval_requested(incident.id, agent),  # approval_pending
+            lambda: loop.ledger.granted(incident.id),
+            lambda: loop.ledger.acted(incident.id, agent, "Replay", 3, True),  # last_action_tick
+        )
+        shown = []
+        for change in changes:
+            change()
+            _, bundle = next(loop._bundles(world, 3, MappingProxyType({})))
+            (view,) = bundle.open_incidents
+            shown.append((view["claimed_by"], view["approval_pending"], view["last_action_tick"]))
+            assert shown[-1] == (incident.claim, incident.approval_pending, incident.last_action_tick)
+        assert all(before != after for before, after in zip(shown, shown[1:])), shown
 
     def test_bundles_carry_only_keys_the_agents_read(self, canonical_spec, policy):
         backend = RecordingBackend()
