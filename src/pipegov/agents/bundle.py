@@ -1,10 +1,10 @@
 """What an agent is allowed to see, and what the system remembers.
 
 An ObservationBundle is a read-only view assembled by the control loop for
-exactly one (tick, agent) reasoning call. Everything a
-reasoning backend may use lives here — telemetry, open incidents, policy
-headroom, past-outcome statistics — so backends can be pure functions of
-the bundle and stay deterministic and replaceable.
+exactly one (tick, agent) reasoning call. Everything a reasoning backend
+may use lives here — telemetry, open incidents, policy headroom,
+past-outcome statistics — so backends can be pure functions of the bundle
+and stay deterministic and replaceable.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ in them is a read-only ``MappingProxyType`` or a tuple, so the agents of
 one tick share all of it and views are kept across ticks. A pipeline's
 view is rebuilt only when its key changes: its health, failing stage,
 whether ``recover_at`` and ``suppress_until`` are set, its stage
-allocations, its drift's (partition, quarantine mode, incompatible), its
+allocations, its drift's (partition, quarantine mode, compatible), its
 open UpstreamDelay's baseline and ``alloc_changed_at``, the tick of its
 last applied scaling action. The ``pipelines`` mapping is kept while no
 view in it changed. An open incident's view is rebuilt only when its
@@ -193,7 +193,7 @@ class Controller:
         self._windows: dict[str, tuple[deque[float], deque[float]]] = {}
         # Read-only views kept across ticks, each with the key it was built from.
         self._pipeline_views: dict[str, tuple[tuple, Mapping]] = {}
-        self._pipelines_view: Mapping[str, Mapping] = _NOTHING_OBSERVED
+        self._pipelines_view: Mapping[str, Mapping] = MappingProxyType({})
         self._incident_views: dict[str, tuple[tuple, Mapping]] = {}
         self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
 
