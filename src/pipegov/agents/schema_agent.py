@@ -2,7 +2,7 @@
 
 ``schema_propose`` is the single-incident decision rule; the bundle-level
 entry point walks open schema incidents and applies it to each pipeline
-that still has an unhandled drift window.
+that still has an unhandled drift window and is not halted.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def schema_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
         if incident.get("approval_pending"):
             continue
         meta = bundle.pipelines.get(incident["pipeline"])
-        if meta is None:
-            continue
+        if meta is None or meta["health"] == "Halted":
+            continue  # unknown, or already halted: a second Halt is rejected
         drift = meta.get("drift")
         if drift is None or drift.get("quarantine_mode"):
             continue  # nothing pending, or already being quarantined

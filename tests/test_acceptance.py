@@ -312,7 +312,7 @@ def test_canonical_artifacts_match_recorded_digests(canonical_compare_dirs):
 # streaming drifts, contention, budgets and every fault kind, so kernel
 # and agent bytes are pinned off the reference scenario too. A change that
 # moves agent behaviour re-records it and lists the value old -> new.
-FUZZ_AGENTIC_SHA256 = "44b0def73e840b0b99f03d0ea7863ae84d4eeda3706ca361ae2f5623b3127565"
+FUZZ_AGENTIC_SHA256 = "cf2f2f448b3b8276ebe41723bb30de78fc72ace521d016f92142c843cd7beab6"
 
 
 def test_fuzz_runs_match_recorded_digest(fuzz_runs):

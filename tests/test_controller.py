@@ -347,6 +347,19 @@ class TestAgenticDrift:
         ]
         assert "QuarantinePartition" not in applied_kinds
 
+    def test_strict_mode_halts_a_pipeline_once(self):
+        policy = _policy(**{"schema.mode": "strict", "schema.quarantine_allowed": False})
+        spec = make_mini_scenario(faults=[_drift_fault(2)])
+        world, loop = _make(spec, policy, agents=True)
+        controls = _drive(spec, world, loop, 40)
+
+        # The drift stays pending on the halted pipeline; Halt is not re-proposed.
+        assert len(_proposals(controls, ActionKind.HALT)) == 1
+        statuses = [e.payload["result"]["status"] for e in _events(loop, "action_outcome")]
+        assert statuses == ["applied"]
+        p = world.pipelines["stream-a"]
+        assert p.health is Health.HALTED and p.pending_drift is not None
+
 
 class TestAgenticRecovery:
     def test_failure_recovered_without_operator(self):
