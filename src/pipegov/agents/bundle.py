@@ -92,12 +92,13 @@ def _plain(node: object) -> object:
 class ObservationBundle(NamedTuple):
     """Read-only view for one reasoning call.
 
-    Apart from ``memory``, it carries only the keys the builtin agents read.
-    Every container in it is a ``MappingProxyType`` or a tuple, so nothing
-    a backend holds can be changed, by the backend or by the controller: a
-    view may be handed out again on later ticks, and stays equal to what it
-    was when first handed out. ``to_dict()`` returns plain, JSON-ready
-    copies.
+    Apart from ``memory``, it carries only the keys the builtin agents read,
+    and every key shown below is always present, except in the empty tick-0
+    snapshot. Every container in it is a ``MappingProxyType`` or a tuple,
+    so nothing a backend holds can be changed, by the backend or by the
+    controller: a view may be handed out again on later ticks, and stays
+    equal to what it was when first handed out. ``to_dict()`` returns
+    plain, JSON-ready copies.
 
     ``snapshot`` is the previous tick's telemetry, pipelines in sorted
     order, and empty at tick 0, before the first step::
@@ -108,30 +109,35 @@ class ObservationBundle(NamedTuple):
     ``open_incidents`` lists the open incidents in detection order::
 
         ({id, pipeline, incident_class, claimed_by, approval_pending,
-          last_action_tick}, ...)
+          last_action_tick, delay_baseline}, ...)
+
+    ``delay_baseline`` is an UpstreamDelay's ingress mean when it opened,
+    and None for the other classes.
 
     ``pipelines`` carries per-pipeline operational context::
 
         {pipeline_id: {criticality, freshness_target, health, failing_stage,
                        recovering, suppressed, alloc_changed_at,
                        stages: {stage_id: {alloc, min_alloc, max_alloc}},
-                       drift: None | {partition, quarantine_mode, compatible},
-                       delay: None | {baseline_ingress}}}
+                       drift: None | {partition, quarantine_mode}}}
 
     ``alloc_changed_at`` is the tick of the pipeline's last applied scaling
-    action, 0 before any. A pipeline's view is kept across ticks and
-    rebuilt only when one of the fields it shows changes; an incident's
-    view is kept while it stays open, and rebuilt only when its claim,
+    action, 0 before any. A pending drift is always one the live schema
+    cannot take. A pipeline's view is kept across ticks and rebuilt only
+    when one of the fields it shows changes; an incident's view is kept
+    while it stays open, and rebuilt only when its claim,
     ``approval_pending`` or ``last_action_tick`` changes.
 
     ``series`` carries short per-pipeline metric windows (newest last)::
 
         {pipeline_id: {"utilization": (...), "ingress": (...)}}
 
-    They hold the last 30 utilization and the last 20 ingress samples
-    through the previous tick: the values the runner records into its
-    MetricStore, kept by the controller in rolling windows as it folds
-    each tick's report. Both are empty before the first report.
+    They hold the last 30 utilization samples (``LOW_UTIL_TICKS``) and the
+    last 10 ingress samples (``STABLE_TICKS``) through the previous tick,
+    as far back as the optimization and recovery agents look: the values
+    the runner records into its MetricStore, kept by the controller in
+    rolling windows as it folds each tick's report. Both are empty before
+    the first report.
 
     ``policy`` is the governance headroom, shared by the agents of a tick::
 

@@ -23,23 +23,26 @@ identical audit trail.
 Each tick starts by folding the previous tick's report once: its compute
 spend goes into the current budget window and, when a backend is
 present, each pipeline's samples feed its rolling utilization and
-ingress windows and the anomaly detector, whose ingress mean is an
-UpstreamDelay's pre-delay baseline. A static run keeps no observation
-state. The detector and the agents see the previous tick's snapshot cut
-down to what they read: capacity headroom and each pipeline's freshness
-lag, queue depth and ingress, or an empty mapping before the first step.
+ingress windows, as long as the agents that read them look back
+(``LOW_UTIL_TICKS`` and ``STABLE_TICKS``), and the anomaly detector, whose
+ingress mean is an UpstreamDelay's pre-delay baseline. A static run keeps
+no observation state. The detector and the agents see the previous
+tick's snapshot cut down to what they read: capacity headroom and each
+pipeline's freshness lag, queue depth and ingress, or an empty mapping
+before the first step.
 
 Bundles carry only the keys the builtin agents read, and every container
 in them is a read-only ``MappingProxyType`` or a tuple, so the agents of
 one tick share all of it and views are kept across ticks. A pipeline's
 view is rebuilt only when its key changes: its health, failing stage,
 whether ``recover_at`` and ``suppress_until`` are set, its stage
-allocations, its drift's (partition, quarantine mode, compatible), its
-open UpstreamDelay's baseline and ``alloc_changed_at``, the tick of its
-last applied scaling action. The ``pipelines`` mapping is kept while no
-view in it changed. An open incident's view is rebuilt only when its
-claim, ``approval_pending`` or ``last_action_tick`` changes, and dropped
-when it closes. Series are copied from the rolling windows every tick.
+allocations, its drift's (partition, quarantine mode) and
+``alloc_changed_at``, the tick of its last applied scaling action. The
+``pipelines`` mapping is kept while no view in it changed. An open
+incident's view is rebuilt only when its claim, ``approval_pending`` or
+``last_action_tick`` changes (its delay baseline is fixed when it opens),
+and dropped when it closes. Series are copied from the rolling windows
+every tick.
 
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. Incidents
@@ -85,15 +88,14 @@ from ..simkernel.kernel import (
     InvalidTarget,
     apply_action,
 )
-from ..simkernel.world import Health, PipelineState, SimWorld, TickReport
+from ..simkernel.world import UNPAID, Health, PipelineState, SimWorld, TickReport
 from ..telemetry.audit import AuditLog
 from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, IncidentLedger
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
 from .bundle import CandidateAction, ObservationBundle, OutcomeMemory
 from .monitoring import AnomalyDetector, AnomalyFlag
-
-UTILIZATION_WINDOW = 30  # ticks of utilization history shown to agents
-INGRESS_WINDOW = 20  # ticks of ingress history shown to agents
+from .optimization import LOW_UTIL_TICKS
+from .recovery import STABLE_TICKS
 
 # Reasoning phases, in the order they run each tick.
 AGENT_PHASES = (
@@ -104,7 +106,6 @@ AGENT_PHASES = (
 )
 
 _AGENT_NAMES = tuple((actor, actor.value) for actor in AGENT_PHASES[1:])
-_UNPAID = (Health.HALTED, Health.DEFERRED)  # reserve units but pay nothing
 _NOTHING_OBSERVED: Mapping = MappingProxyType({})  # the snapshot before the first step
 
 # Kernel failure events that open (or re-mark as failed) an incident.
@@ -156,7 +157,6 @@ class _OperatorTask:
 class ControlReport(NamedTuple):
     """What the controller did in one tick."""
 
-    tick: int
     proposals: tuple[ProposedAction, ...]
     flags: tuple[AnomalyFlag, ...]
 
@@ -236,7 +236,7 @@ class Controller:
         for action in proposals:
             self._validate_and_execute(world, t, action)
 
-        return ControlReport(tick=t, proposals=tuple(proposals), flags=tuple(flags))
+        return ControlReport(tuple(proposals), tuple(flags))
 
     # ------------------------------------------------------------------
     # chassis statistics
@@ -263,8 +263,8 @@ class Controller:
             windows = self._windows.get(pid)
             if windows is None:
                 windows = self._windows[pid] = (
-                    deque(maxlen=UTILIZATION_WINDOW),
-                    deque(maxlen=INGRESS_WINDOW),
+                    deque(maxlen=LOW_UTIL_TICKS),
+                    deque(maxlen=STABLE_TICKS),
                 )
             windows[0].append(float(sample.utilization))
             windows[1].append(float(sample.ingress))
@@ -579,8 +579,8 @@ class Controller:
 
     def _spend_projection(
         self, world: SimWorld, t: int, paying_units: int, reserved_units: int
-    ) -> tuple[float, int]:
-        """Committed spend and the horizon (ticks) used to price new units.
+    ) -> float:
+        """Committed spend; new units are priced over ``policy.cost.window``.
 
         Two commitments are projected and the larger governs: finishing the
         current window at today's paying allocation, and a full window at
@@ -595,38 +595,33 @@ class Controller:
         window = self.policy.cost.window
         remaining = window - (t % window)
         price = world.resource_model.unit_price
-        committed = max(
+        return max(
             self._window_spend + paying_units * price * remaining,
             reserved_units * price * window,
         )
-        return committed, window
 
     def _context(self, world: SimWorld, t: int, action: ProposedAction) -> ValidationContext:
-        price = world.resource_model.unit_price
         paying_units = reserved_units = 0
         for p in world.pipelines.values():
             units = p.allocation_total()
             reserved_units += units
-            if p.health not in _UNPAID:
+            if p.health not in UNPAID:
                 paying_units += units
-        committed, horizon = self._spend_projection(world, t, paying_units, reserved_units)
-        delta_total = 0
-        if action.kind in SCALING_KINDS:
-            pipeline = world.pipelines.get(action.pipeline)
-            if pipeline is not None:
-                affected = 1 if action.stage is not None else len(pipeline.stages)
-                delta_total = abs(action.delta_units) * affected
         tags: tuple[str, ...] = ()
+        delta_total = 0
         pipeline = world.pipelines.get(action.pipeline)
         if pipeline is not None:
             tags = tuple(pipeline.spec.tags)
+            if action.kind in SCALING_KINDS:
+                affected = 1 if action.stage is not None else len(pipeline.stages)
+                delta_total = abs(action.delta_units) * affected
         return ValidationContext(
             tick=t,
             pipeline_tags=tags,
             windowed_spend=self._window_spend,
-            committed_spend=committed,
-            window_remaining=horizon,
-            unit_price=price,
+            committed_spend=self._spend_projection(world, t, paying_units, reserved_units),
+            window_remaining=self.policy.cost.window,
+            unit_price=world.resource_model.unit_price,
             delta_units_total=delta_total,
         )
 
@@ -700,7 +695,6 @@ class Controller:
         units the committed spend is projected from.
         """
 
-        delays: dict[str, float] = {}
         incidents = []
         incident_views = self._incident_views
         for incident in self.ledger.open.values():
@@ -714,11 +708,10 @@ class Controller:
                     "claimed_by": incident.claim,
                     "approval_pending": incident.approval_pending,
                     "last_action_tick": incident.last_action_tick,
+                    "delay_baseline": incident.delay_baseline,
                 }
                 kept = incident_views[incident.id] = (key, MappingProxyType(view))
             incidents.append(kept[1])
-            if incident.delay_baseline is not None:
-                delays[incident.pipeline] = incident.delay_baseline
 
         pipeline_views, windows_by_pipeline = self._pipeline_views, self._windows
         alloc_changed_at = self._alloc_changed_at
@@ -729,14 +722,14 @@ class Controller:
             allocs = [st.alloc for st in p.stages.values()]
             units = sum(allocs)
             reserved_units += units
-            if p.health not in _UNPAID:
+            if p.health not in UNPAID:
                 paying_units += units
             drift = p.pending_drift
             if drift is not None:
-                drift = (drift.partition, drift.quarantine_mode, not drift.incompatible)
+                drift = (drift.partition, drift.quarantine_mode)
             key = (
                 p.health, p.failing_stage, p.recover_at is None, p.suppress_until is None,
-                allocs, drift, delays.get(pid), alloc_changed_at.get(pid, 0),
+                allocs, drift, alloc_changed_at.get(pid, 0),
             )
             kept = pipeline_views.get(pid)
             if kept is None or kept[0] != key:
@@ -751,13 +744,12 @@ class Controller:
                 {pid: view for pid, (_, view) in pipeline_views.items()}
             )
 
-        committed, horizon = self._spend_projection(world, t, paying_units, reserved_units)
         policy = MappingProxyType(
             {
                 "max_scale_step": self.policy.cost.max_scale_step,
                 "budget_per_window": self.policy.cost.budget_per_window,
-                "window_remaining": horizon,
-                "committed_spend": committed,
+                "window_remaining": self.policy.cost.window,
+                "committed_spend": self._spend_projection(world, t, paying_units, reserved_units),
                 "unit_price": world.resource_model.unit_price,
                 "quarantine_allowed": self.policy.schema.quarantine_allowed,
                 "schema_mode": self.policy.schema.mode,
@@ -776,11 +768,10 @@ class Controller:
 def _pipeline_view(p: PipelineState, key: tuple) -> Mapping:
     """A pipeline's read-only view, built from the key it is kept under."""
 
-    health, failing_stage, idle, unsuppressed, _, drift, baseline, alloc_changed_at = key
+    health, failing_stage, idle, unsuppressed, _, drift, alloc_changed_at = key
     if drift is not None:
-        partition, quarantine_mode, compatible = drift
-        drift = {"partition": partition, "quarantine_mode": quarantine_mode, "compatible": compatible}
-        drift = MappingProxyType(drift)
+        partition, quarantine_mode = drift
+        drift = MappingProxyType({"partition": partition, "quarantine_mode": quarantine_mode})
     stages = {
         sid: MappingProxyType(
             {"alloc": st.alloc, "min_alloc": st.spec.min_alloc, "max_alloc": st.spec.max_alloc}
@@ -797,6 +788,5 @@ def _pipeline_view(p: PipelineState, key: tuple) -> Mapping:
         "alloc_changed_at": alloc_changed_at,
         "stages": MappingProxyType(stages),
         "drift": drift,
-        "delay": None if baseline is None else MappingProxyType({"baseline_ingress": baseline}),
     }
     return MappingProxyType(view)

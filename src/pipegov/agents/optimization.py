@@ -38,23 +38,20 @@ def _can_scale_up(stages: Mapping[str, Mapping]) -> bool:
 
 
 def _budget_allows(policy: Mapping, pending_units: int, extra_units: int) -> bool:
-    budget = policy.get("budget_per_window")
-    if budget is None:
-        return True
     projected = (
         policy["committed_spend"]
         + (pending_units + extra_units) * policy["unit_price"] * policy["window_remaining"]
     )
-    return projected <= budget
+    return projected <= policy["budget_per_window"]
 
 
 def _sustained_low(bundle: ObservationBundle, pid: str, meta: Mapping) -> bool:
     if bundle.tick - meta["alloc_changed_at"] < LOW_UTIL_TICKS:
         return False
-    window = bundle.series.get(pid, {}).get("utilization", ())
+    window = bundle.series[pid]["utilization"]  # the last LOW_UTIL_TICKS samples
     if len(window) < LOW_UTIL_TICKS:
         return False
-    return all(u < LOW_UTIL_THRESHOLD for u in window[-LOW_UTIL_TICKS:])
+    return all(u < LOW_UTIL_THRESHOLD for u in window)
 
 
 def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
@@ -78,7 +75,7 @@ def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
             continue
         if not shed and _can_scale_down(stages) and _sustained_low(bundle, pid, meta):
             idle.append(pid)
-        target = meta.get("freshness_target")
+        target = meta["freshness_target"]
         if (
             target is not None
             and not meta["suppressed"]

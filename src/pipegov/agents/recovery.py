@@ -39,8 +39,8 @@ def recovery_propose(
     fixed preference order, so an empty memory keeps the default choice.
     """
 
-    incident_class = incident.get("incident_class")
-    base = STRATEGY_ORDER.get(incident_class or "")
+    incident_class = incident["incident_class"]
+    base = STRATEGY_ORDER.get(incident_class)
     if base is None:
         raise UnknownIncidentClass(f"no recovery strategies for {incident_class!r}")
     candidates = [kind for kind in base if kind in allowed]
@@ -50,7 +50,7 @@ def recovery_propose(
     def rank(item: tuple[int, str]) -> tuple[float, float, int]:
         index, kind = item
         cell = memory.get(f"{incident_class}:{kind}")
-        if not cell or not cell.get("attempts"):
+        if not cell or not cell["attempts"]:
             return (0.0, 0.0, index)
         return (-cell["success_rate"], cell["mean_resolution"], index)
 
@@ -59,39 +59,32 @@ def recovery_propose(
 
 
 def _ingress_stable(bundle: ObservationBundle, pid: str, baseline: float) -> bool:
-    window = bundle.series.get(pid, {}).get("ingress", [])
+    window = bundle.series[pid]["ingress"]  # the last STABLE_TICKS samples
     if len(window) < STABLE_TICKS:
         return False
     band = max(STABILITY_BAND * baseline, STABILITY_FLOOR)
-    return all(abs(x - baseline) <= band for x in window[-STABLE_TICKS:])
+    return all(abs(x - baseline) <= band for x in window)
 
 
 def recovery_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
     candidates: list[CandidateAction] = []
     for incident in bundle.open_incidents:
-        incident_class = incident.get("incident_class")
+        incident_class = incident["incident_class"]
         if incident_class not in STRATEGY_ORDER:
             continue
-        claimed = incident.get("claimed_by")
-        if claimed not in (None, bundle.agent):
+        if incident["claimed_by"] not in (None, bundle.agent):
             continue
-        if incident.get("approval_pending"):
+        if incident["approval_pending"]:
             continue
         pid = incident["pipeline"]
-        meta = bundle.pipelines.get(pid)
-        if meta is None:
-            continue
+        meta = bundle.pipelines[pid]
         if meta["recovering"]:
             continue  # a fix is already maturing
 
         if incident_class == "UpstreamDelay":
-            delay = meta.get("delay") or {}
             if meta["health"] == "Deferred":
-                baseline = delay.get("baseline_ingress")
-                if (
-                    not meta["suppressed"]
-                    and baseline is not None
-                    and _ingress_stable(bundle, pid, baseline)
+                if not meta["suppressed"] and _ingress_stable(
+                    bundle, pid, incident["delay_baseline"]
                 ):
                     candidates.append(
                         CandidateAction(
@@ -117,17 +110,15 @@ def recovery_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
         # TransientTaskFailure: act only while the pipeline is actually failing.
         if meta["health"] != "Failing":
             continue
-        last = incident.get("last_action_tick")
+        last = incident["last_action_tick"]
         if last is not None and bundle.tick - last < REPROPOSE_AFTER:
             continue  # give the previous attempt time to show an effect
-        kind = recovery_propose(
-            incident, bundle.memory, tuple(bundle.policy.get("allowed_strategies", ()))
-        )
+        kind = recovery_propose(incident, bundle.memory, bundle.policy["allowed_strategies"])
         candidates.append(
             CandidateAction(
                 kind=kind,
                 pipeline=pid,
-                stage=meta.get("failing_stage"),
+                stage=meta["failing_stage"],
                 rationale="transient task failure; applying best-ranked recovery strategy",
                 incident_id=incident["id"],
             )

@@ -18,33 +18,25 @@ def schema_propose(incident: dict, drift: dict, policy: dict) -> CandidateAction
     """Decide how to handle one schema incident given its drift window.
 
     ``drift`` is the pipeline's drift view from the bundle (``partition``,
-    ``compatible``, ``quarantine_mode``, ...); ``policy`` is the bundle's
-    policy summary (``quarantine_allowed``, ``schema_mode``).
+    ``quarantine_mode``), always an incompatible one; ``policy`` is the
+    bundle's policy summary (``quarantine_allowed``, ``schema_mode``).
     """
 
-    if incident.get("incident_class") != "SchemaIncompatible":
+    if incident["incident_class"] != "SchemaIncompatible":
         raise NotASchemaIncident(
-            f"expected a SchemaIncompatible incident, got {incident.get('incident_class')!r}"
+            f"expected a SchemaIncompatible incident, got {incident['incident_class']!r}"
         )
     pipeline = incident["pipeline"]
-    incident_id = incident.get("id")
-    if drift.get("compatible"):
-        return CandidateAction(
-            kind="Resume",
-            pipeline=pipeline,
-            rationale="drift is backward compatible; accept new schema and resume",
-            incident_id=incident_id,
-        )
-    partition = drift.get("partition")
-    if policy.get("quarantine_allowed"):
+    incident_id = incident["id"]
+    if policy["quarantine_allowed"]:
         return CandidateAction(
             kind="QuarantinePartition",
             pipeline=pipeline,
-            partition=partition,
+            partition=drift["partition"],
             rationale="incompatible drift; isolate affected partition and keep flowing",
             incident_id=incident_id,
         )
-    if policy.get("schema_mode") == "strict":
+    if policy["schema_mode"] == "strict":
         return CandidateAction(
             kind="Halt",
             pipeline=pipeline,
@@ -62,18 +54,17 @@ def schema_propose(incident: dict, drift: dict, policy: dict) -> CandidateAction
 def schema_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
     candidates: list[CandidateAction] = []
     for incident in bundle.open_incidents:
-        if incident.get("incident_class") != "SchemaIncompatible":
+        if incident["incident_class"] != "SchemaIncompatible":
             continue
-        claimed = incident.get("claimed_by")
-        if claimed not in (None, bundle.agent):
+        if incident["claimed_by"] not in (None, bundle.agent):
             continue
-        if incident.get("approval_pending"):
+        if incident["approval_pending"]:
             continue
-        meta = bundle.pipelines.get(incident["pipeline"])
-        if meta is None or meta["health"] == "Halted":
-            continue  # unknown, or already halted: a second Halt is rejected
-        drift = meta.get("drift")
-        if drift is None or drift.get("quarantine_mode"):
+        meta = bundle.pipelines[incident["pipeline"]]
+        if meta["health"] == "Halted":
+            continue  # already halted: a second Halt is rejected
+        drift = meta["drift"]
+        if drift is None or drift["quarantine_mode"]:
             continue  # nothing pending, or already being quarantined
         if meta["recovering"]:
             continue  # a fix is already in flight

@@ -30,9 +30,10 @@ def _drift_window_end(world: SimWorld, pipeline_id: str, tick: int) -> int:
 
 
 def _apply_schema_drift(world: SimWorld, event: FaultEvent, tick: int) -> None:
-    """A compatible delta moves the live schema on. An incompatible one, or
-    one that no longer fits the live schema (an earlier drift changed it),
-    opens a pending drift and fails the pipeline."""
+    """A compatible delta moves the live schema on and leaves any pending
+    drift alone. An incompatible one, or one that no longer fits the live
+    schema (an earlier drift changed it), replaces the pending drift and
+    fails the pipeline, so a pending drift is never compatible."""
 
     p = world.pipelines[event.pipeline]
     try:
@@ -43,7 +44,6 @@ def _apply_schema_drift(world: SimWorld, event: FaultEvent, tick: int) -> None:
         p.pending_drift = PendingDrift(
             partition=event.partition,
             delta=event.delta,
-            incompatible=True,
             window_end=_drift_window_end(world, event.pipeline, tick),
         )
         if p.health is Health.HEALTHY:

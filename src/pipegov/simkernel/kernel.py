@@ -39,6 +39,7 @@ from pipegov.simkernel.world import (
     StageState,
     TelemetrySnapshot,
     TickReport,
+    UNPAID,
 )
 
 
@@ -65,7 +66,7 @@ class ActionOutcome:
     action_id: str
     kind: ActionKind
     pipeline: str
-    status: str  # "applied" | "failed"
+    status: str  # "applied" | "failed" | "rejected" (the controller's, when apply_action raises)
     detail: str
     effects: dict = field(default_factory=dict)
 
@@ -297,9 +298,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             allocation += stage.alloc
         if t > 0 and t % p.sink_stage().spec.checkpoint_interval == 0:
             p.materialized_since_checkpoint.clear()
-        # Halted and deferred pipelines release their allocation and accrue
-        # no compute cost; failing pipelines keep paying for reserved units.
-        if p.health not in (Health.HALTED, Health.DEFERRED):
+        if p.health not in UNPAID:  # failing pipelines keep paying for reserved units
             compute_units += allocation
 
         samples[pid] = PipelineSample(

@@ -44,6 +44,11 @@ class Health(str, Enum):
     DEFERRED = "Deferred"
 
 
+# Halted and deferred pipelines keep their units but pay nothing for them; the
+# kernel prices and the controller projects spend by this one rule.
+UNPAID = frozenset({Health.HALTED, Health.DEFERRED})
+
+
 @dataclass(slots=True)
 class Cohort:
     arrival_tick: int
@@ -156,9 +161,10 @@ class StageState:
 
 @dataclass
 class PendingDrift:
+    """A drift the live schema cannot take; a compatible delta never makes one."""
+
     partition: str
     delta: SchemaDelta
-    incompatible: bool
     window_end: int  # arrivals through this tick belong to the drifted partition
     quarantine_mode: bool = False
 

@@ -50,10 +50,23 @@ def _meta(**kw) -> dict:
         "alloc_changed_at": 100,
         "stages": _stages(),
         "drift": None,
-        "delay": None,
     }
     meta.update(kw)
     return meta
+
+
+def _incident(**kw) -> dict:
+    incident = {
+        "id": "INC-1",
+        "pipeline": "p",
+        "incident_class": "TransientTaskFailure",
+        "claimed_by": None,
+        "approval_pending": False,
+        "last_action_tick": None,
+        "delay_baseline": None,
+    }
+    incident.update(kw)
+    return incident
 
 
 def _bundle(
@@ -67,13 +80,20 @@ def _bundle(
     policy: dict | None = None,
     memory: dict | None = None,
 ) -> ObservationBundle:
+    """A complete bundle, as the controller builds after the first tick:
+    every pipeline has a snapshot sample (zeros unless given) and both
+    series (empty unless given)."""
+
+    pipelines = pipelines or {}
+    snapshot_pipelines = snapshot_pipelines or {}
+    series = series or {}
     base_policy = {
         "max_scale_step": 2,
-        "budget_per_window": None,
+        "budget_per_window": 10_000.0,
         "committed_spend": 0.0,
         "unit_price": 0.5,
         "window_remaining": 100,
-        "allowed_strategies": ["Replay", "Rollback", "PartialRecompute", "Defer", "Resume"],
+        "allowed_strategies": ("Replay", "Rollback", "PartialRecompute", "Defer", "Resume"),
         "quarantine_allowed": True,
         "schema_mode": "permissive",
     }
@@ -82,10 +102,23 @@ def _bundle(
     return ObservationBundle(
         tick=tick,
         agent=agent,
-        snapshot={"pipelines": snapshot_pipelines or {}, "capacity_headroom": headroom},
+        snapshot={
+            "pipelines": {
+                pid: {
+                    "freshness_lag": 0,
+                    "queue_depth": 0,
+                    "ingress": 0.0,
+                    **snapshot_pipelines.get(pid, {}),
+                }
+                for pid in pipelines
+            },
+            "capacity_headroom": headroom,
+        },
         open_incidents=incidents,
-        pipelines=pipelines or {},
-        series=series or {},
+        pipelines=pipelines,
+        series={
+            pid: {"utilization": (), "ingress": (), **series.get(pid, {})} for pid in pipelines
+        },
         policy=base_policy,
         memory=memory or {},
     )
@@ -317,44 +350,29 @@ class TestOptimizePropose:
         candidates = optimize_propose(bundle)
         assert [(c.kind, c.pipeline) for c in candidates] == [("ScaleUp", "high")]
 
-    def test_no_budget_rule_means_no_budget_screen(self):
-        pipelines = {"p": _meta(freshness_target=10)}
-        snap = {"p": {"queue_depth": 0, "freshness_lag": 25}}
-        policy = {"budget_per_window": None, "committed_spend": 1e12}
-        candidates = optimize_propose(_bundle(pipelines=pipelines, snapshot_pipelines=snap, policy=policy))
-        assert [c.kind for c in candidates] == ["ScaleUp"]
-
 
 class TestSchemaPropose:
     _policy = {"quarantine_allowed": True, "schema_mode": "permissive"}
+    _drift = {"partition": "pt-3", "quarantine_mode": False}
 
     def _incident(self, **kw) -> dict:
         base = {"id": "INC-7", "incident_class": "SchemaIncompatible", "pipeline": "orders"}
-        base.update(kw)
-        return base
-
-    def test_compatible_drift_resumes(self):
-        drift = {"partition": "pt-1", "compatible": True, "quarantine_mode": False}
-        candidate = schema_propose(self._incident(), drift, self._policy)
-        assert (candidate.kind, candidate.pipeline) == ("Resume", "orders")
-        assert candidate.incident_id == "INC-7"
+        return _incident(**{**base, **kw})
 
     def test_incompatible_drift_quarantines_when_allowed(self):
-        drift = {"partition": "pt-3", "compatible": False, "quarantine_mode": False}
-        candidate = schema_propose(self._incident(), drift, self._policy)
-        assert candidate.kind == "QuarantinePartition"
+        candidate = schema_propose(self._incident(), self._drift, self._policy)
+        assert (candidate.kind, candidate.pipeline) == ("QuarantinePartition", "orders")
         assert candidate.partition == "pt-3"
+        assert candidate.incident_id == "INC-7"
 
     def test_incompatible_drift_halts_under_strict_mode(self):
-        drift = {"partition": "pt-3", "compatible": False}
         policy = {"quarantine_allowed": False, "schema_mode": "strict"}
-        candidate = schema_propose(self._incident(), drift, policy)
+        candidate = schema_propose(self._incident(), self._drift, policy)
         assert candidate.kind == "Halt"
 
     def test_incompatible_drift_resumes_under_permissive_mode(self):
-        drift = {"partition": "pt-3", "compatible": False}
         policy = {"quarantine_allowed": False, "schema_mode": "permissive"}
-        candidate = schema_propose(self._incident(), drift, policy)
+        candidate = schema_propose(self._incident(), self._drift, policy)
         assert candidate.kind == "Resume"
 
     def test_rejects_other_incident_classes(self):
@@ -366,21 +384,13 @@ class TestSchemaCandidates:
     def _drifted(self, **kw) -> dict:
         meta = _meta(
             health="Failing",
-            drift={"partition": "pt-1", "compatible": False, "quarantine_mode": False},
+            drift={"partition": "pt-1", "quarantine_mode": False},
         )
         meta.update(kw)
         return meta
 
     def _incident(self, **kw) -> dict:
-        base = {
-            "id": "INC-1",
-            "incident_class": "SchemaIncompatible",
-            "pipeline": "p",
-            "claimed_by": None,
-            "approval_pending": False,
-        }
-        base.update(kw)
-        return base
+        return _incident(**{"incident_class": "SchemaIncompatible", **kw})
 
     def test_open_drift_yields_quarantine(self):
         bundle = _bundle(
@@ -419,8 +429,7 @@ class TestSchemaCandidates:
         assert schema_candidates(bundle) == []
 
     def test_quarantine_already_underway_skips(self):
-        meta = self._drifted()
-        meta["drift"]["quarantine_mode"] = True
+        meta = self._drifted(drift={"partition": "pt-1", "quarantine_mode": True})
         bundle = _bundle(
             agent=Actor.SCHEMA_AGENT.value,
             pipelines={"p": meta},
@@ -447,7 +456,7 @@ class TestSchemaCandidates:
 
 class TestRecoveryPropose:
     def _incident(self, incident_class="TransientTaskFailure") -> dict:
-        return {"id": "INC-2", "incident_class": incident_class, "pipeline": "p"}
+        return _incident(id="INC-2", incident_class=incident_class)
 
     _allowed = ("Replay", "Rollback", "PartialRecompute", "Defer", "Resume")
 
@@ -516,16 +525,10 @@ class TestRecoveryPropose:
 
 class TestRecoveryCandidates:
     def _incident(self, **kw) -> dict:
-        base = {
-            "id": "INC-3",
-            "incident_class": "TransientTaskFailure",
-            "pipeline": "p",
-            "claimed_by": None,
-            "approval_pending": False,
-            "last_action_tick": None,
-        }
-        base.update(kw)
-        return base
+        return _incident(**{"id": "INC-3", **kw})
+
+    def _delay(self, baseline: float = 20.0) -> dict:
+        return self._incident(incident_class="UpstreamDelay", delay_baseline=baseline)
 
     def test_failing_pipeline_gets_best_strategy_on_its_stage(self):
         bundle = _bundle(
@@ -574,8 +577,8 @@ class TestRecoveryCandidates:
     def test_upstream_delay_defers_running_pipeline(self):
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
-            pipelines={"p": _meta(health="Healthy", delay={"baseline_ingress": 20.0})},
-            incidents=(self._incident(incident_class="UpstreamDelay"),),
+            pipelines={"p": _meta(health="Healthy")},
+            incidents=(self._delay(),),
         )
         candidates = recovery_candidates(bundle)
         assert [(c.kind, c.pipeline) for c in candidates] == [("Defer", "p")]
@@ -584,9 +587,9 @@ class TestRecoveryCandidates:
         series = {"p": {"ingress": [20.0] * STABLE_TICKS}}
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
-            pipelines={"p": _meta(health="Deferred", delay={"baseline_ingress": 20.0})},
+            pipelines={"p": _meta(health="Deferred")},
             series=series,
-            incidents=(self._incident(incident_class="UpstreamDelay"),),
+            incidents=(self._delay(),),
         )
         candidates = recovery_candidates(bundle)
         assert [c.kind for c in candidates] == ["Resume"]
@@ -595,9 +598,9 @@ class TestRecoveryCandidates:
         series = {"p": {"ingress": [20.0] * (STABLE_TICKS - 1)}}
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
-            pipelines={"p": _meta(health="Deferred", delay={"baseline_ingress": 20.0})},
+            pipelines={"p": _meta(health="Deferred")},
             series=series,
-            incidents=(self._incident(incident_class="UpstreamDelay"),),
+            incidents=(self._delay(),),
         )
         assert recovery_candidates(bundle) == []
 
@@ -605,9 +608,9 @@ class TestRecoveryCandidates:
         window = [20.0] * (STABLE_TICKS - 1) + [15.9]  # band is 0.2 x 20 = 4
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
-            pipelines={"p": _meta(health="Deferred", delay={"baseline_ingress": 20.0})},
+            pipelines={"p": _meta(health="Deferred")},
             series={"p": {"ingress": window}},
-            incidents=(self._incident(incident_class="UpstreamDelay"),),
+            incidents=(self._delay(),),
         )
         assert recovery_candidates(bundle) == []
 
@@ -615,20 +618,18 @@ class TestRecoveryCandidates:
         # baseline 0: the relative band collapses, the absolute floor (1.0) holds
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
-            pipelines={"p": _meta(health="Deferred", delay={"baseline_ingress": 0.0})},
+            pipelines={"p": _meta(health="Deferred")},
             series={"p": {"ingress": [0.5] * STABLE_TICKS}},
-            incidents=(self._incident(incident_class="UpstreamDelay"),),
+            incidents=(self._delay(0.0),),
         )
         assert [c.kind for c in recovery_candidates(bundle)] == ["Resume"]
 
     def test_suppressed_pipeline_stays_deferred(self):
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
-            pipelines={
-                "p": _meta(health="Deferred", suppressed=True, delay={"baseline_ingress": 20.0})
-            },
+            pipelines={"p": _meta(health="Deferred", suppressed=True)},
             series={"p": {"ingress": [20.0] * STABLE_TICKS}},
-            incidents=(self._incident(incident_class="UpstreamDelay"),),
+            incidents=(self._delay(),),
         )
         assert recovery_candidates(bundle) == []
 

@@ -836,10 +836,10 @@ class KeepingBackend(RecordingBackend):
 
 class ViewCheckingBackend(BuiltinBackend):
     """The builtin rules, checking every pipeline view against the world it
-    was built from, the ledger's delay baselines and the applied scalings in
-    the audit, and the first agent's incident views against the ledger
-    (later agents see the claims from before the tick's screening). Set
-    ``world`` and ``loop`` before the first tick."""
+    was built from and the applied scalings in the audit, and the first
+    agent's incident views against the ledger (later agents see the claims
+    from before the tick's screening). Set ``world`` and ``loop`` before
+    the first tick."""
 
     def __init__(self) -> None:
         self.world = self.loop = None
@@ -848,11 +848,6 @@ class ViewCheckingBackend(BuiltinBackend):
         self.seen_fields: set[str] = set()
 
     def decide(self, bundle):
-        baselines = {
-            i.pipeline: i.delay_baseline
-            for i in self.loop.ledger.open.values()
-            if i.delay_baseline is not None
-        }
         scaled_at: dict[str, int] = {}
         for record in _events(self.loop, "action_outcome"):
             result = record.payload["result"]
@@ -867,10 +862,13 @@ class ViewCheckingBackend(BuiltinBackend):
                     "claimed_by": i.claim,
                     "approval_pending": i.approval_pending,
                     "last_action_tick": i.last_action_tick,
+                    "delay_baseline": i.delay_baseline,
                 }
                 for i in self.loop.ledger.open.values()
             ], bundle.tick
             self.claims |= {(i.claim, i.approval_pending) for i in self.loop.ledger.open.values()}
+            if any(i.delay_baseline is not None for i in self.loop.ledger.open.values()):
+                self.seen_fields.add("delay_baseline")
         assert list(bundle.pipelines) == list(self.world.pipelines)
         for pid, p in self.world.pipelines.items():
             drift = p.pending_drift
@@ -895,11 +893,7 @@ class ViewCheckingBackend(BuiltinBackend):
                 else {
                     "partition": drift.partition,
                     "quarantine_mode": drift.quarantine_mode,
-                    "compatible": not drift.incompatible,
                 },
-                "delay": None
-                if pid not in baselines
-                else {"baseline_ingress": baselines[pid]},
             }
             view = bundle.to_dict()["pipelines"][pid]
             assert view == expected, (bundle.tick, pid)
@@ -993,7 +987,7 @@ class TestObservationBundles:
             t = bundle["tick"]
             assert set(bundle["series"]) == set(result.world.pipelines)
             for pid, windows in bundle["series"].items():
-                for name, width in (("utilization", 30), ("ingress", 20)):
+                for name, width in (("utilization", 30), ("ingress", 10)):
                     ticks = range(max(0, t - width), t)  # the last `width` ticks before t
                     expected = [recorded[(pid, name)][tick] for tick in ticks]
                     assert windows[name] == expected, (t, pid, name)
@@ -1026,26 +1020,20 @@ class TestObservationBundles:
             pid: [value for _, value in result.store.series(pid, "ingress")]
             for pid in result.world.pipelines
         }
-        delays = [i for i in result.incidents if i.incident_class == "UpstreamDelay"]
+        detected_at = {i.id: i.detected_tick for i in result.incidents}
+        shown = set()
         for bundle in backend.seen:
-            t = bundle["tick"]
-            for pid, meta in bundle["pipelines"].items():
-                if meta["delay"] is None:
+            for view in bundle["open_incidents"]:
+                if view["incident_class"] != "UpstreamDelay":
+                    assert view["delay_baseline"] is None, (bundle["tick"], view["id"])
                     continue
-                (detected,) = [
-                    i.detected_tick
-                    for i in delays
-                    if i.pipeline == pid
-                    and i.detected_tick <= t
-                    and (i.resumed_tick is None or t < i.resumed_tick)
-                ]
+                detected = detected_at[view["id"]]
                 mean = 0.0  # no sample before the first tick
-                for tick, value in enumerate(ingress[pid][:detected]):
+                for tick, value in enumerate(ingress[view["pipeline"]][:detected]):
                     mean = value if tick == 0 else mean + 0.2 * (value - mean)
-                assert meta["delay"] == {"baseline_ingress": mean}, (bundle["tick"], pid)
-        assert any(
-            bundle["pipelines"]["events-stream"]["delay"] for bundle in backend.seen
-        )
+                assert view["delay_baseline"] == mean, (bundle["tick"], view["id"])
+                shown.add(view["pipeline"])
+        assert "events-stream" in shown
 
     def test_open_records_follow_the_incident_table_every_tick(self, canonical_spec, policy):
         spec = _short_canonical(canonical_spec)
@@ -1072,7 +1060,9 @@ class TestObservationBundles:
             assert bundle.to_dict() == copied, (bundle.tick, bundle.agent)
         pipelines = [b["pipelines"] for b in backend.seen]
         assert any(meta["drift"] for p in pipelines for meta in p.values())
-        assert any(meta["delay"] for p in pipelines for meta in p.values())
+        assert any(
+            i["delay_baseline"] is not None for b in backend.seen for i in b["open_incidents"]
+        )
         assert any(b["memory"] for b in backend.seen)
         assert any(b["open_incidents"] for b in backend.seen)
 
@@ -1091,7 +1081,7 @@ class TestObservationBundles:
             _drive(spec, world, loop, spec.horizon)
             # The mapping is kept across most ticks and rebuilt on some.
             assert 1 < len(backend.pipeline_maps) < spec.horizon // 2
-            fields = {"drift", "delay", "recovering", "suppressed", "failing_stage"}
+            fields = {"drift", "delay_baseline", "recovering", "suppressed", "failing_stage"}
             assert fields | {"alloc_changed_at"} <= backend.seen_fields
             claims |= backend.claims
         assert {
@@ -1135,5 +1125,5 @@ class TestObservationBundles:
             for key, value in bundle.items():
                 top.add(key)
                 nested |= _bundle_keys(value, (key,))
-        assert {"drift", "delay", "partition", "baseline_ingress", "attempts"} <= nested
+        assert {"drift", "partition", "delay_baseline", "attempts"} <= nested
         assert (top - fields, nested - keys - _UNREAD_BUNDLE_KEYS) == (set(), set())

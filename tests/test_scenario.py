@@ -345,6 +345,25 @@ class TestDriftAndFailureFaults:
         assert p.pending_drift is None
         assert p.schema.version == old_version + 1
 
+    def test_compatible_drift_leaves_a_pending_one_alone(self):
+        # So a pending drift is never compatible: only an incompatible (or no
+        # longer fitting) delta makes or replaces one.
+        base = make_stream_pipeline(pid="s").schema
+        incompatible = schema_delta(base, mutate_schema(base, "incompatible", seed=4))
+        compatible = schema_delta(base, mutate_schema(base, "compatible", seed=4))
+        faults = [
+            FaultEvent(tick=2, kind=FaultKind.SCHEMA_DRIFT, pipeline="s", delta=incompatible, partition="pt-2"),
+            FaultEvent(tick=3, kind=FaultKind.SCHEMA_DRIFT, pipeline="s", delta=compatible, partition="pt-3"),
+        ]
+        spec, world = _stream_world(faults)
+        p = world.pipelines["s"]
+        old_version = p.schema.version
+        inject_faults(spec, world, 2)
+        inject_faults(spec, world, 3)
+        assert p.schema.version == old_version + 1
+        assert (p.pending_drift.partition, p.pending_drift.delta) == ("pt-2", incompatible)
+        assert p.health is Health.FAILING
+
     @pytest.mark.parametrize("controller", ["static", "agentic"])
     def test_drift_that_no_longer_fits_opens_an_incompatible_drift(self, controller, policy):
         # Both deltas are taken against the declared schema; after the first

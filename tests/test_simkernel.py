@@ -432,7 +432,6 @@ class TestQuarantine:
         p.pending_drift = PendingDrift(
             partition="pt-x",
             delta=SchemaDelta((DropColumn("a"),)),
-            incompatible=True,
             window_end=0,
             quarantine_mode=False,
         )
@@ -599,7 +598,6 @@ class TestQueueTotals:
                 p.pending_drift = PendingDrift(
                     partition=partitions[-1],
                     delta=SchemaDelta((DropColumn("a"),)),
-                    incompatible=True,
                     window_end=t + 15,
                 )
             if t % 23 == 7 and p.health is Health.HEALTHY:
@@ -651,7 +649,6 @@ class TestQueueTotals:
         p.pending_drift = PendingDrift(
             partition="pt-x",
             delta=SchemaDelta((DropColumn("a"),)),
-            incompatible=True,
             window_end=5,
         )
         result = apply_action(world, _op(ActionKind.QUARANTINE_PARTITION, partition="pt-x"))
