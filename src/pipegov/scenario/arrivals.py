@@ -7,9 +7,10 @@ lets tests probe any single tick in isolation.
 
 A run does not draw tick by tick: ``arrival_trace`` draws the whole
 horizon once per scenario hash (which covers the seed) and keeps the
-counts in one flat integer array, which calibration and both controller
-runs of a seed replay. Most of ``tick_rng``'s cost is ``SeedSequence``
-hashing the digest's first 64 bits into PCG64's four state words. The
+counts in one flat integer array, which calibration (a pipeline's column
+at a time) and both controller runs (a tick's row at a time) of a seed
+replay. Most of ``tick_rng``'s cost is ``SeedSequence`` hashing the
+digest's first 64 bits into PCG64's four state words. The
 trace computes those words for 1,024 ticks at once, with SeedSequence's
 own uint32 arithmetic in numpy, and seeds each tick's ``PCG64`` from its
 row, so its draws are exactly ``generate_arrivals(spec, tick)``'s.
@@ -168,6 +169,18 @@ class ArrivalTrace:
         width = len(self._pids)
         start = tick * width
         return dict(zip(self._pids, self._counts[start : start + width]))
+
+    def column(self, pid: str) -> array:
+        """A fresh array of ``pid``'s count on every tick, equal to ``at(t)[pid]`` at index t.
+
+        Raises KeyError for a pipeline the scenario gives no workload model.
+        """
+
+        try:
+            index = self._pids.index(pid)
+        except ValueError:
+            raise KeyError(pid) from None
+        return self._counts[index :: len(self._pids)]
 
 
 # One process-wide entry: calibration and the runs after it reach the

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pipegov.core.pipeline import PipelineKind
 from pipegov.core.schema import SchemaError, apply_delta, classify_delta
 from pipegov.scenario.model import FaultEvent, FaultKind, ScenarioSpec
-from pipegov.simkernel.world import Health, PendingDrift, SimWorld
+from pipegov.simkernel.world import NOT_RUNNING, Health, PendingDrift, SimWorld
 
 
 class UnknownPipeline(KeyError):
@@ -67,7 +67,7 @@ def _apply_contention(world: SimWorld, event: FaultEvent, tick: int) -> None:
 
 def _apply_task_failure(world: SimWorld, event: FaultEvent) -> None:
     p = world.pipelines[event.pipeline]
-    if p.health in (Health.HALTED, Health.DEFERRED):
+    if p.health in NOT_RUNNING:
         return  # nothing is running, so no task can fail
     if p.health is Health.HEALTHY:
         p.health = Health.FAILING

@@ -4,7 +4,7 @@ One ``step`` call advances the world by one tick:
 
 1. verify record accounting over the running queue totals (fail loudly,
    not silently); ``check_accounting`` adds a full recount of every queue
-   and runs at the end of each experiment and calibration
+   and runs at the end of each experiment
 2. per pipeline, in one pass: mature pending health recoveries; enqueue
    arrivals; under an upstream delay or its release plan only, withhold
    and release records and fire batch triggers (a suppressed dataset
@@ -39,6 +39,7 @@ from pipegov.simkernel.world import (
     StageState,
     TelemetrySnapshot,
     TickReport,
+    NOT_RUNNING,
     UNPAID,
 )
 
@@ -404,7 +405,7 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
         return outcome("applied", "replaying from checkpoint", requeued=pulled, healthy_at=p.recover_at)
 
     if kind is ActionKind.ROLLBACK:
-        if p.health in (Health.HALTED, Health.DEFERRED):
+        if p.health in NOT_RUNNING:
             raise IllegalTransition(f"Rollback on {p.health.value} pipeline {action.pipeline!r}")
         cohorts = p.materialized_since_checkpoint
         requeued = sum(c.count for c in cohorts)
@@ -419,7 +420,7 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
     if kind is ActionKind.PARTIAL_RECOMPUTE:
         if action.partition is None:
             raise IllegalTransition("PartialRecompute requires a partition")
-        if p.health in (Health.HALTED, Health.DEFERRED):
+        if p.health in NOT_RUNNING:
             raise IllegalTransition(f"PartialRecompute on {p.health.value} pipeline")
         kept: list[Cohort] = []
         requeued = 0

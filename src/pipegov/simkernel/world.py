@@ -21,7 +21,7 @@ re-sums every queue and rejects a total that disagrees with its cohorts.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
@@ -47,6 +47,10 @@ class Health(str, Enum):
 # Halted and deferred pipelines keep their units but pay nothing for them; the
 # kernel prices and the controller projects spend by this one rule.
 UNPAID = frozenset({Health.HALTED, Health.DEFERRED})
+# Nothing runs on a halted or deferred pipeline, so no task there can fail
+# and there is no run to roll back or recompute. The same two states as
+# UNPAID, named apart because the two rules could part.
+NOT_RUNNING = frozenset({Health.HALTED, Health.DEFERRED})
 
 
 @dataclass(slots=True)
@@ -265,6 +269,23 @@ class SimWorld:
         return totals
 
 
+def checked_pipelines(pipelines: Iterable[PipelineSpec]) -> list[PipelineSpec]:
+    """The pipelines in id order; raises ValueError naming the first one,
+    in that order, whose id repeats or whose spec is structurally invalid."""
+
+    ordered = sorted(pipelines, key=lambda p: p.id)
+    seen: set[str] = set()
+    for spec in ordered:
+        if spec.id in seen:
+            raise ValueError(f"duplicate pipeline id {spec.id!r}")
+        seen.add(spec.id)
+        issues = validate_pipeline_spec(spec)
+        if issues:
+            summary = "; ".join(f"{i.code}({i.subject})" for i in issues)
+            raise ValueError(f"invalid pipeline {spec.id!r}: {summary}")
+    return ordered
+
+
 def build_world(
     pipelines: list[PipelineSpec],
     resource_model: ResourceModel,
@@ -275,17 +296,12 @@ def build_world(
 
     ``allocations`` maps pipeline id -> stage id -> units; omitted stages
     start at their minimum allocation. Structural problems in any pipeline
-    spec are rejected here rather than surfacing mid-run.
+    spec are rejected here (``checked_pipelines``) rather than surfacing
+    mid-run.
     """
 
     states: dict[str, PipelineState] = {}
-    for spec in sorted(pipelines, key=lambda p: p.id):
-        if spec.id in states:
-            raise ValueError(f"duplicate pipeline id {spec.id!r}")
-        issues = validate_pipeline_spec(spec)
-        if issues:
-            summary = "; ".join(f"{i.code}({i.subject})" for i in issues)
-            raise ValueError(f"invalid pipeline {spec.id!r}: {summary}")
+    for spec in checked_pipelines(pipelines):
         topo = stage_topology(spec)
         downstream_map: dict[str, list[str]] = {s.id: [] for s in spec.stages}
         for s in spec.stages:

@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipegov.agents import NullBackend, OperatorModel
-from pipegov.core import ActionKind, schema_delta
+from pipegov.core import (
+    ActionKind,
+    PipelineKind,
+    PipelineSpec,
+    ResourceModel,
+    StageSpec,
+    schema_delta,
+    validate_pipeline_spec,
+)
 from pipegov.harness import (
     BaselineConfig,
     derive_baseline_allocations,
@@ -23,6 +31,7 @@ from pipegov.harness import (
     reseed,
     run_experiment,
 )
+from pipegov.harness.baseline import stage_peaks
 from pipegov.harness.report import IoFailure, write_run_artifacts
 from pipegov.policy import parse_policy
 from pipegov.scenario import (
@@ -33,10 +42,11 @@ from pipegov.scenario import (
     mutate_schema,
     scenario_hash,
 )
+from pipegov.simkernel import build_world, check_accounting, step
 from pipegov.telemetry import verify_chain
 from pipegov.telemetry.metrics import CLUSTER_SCOPE, MetricStore
 
-from conftest import make_mini_scenario
+from conftest import make_mini_scenario, make_stream_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +118,88 @@ class TestCalibration:
     def test_calibration_is_repeatable(self):
         spec = make_mini_scenario()
         assert derive_baseline_allocations(spec) == derive_baseline_allocations(spec)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                PipelineSpec(
+                    id="two-sinks",
+                    kind=PipelineKind.STREAMING,
+                    stages=(StageSpec(id="a"), StageSpec(id="b")),
+                    schema=make_stream_pipeline().schema,
+                    freshness_target=10,
+                ),
+                r"^invalid pipeline 'two-sinks': sink_count\(two-sinks\)$",
+            ),
+            (make_stream_pipeline(), r"^duplicate pipeline id 'stream-a'$"),
+        ],
+    )
+    def test_invalid_pipelines_are_rejected(self, extra, message):
+        spec = make_mini_scenario()
+        spec = dataclasses.replace(spec, pipelines=spec.pipelines + (extra,))
+        with pytest.raises(ValueError, match=message):
+            derive_baseline_allocations(spec)
+
+
+@st.composite
+def _random_pipeline(draw) -> PipelineSpec:
+    """A DAG with fan-out and fan-in, maybe several sources, and one sink.
+
+    Stage ids are shuffled so that id order and topological order differ.
+    """
+
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations([f"s{i}" for i in range(n)]))
+    upstream: list[list[str]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        upstream[i] = draw(st.lists(st.sampled_from(ids[:i]), unique=True, max_size=i))
+    fed = {u for ups in upstream for u in ups}
+    upstream[-1] += [ids[i] for i in range(n - 1) if ids[i] not in fed and ids[i] not in upstream[-1]]
+    stages = tuple(
+        StageSpec(
+            id=ids[i],
+            upstream=tuple(upstream[i]),
+            base_rate=draw(st.integers(1, 12)),
+            max_alloc=draw(st.integers(1, 4)),
+        )
+        for i in range(n)
+    )
+    pipeline = PipelineSpec(
+        id="p",
+        kind=PipelineKind.STREAMING,
+        stages=stages,
+        schema=make_stream_pipeline().schema,
+        freshness_target=10,
+    )
+    assert validate_pipeline_spec(pipeline) == []
+    return pipeline
+
+
+# Per-tick arrivals: quiet ticks, ordinary ones and bursts above every rate.
+_ARRIVALS = st.lists(
+    st.one_of(st.just(0), st.integers(0, 40), st.integers(100, 400)), min_size=1, max_size=60
+)
+
+
+class TestStagePeaks:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pipeline=_random_pipeline(), arrivals=_ARRIVALS)
+    def test_peaks_equal_the_kernels(self, pipeline, arrivals):
+        # The calibration regime: every stage at max allocation on a cluster
+        # exactly as large as their sum, so nothing contends.
+        max_allocs = {s.id: s.max_alloc for s in pipeline.stages}
+        world = build_world(
+            [pipeline],
+            ResourceModel(capacity=sum(max_allocs.values()), unit_price=1.0, storage_price=0.0),
+            {"p": max_allocs},
+        )
+        want = dict.fromkeys(max_allocs, 0)
+        for count in arrivals:
+            for sid, processed in step(world, {"p": count}).stage_processed.get("p", {}).items():
+                want[sid] = max(want[sid], processed)
+        check_accounting(world)
+        assert stage_peaks(pipeline, arrivals) == want
 
 
 class TestBaselineConfig:

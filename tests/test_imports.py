@@ -1,10 +1,14 @@
-"""Every name a module imports is used, and every dataclass field is read.
+"""Every name a module imports is used, every name perfbench patches
+exists, and every dataclass field is read.
 
 Imports: package ``__init__`` modules are skipped, since their imports are
 re-exports, and so are ``from __future__`` imports. A name counts as used
 when it appears as a ``Name`` node, as the root of an attribute chain
 (``np`` in ``np.array``), or inside a string annotation such as
 ``"Incident"``.
+
+Patch targets: every attribute perfbench's tracer replaces through
+``_patch`` exists in ``src/``.
 
 Fields: every field declared in a ``src/pipegov`` dataclass must be read
 as an attribute (``x.field`` in a load context) somewhere in ``src/``,
@@ -15,6 +19,7 @@ field read only through ``getattr`` or ``asdict`` does not count.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -233,3 +238,70 @@ def test_packages_import_only_lower_layers():
     assert "agents" in graph["harness"]  # the resolver sees relative imports
     upward = {layer: sorted(used - LAYERS[layer]) for layer, used in graph.items()}
     assert {layer: used for layer, used in upward.items() if used} == {}
+
+
+def patch_targets(source: str) -> set[tuple[str, str]]:
+    """(owner expression, attribute) for every ``self._patch(owner, attr, ...)``
+    call; an attribute named by a ``for`` variable yields each string the loop
+    runs over."""
+
+    tree = ast.parse(source)
+    loops: dict[str, tuple[str, ...]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            if isinstance(node.iter, (ast.Tuple, ast.List)):
+                loops[node.target.id] = tuple(e.value for e in node.iter.elts)
+    found: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_patch"
+        ):
+            continue
+        owner, attr = node.args[0], node.args[1]
+        names = (attr.value,) if isinstance(attr, ast.Constant) else loops[attr.id]
+        found.update((ast.unparse(owner), name) for name in names)
+    return found
+
+
+def test_patch_target_scanner():
+    source = (
+        "self._patch(cli, 'run', w)\n"
+        "self._patch(metrics.MetricStore, \"record_sample\", w)\n"
+        "for attr in ('a', 'b'):\n    self._patch(cli, attr, w)\n"
+        "setattr(cli, 'ignored', w)\n"
+    )
+    assert patch_targets(source) == {
+        ("cli", "run"),
+        ("metrics.MetricStore", "record_sample"),
+        ("cli", "a"),
+        ("cli", "b"),
+    }
+
+
+def test_tracer_patch_targets_exist():
+    """Every name perfbench's tracer patches exists in ``src/``: a missing one
+    fails each benchmark sample with AttributeError at install time."""
+
+    tracer = ROOT / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    modules = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("pipegov")
+        for alias in node.names
+    }
+    targets = patch_targets(tracer.read_text())
+    assert ("baseline", "step") in targets
+    assert ("cli", "emit_aggregate_report") in targets
+    assert ("controller.Controller", "tick") in targets
+    missing = []
+    for owner, attr in sorted(targets):
+        root, *path = owner.split(".")
+        held = importlib.import_module(modules[root])
+        for part in path:
+            held = getattr(held, part)
+        if not hasattr(held, attr):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []

@@ -181,6 +181,35 @@ class TestArrivalTrace:
         assert arrival_trace(spec).at(100) == generate_arrivals(spec, 100)
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(canonical_scenario(), id="canonical"),
+            pytest.param(make_mini_scenario(), id="mini"),
+        ],
+    )
+    def test_each_column_holds_one_pipelines_counts(self, spec):
+        trace = arrival_trace(spec)
+        pids = sorted(spec.arrival_models) + sorted(spec.batch_models)
+        assert {p.id for p in spec.pipelines} == set(pids)
+        for pid in pids:
+            column = trace.column(pid)
+            assert len(column) == spec.horizon
+            assert list(column) == [trace.at(t)[pid] for t in range(spec.horizon)], pid
+        with pytest.raises(KeyError):
+            trace.column("no-such-pipeline")
+
+    def test_mutating_a_column_leaves_the_trace_intact(self):
+        spec = _burst_and_batch_spec()
+        trace = arrival_trace(spec)
+        column = trace.column("s")
+        column[100] += 1_000
+        column.append(5)
+        assert trace.at(100) == generate_arrivals(spec, 100)
+        assert trace.column("s") is not column
+        assert len(trace.column("s")) == spec.horizon
+
+
 class TestBlockSeeding:
     """The trace seeds ticks a block at a time; each must equal ``tick_rng``."""
 

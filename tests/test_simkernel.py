@@ -283,6 +283,40 @@ class TestFailureEvents:
         assert report.snapshot.pipelines["stream-a"].failure_count == 0
 
 
+@pytest.mark.parametrize("health", [Health.HALTED, Health.DEFERRED])
+class TestNothingRunsWhenHaltedOrDeferred:
+    def _world(self, health):
+        fault = FaultEvent(tick=1, kind=FaultKind.TRANSIENT_TASK_FAILURE, pipeline="stream-a", stage="ingest")
+        spec, world = _faulted_world([fault])
+        step(world, {"stream-a": 40})
+        p = world.pipelines["stream-a"]
+        p.health = health
+        return spec, world, p
+
+    def test_task_failure_is_a_no_op(self, health):
+        spec, world, p = self._world(health)
+        assert inject_faults(spec, world, 1) == list(spec.fault_schedule)
+        assert (p.health, p.failing_cause, p.failing_stage) == (health, None, None)
+        assert world.pending_failures == []
+
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            (ActionKind.ROLLBACK, {}, "Rollback on {} pipeline 'stream-a'"),
+            (ActionKind.PARTIAL_RECOMPUTE, {"partition": "pt-a"}, "PartialRecompute on {} pipeline"),
+        ],
+    )
+    def test_rework_is_illegal(self, health, kind, fields, message):
+        _, world, p = self._world(health)
+        p.materialized_since_checkpoint = [Cohort(0, p.materialized, "pt-a")]
+        before = (p.materialized, p.queued(), p.paused_until)
+        with pytest.raises(IllegalTransition, match=f"^{message.format(health.value)}$"):
+            apply_action(world, _op(kind, pipeline="stream-a", **fields))
+        assert (p.materialized, p.queued(), p.paused_until) == before
+        assert p.materialized > 0
+        check_accounting(world)
+
+
 class TestScaling:
     def test_scale_up_within_bounds(self):
         world = _world(alloc=4, max_alloc=8)
