@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..core.pipeline import PipelineKind
@@ -27,7 +28,7 @@ class ScenarioMismatch(ValueError):
     """Comparing runs that did not execute the same experiment."""
 
 
-def percentile_nearest_rank(values: list[float], pct: float) -> float:
+def percentile_nearest_rank(values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile: the ceil(p*n)-th smallest sample."""
 
     if not values:
@@ -78,11 +79,10 @@ def compute_metrics(run: RunResult) -> MetricsReport:
         if run.world.pipelines[pid].spec.kind is not PipelineKind.STREAMING:
             continue
         try:
-            series = run.store.series(pid, "freshness_lag")
+            _, lags = run.store.columns(pid, "freshness_lag")
         except UnknownSeries:
             continue
-        if series:
-            freshness[pid] = percentile_nearest_rank([v for _, v in series], 95)
+        freshness[pid] = percentile_nearest_rank(lags, 95)
 
     return MetricsReport(
         controller=run.controller,

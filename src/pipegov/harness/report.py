@@ -7,10 +7,11 @@ files directly. Writers require the output directory to exist; the CLI
 creates it before delegating.
 
 ``telemetry.csv`` (about 310,000 rows per canonical run) is streamed into
-the open file one series at a time: the csv module quotes the
-``scope,metric`` prefix once per series, and each row is formatted as
-``f"{prefix}{tick},{value!r}"``, which is what ``csv.writer`` emits for
-ints and floats.
+the open file one series at a time, read from the store's tables (doubles
+sharing a tick column) as a tick column and a strided value column: the
+csv module quotes the ``scope,metric`` prefix once per series, and each
+row is formatted as ``f"{prefix}{tick},{value!r}"``, which is what
+``csv.writer`` emits for an int tick and a float value.
 """
 
 from __future__ import annotations
@@ -169,6 +170,5 @@ def _telemetry_chunks(store: MetricStore) -> Iterator[str]:
     yield "scope,metric,tick,value\n"
     for scope, name in store.series_keys():
         prefix = _csv_text([scope, name], [])[:-1] + ","
-        yield "".join(
-            [f"{prefix}{tick},{value!r}\n" for tick, value in store.series(scope, name)]
-        )
+        ticks, values = store.columns(scope, name)
+        yield "".join([f"{prefix}{tick},{value!r}\n" for tick, value in zip(ticks, values)])

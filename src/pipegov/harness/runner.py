@@ -4,8 +4,9 @@ The per-tick cycle is fixed: inject scheduled faults, run the control
 loop (which sees the faults and the previous tick's telemetry), take the
 tick's arrivals from the scenario's arrival trace (drawn once per
 scenario hash and shared with calibration), advance the simulation
-kernel, then record telemetry. Repeat for the scenario horizon. Everything downstream — metrics, comparisons,
-reports — consumes the RunResult this produces.
+kernel, then record telemetry: one row per pipeline and one cost row.
+Repeat for the scenario horizon. Everything downstream — metrics,
+comparisons, reports — consumes the RunResult this produces.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from ..telemetry.metrics import CLUSTER_SCOPE, MetricStore
 from .baseline import BaselineConfig, derive_baseline_allocations
 
 CONTROLLER_MODES = ("static", "agentic")
+
+# The series recorded from each PipelineSample, one name per field in field order.
+SAMPLE_SERIES = ("queue_depth", "freshness_lag", "failure_rate", "utilization", "ingress")
 
 
 @dataclass
@@ -116,12 +120,8 @@ def run_experiment(
         flags_total += len(control.flags)
         report = step(world, trace.at(t))
         for pid, sample in report.snapshot.pipelines.items():
-            store.record_sample(pid, "freshness_lag", t, float(sample.freshness_lag))
-            store.record_sample(pid, "queue_depth", t, float(sample.queue_depth))
-            store.record_sample(pid, "failure_rate", t, float(sample.failure_count))
-            store.record_sample(pid, "utilization", t, float(sample.utilization))
-            store.record_sample(pid, "ingress", t, float(sample.ingress))
-        store.record_sample(CLUSTER_SCOPE, "cost", t, report.cost)
+            store.record_row(pid, SAMPLE_SERIES, t, sample)
+        store.record_row(CLUSTER_SCOPE, ("cost",), t, (report.cost,))
         total_cost += report.cost
         prev_report = report
 

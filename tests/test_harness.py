@@ -31,6 +31,7 @@ from pipegov.harness import (
     reseed,
     run_experiment,
 )
+from pipegov.harness import runner
 from pipegov.harness.baseline import stage_peaks
 from pipegov.harness.report import IoFailure, write_run_artifacts
 from pipegov.policy import parse_policy
@@ -369,6 +370,50 @@ class TestModeEquivalence:
         assert static.anomaly_flags == 0
 
 
+class TestRecordedTelemetry:
+    """The runner records each tick's kernel report into the store as it is."""
+
+    # series name -> PipelineSample field
+    FIELDS = {
+        "freshness_lag": "freshness_lag",
+        "queue_depth": "queue_depth",
+        "failure_rate": "failure_count",
+        "utilization": "utilization",
+        "ingress": "ingress",
+    }
+
+    @pytest.mark.parametrize("controller", runner.CONTROLLER_MODES)
+    def test_store_holds_every_report(self, canonical_spec, mini_policy, controller, monkeypatch):
+        # 300 canonical ticks with the first eight faults moved inside them.
+        raw = canonical_spec.to_dict()
+        raw["horizon"] = 300
+        raw["fault_schedule"] = [
+            dict(event, tick=20 + 30 * i) for i, event in enumerate(raw["fault_schedule"][:8])
+        ]
+        spec = ScenarioSpec.from_dict(raw)
+        reports = []
+
+        def recording_step(world, arrivals):
+            reports.append(step(world, arrivals))
+            return reports[-1]
+
+        monkeypatch.setattr(runner, "step", recording_step)
+        store = run_experiment(spec, mini_policy, controller=controller).store
+        assert len(reports) == spec.horizon
+        pids = [p.id for p in spec.pipelines]
+        assert store.series_keys() == sorted(
+            [(pid, name) for pid in pids for name in self.FIELDS] + [(CLUSTER_SCOPE, "cost")]
+        )
+        for pid in pids:
+            for name, attr in self.FIELDS.items():
+                expected = [
+                    (t, float(getattr(r.snapshot.pipelines[pid], attr))) for t, r in enumerate(reports)
+                ]
+                assert store.series(pid, name) == expected, (pid, name)
+        assert store.series(CLUSTER_SCOPE, "cost") == [(t, r.cost) for t, r in enumerate(reports)]
+        assert all(type(v) is float for key in store.series_keys() for _, v in store.series(*key))
+
+
 class TestTelemetryCsv:
     """telemetry.csv is streamed, not built with csv.writer; the bytes must
     be what csv.writer would have written for the same rows."""
@@ -396,7 +441,7 @@ class TestTelemetryCsv:
         writer.writerow(["scope", "metric", "tick", "value"])
         for scope, name in sorted(self.SERIES):
             for tick, value in self.SERIES[(scope, name)]:
-                writer.writerow([scope, name, tick, value])
+                writer.writerow([scope, name, tick, float(value)])  # the store holds doubles
         written = (tmp_path / "telemetry.csv").read_bytes()
         assert written == reference.getvalue().encode("utf-8")
         assert b'"we,ird ""scope""",queue_depth,0,nan\n' in written

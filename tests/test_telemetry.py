@@ -6,6 +6,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipegov.core import Actor
 from pipegov.telemetry import audit as audit_module
@@ -74,8 +76,11 @@ class TestMetricStore:
         with pytest.raises(NonMonotonicTick, match="tick 6 is not after last tick 6"):
             store.record_sample("p", "queue_depth", 6, 3)
         assert store.series("p", "queue_depth") == [(5, 1.0), (6, 2.0)]
-        ticks, values = store._series[("p", "queue_depth")]
-        assert len(ticks) == len(values) == 2
+        assert store.query_window("p", "queue_depth", 1) == [(6, 2.0)]
+        # Ticks and values still line up: the next accepted sample reads back as written.
+        store.record_sample("p", "queue_depth", 7, 4.0)
+        assert store.series("p", "queue_depth") == [(5, 1.0), (6, 2.0), (7, 4.0)]
+        assert store.series_keys() == [("p", "queue_depth")]
 
     def test_returned_series_is_a_copy(self):
         store = MetricStore()
@@ -88,18 +93,25 @@ class TestMetricStore:
         assert store.series("p", "ingress") == [(1, 1.5), (2, 3.5)]
 
     def test_non_float_value_kept_exactly(self):
+        # Values are doubles: an int reads back as float(int), -0.0 keeps
+        # its sign, and a value array('d') refuses changes nothing.
         store = MetricStore()
         store.record_sample("p", "cost", 1, 0.1)
         store.record_sample("p", "cost", 2, -0.0)
         store.record_sample("p", "cost", 3, 12345678901234567890)
-        store.record_sample("p", "cost", 4, 2.5)
+        store.record_sample("p", "cost", 4, 3)
+        with pytest.raises(TypeError):
+            store.record_sample("p", "cost", 5, "2.5")
+        with pytest.raises(OverflowError):
+            store.record_sample("p", "cost", 5, 10**400)
         series = store.series("p", "cost")
-        assert series == [(1, 0.1), (2, -0.0), (3, 12345678901234567890), (4, 2.5)]
-        assert [type(v) for _, v in series] == [float, float, int, float]
+        assert series == [(1, 0.1), (2, -0.0), (3, float(12345678901234567890)), (4, 3.0)]
+        assert all(type(v) is float for _, v in series)
         assert repr(series[1][1]) == "-0.0"
-        store.record_sample("p", "other", 1, 3)  # another series is unaffected
-        assert store.series("p", "other") == [(1, 3)]
-        assert store.series("p", "cost")[0] == (1, 0.1)
+        assert repr(series[2][1]) == "1.2345678901234567e+19"
+        with pytest.raises(TypeError):
+            store.record_sample("p", "other", 1, "3")
+        assert store.series_keys() == [("p", "cost")]
 
     def test_float_samples_are_stored_without_per_sample_objects(self):
         # 100,000 samples: about 1.6 MB as tick and value columns, about
@@ -124,6 +136,109 @@ class TestMetricStore:
             store.query_window("ghost", "ingress", 3)
         with pytest.raises(UnknownSeries):
             store.series("ghost", "ingress")
+
+
+_SCOPES = ("p", "cluster")
+_NAMES = ("a", "b", "c")
+# Tables that recur, overlap each other and the one-series tables of
+# record_sample, and two that no call may open.
+_TABLES = (("a", "b"), ("c", "b", "a"), ("b", "c"), ("c",), (), ("a", "a"))
+# Mostly values array('d') takes, with -0.0, an int above 2**53, an int
+# beyond the double range and a string among them.
+_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 2**53 + 1, 0.5, 7, 10**400, "1.0"]),
+)
+
+
+@st.composite
+def _store_calls(draw):
+    """record_sample and record_row calls as (method, scope, names, tick, row).
+
+    Ticks mostly increase; some repeat or step back, and 2**63 does not fit
+    array('q').
+    """
+
+    calls = []
+    for i in range(draw(st.integers(0, 25))):
+        scope = draw(st.sampled_from(_SCOPES))
+        tick = draw(st.sampled_from([2 * i] * 4 + [2 * i - 2, 2 * i - 3, 2**63]))
+        if draw(st.booleans()):
+            calls.append(("record_sample", scope, (draw(st.sampled_from(_NAMES)),), tick, (draw(_VALUES),)))
+            continue
+        names = draw(st.sampled_from(_TABLES))
+        width = draw(st.sampled_from([len(names)] * 6 + [len(names) + 1, max(len(names) - 1, 0)]))
+        calls.append(("record_row", scope, names, tick, tuple(draw(_VALUES) for _ in range(width))))
+    return calls
+
+
+def _as_double(value):
+    """What array('d') stores for value, or None where it refuses it."""
+
+    if isinstance(value, str):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+class _ListModel:
+    """The store's contract as a plain dict of (tick, value) lists."""
+
+    def __init__(self):
+        self.last_tick = {}  # (scope, names) -> last tick
+        self.series = {}  # (scope, name) -> [(tick, float)]
+
+    def rejects(self, scope, names, tick, row):
+        if len(row) != len(names) or not -(2**63) <= tick < 2**63:
+            return True
+        last = self.last_tick.get((scope, names))
+        if last is None:
+            taken = any((scope, name) in self.series for name in names)
+            if not names or len(set(names)) < len(names) or taken:
+                return True
+        elif tick <= last:
+            return True
+        return any(_as_double(v) is None for v in row)
+
+    def record(self, scope, names, tick, row):
+        self.last_tick[scope, names] = tick
+        for name, value in zip(names, row):
+            self.series.setdefault((scope, name), []).append((tick, _as_double(value)))
+
+    def state(self):
+        return repr([
+            (key, samples, [[(t, v) for t, v in samples if t > samples[-1][0] - w] for w in (0, 1, 5, 100)])
+            for key, samples in sorted(self.series.items())
+        ])
+
+
+def _store_state(store):
+    # repr tells -0.0 from 0.0 and an int from a float.
+    return repr([
+        (key, store.series(*key), [store.query_window(*key, w) for w in (0, 1, 5, 100)])
+        for key in store.series_keys()
+    ])
+
+
+class TestMetricStoreModel:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(calls=_store_calls())
+    def test_matches_dict_of_lists_model(self, calls):
+        store, model = MetricStore(), _ListModel()
+        for method, scope, names, tick, row in calls:
+            args = (scope, names[0], tick, row[0]) if method == "record_sample" else (scope, names, tick, row)
+            before = _store_state(store)
+            if model.rejects(scope, names, tick, row):
+                with pytest.raises((ValueError, TypeError, OverflowError)):
+                    getattr(store, method)(*args)
+                assert _store_state(store) == before
+            else:
+                getattr(store, method)(*args)
+                model.record(scope, names, tick, row)
+            assert _store_state(store) == model.state()
 
 
 class TestIncidents:
