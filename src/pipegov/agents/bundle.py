@@ -128,16 +128,18 @@ class ObservationBundle(NamedTuple):
     while it stays open, and rebuilt only when its claim,
     ``approval_pending`` or ``last_action_tick`` changes.
 
-    ``series`` carries short per-pipeline metric windows (newest last)::
+    ``series`` carries what each pipeline's recorded samples show through
+    the previous tick::
 
-        {pipeline_id: {"utilization": (...), "ingress": (...)}}
+        {pipeline_id: {"ingress": (...), "low_util_run": n}}
 
-    They hold the last 30 utilization samples (``LOW_UTIL_TICKS``) and the
-    last 10 ingress samples (``STABLE_TICKS``) through the previous tick,
-    as far back as the optimization and recovery agents look: the values
-    the runner records into its MetricStore, kept by the controller in
-    rolling windows as it folds each tick's report. Both are empty before
-    the first report.
+    ``ingress`` holds the last 10 ingress samples (``STABLE_TICKS``), newest
+    last, as far back as the recovery agent looks. ``low_util_run`` counts
+    the samples in a row, ending with the newest, whose utilization is below
+    ``LOW_UTIL_THRESHOLD``; the optimization agent's idle rule holds when it
+    is at least ``LOW_UTIL_TICKS``. Both follow the values the runner
+    records into its MetricStore, folded by the controller from each tick's
+    report: ``()`` and 0 before the first report.
 
     ``policy`` is the governance headroom, shared by the agents of a tick::
 
@@ -155,7 +157,7 @@ class ObservationBundle(NamedTuple):
     snapshot: Mapping
     open_incidents: tuple[Mapping, ...]
     pipelines: Mapping[str, Mapping]
-    series: Mapping[str, Mapping[str, tuple[float, ...]]]
+    series: Mapping[str, Mapping[str, tuple[float, ...] | int]]
     policy: Mapping
     memory: Mapping[str, Mapping]
 

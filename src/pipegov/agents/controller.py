@@ -22,14 +22,15 @@ identical audit trail.
 
 Each tick starts by folding the previous tick's report once: its compute
 spend goes into the current budget window and, when a backend is
-present, each pipeline's samples feed its rolling utilization and
-ingress windows, as long as the agents that read them look back
-(``LOW_UTIL_TICKS`` and ``STABLE_TICKS``), and the anomaly detector, whose
-ingress mean is an UpstreamDelay's pre-delay baseline. A static run keeps
-no observation state. The detector and the agents see the previous
-tick's snapshot cut down to what they read: capacity headroom and each
-pipeline's freshness lag, queue depth and ingress, or an empty mapping
-before the first step.
+present, each pipeline's samples feed its rolling ingress window, as long
+as the recovery agent looks back (``STABLE_TICKS``), its run of
+consecutive samples with utilization below ``LOW_UTIL_THRESHOLD``, which
+the optimization agent compares with ``LOW_UTIL_TICKS``, and the anomaly
+detector, whose ingress mean is an UpstreamDelay's pre-delay baseline. A
+static run keeps no observation state. The detector and the agents see
+the previous tick's snapshot cut down to what they read: capacity
+headroom and each pipeline's freshness lag, queue depth and ingress, or
+an empty mapping before the first step.
 
 Bundles carry only the keys the builtin agents read, and every container
 in them is a read-only ``MappingProxyType`` or a tuple, so the agents of
@@ -41,8 +42,8 @@ allocations, its drift's (partition, quarantine mode) and
 ``pipelines`` mapping is kept while no view in it changed. An open
 incident's view is rebuilt only when its claim, ``approval_pending`` or
 ``last_action_tick`` changes (its delay baseline is fixed when it opens),
-and dropped when it closes. Series are copied from the rolling windows
-every tick.
+and dropped when it closes. Each tick's series hold a copy of every
+ingress window and the current low-utilization runs.
 
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. Incidents
@@ -94,7 +95,7 @@ from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, Inc
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
 from .bundle import CandidateAction, ObservationBundle, OutcomeMemory
 from .monitoring import AnomalyDetector, AnomalyFlag
-from .optimization import LOW_UTIL_TICKS
+from .optimization import LOW_UTIL_THRESHOLD
 from .recovery import STABLE_TICKS
 
 # Reasoning phases, in the order they run each tick.
@@ -188,9 +189,11 @@ class Controller:
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
-        # Each pipeline's (utilization, ingress) samples, newest last, through
-        # the previous tick; stays empty without a backend.
-        self._windows: dict[str, tuple[deque[float], deque[float]]] = {}
+        # Through the previous tick, each pipeline's ingress samples, newest
+        # last, and how many samples in a row ended below LOW_UTIL_THRESHOLD;
+        # both stay empty without a backend.
+        self._ingress_windows: dict[str, deque[float]] = {}
+        self._low_util_runs: dict[str, int] = {}
         # Read-only views kept across ticks, each with the key it was built from.
         self._pipeline_views: dict[str, tuple[tuple, Mapping]] = {}
         self._pipelines_view: Mapping[str, Mapping] = MappingProxyType({})
@@ -247,8 +250,9 @@ class Controller:
         """Account the previous tick's compute spend and, with a backend, its
         samples; returns the observed snapshot and the detector's flags.
 
-        One pass over the samples, in pipeline order, appends the rolling
-        windows and builds the snapshot."""
+        One pass over the samples, in pipeline order, appends the ingress
+        windows, extends or ends the low-utilization runs and builds the
+        snapshot."""
 
         idx = prev_report.tick // self.policy.cost.window
         if idx != self._window_index:
@@ -259,15 +263,15 @@ class Controller:
         if self.backend is None:
             return _NOTHING_OBSERVED, []
         observed = {}
+        ingress_windows, low_util_runs = self._ingress_windows, self._low_util_runs
         for pid, sample in sorted(prev_report.snapshot.pipelines.items()):
-            windows = self._windows.get(pid)
-            if windows is None:
-                windows = self._windows[pid] = (
-                    deque(maxlen=LOW_UTIL_TICKS),
-                    deque(maxlen=STABLE_TICKS),
-                )
-            windows[0].append(float(sample.utilization))
-            windows[1].append(float(sample.ingress))
+            window = ingress_windows.get(pid)
+            if window is None:
+                window = ingress_windows[pid] = deque(maxlen=STABLE_TICKS)
+            window.append(float(sample.ingress))
+            low_util_runs[pid] = (
+                low_util_runs.get(pid, 0) + 1 if sample.utilization < LOW_UTIL_THRESHOLD else 0
+            )
             observed[pid] = MappingProxyType(
                 {
                     "freshness_lag": sample.freshness_lag,
@@ -713,7 +717,8 @@ class Controller:
                 kept = incident_views[incident.id] = (key, MappingProxyType(view))
             incidents.append(kept[1])
 
-        pipeline_views, windows_by_pipeline = self._pipeline_views, self._windows
+        pipeline_views = self._pipeline_views
+        ingress_windows, low_util_runs = self._ingress_windows, self._low_util_runs
         alloc_changed_at = self._alloc_changed_at
         changed = False
         series = {}
@@ -735,9 +740,11 @@ class Controller:
             if kept is None or kept[0] != key:
                 pipeline_views[pid] = (key, _pipeline_view(p, key))
                 changed = True
-            utilization, ingress = windows_by_pipeline.get(pid, ((), ()))
             series[pid] = MappingProxyType(
-                {"utilization": tuple(utilization), "ingress": tuple(ingress)}
+                {
+                    "ingress": tuple(ingress_windows.get(pid, ())),
+                    "low_util_run": low_util_runs.get(pid, 0),
+                }
             )
         if changed:
             self._pipelines_view = MappingProxyType(

@@ -47,25 +47,46 @@ class EwmaState:
     samples: int = 0
 
     def update(self, value: float) -> bool:
-        """Fold in one sample; True when it is anomalous.
+        """Fold in one sample; True when it is anomalous (see ``_fold``)."""
 
-        The anomaly test runs against the statistics *before* the sample
-        is folded in, once enough history exists (the current sample
-        counts toward that minimum).
-        """
+        return bool(_fold({("", ""): self}, 0, {"": {"": value}}, ("",)))
 
-        self.samples += 1
-        flagged = False
-        if self.samples >= EWMA_MIN_SAMPLES:
-            threshold = EWMA_K * max(self.deviation, EWMA_SIGMA_FLOOR)
-            flagged = abs(value - self.mean) > threshold
-        prev_mean = self.mean
-        if self.samples == 1:
-            self.mean = value
-        else:
-            self.mean += EWMA_ALPHA * (value - self.mean)
-            self.deviation += EWMA_ALPHA * (abs(value - prev_mean) - self.deviation)
-        return flagged
+
+def _fold(
+    states: dict[tuple[str, str], EwmaState],
+    tick: int,
+    pipelines: Mapping[str, Mapping],
+    metrics: tuple[str, ...],
+) -> list[AnomalyFlag]:
+    """Fold each pipeline's (sorted) sample of each metric, in that order,
+    into its series' state, creating missing states; returns the flags raised.
+
+    A sample is tested against the statistics *before* it is folded in,
+    once enough history exists (the current sample counts toward that
+    minimum): it is anomalous when it strays more than ``EWMA_K`` times
+    the deviation, floored at ``EWMA_SIGMA_FLOOR``, from the mean.
+    """
+
+    flags: list[AnomalyFlag] = []
+    alpha, k, floor, least = EWMA_ALPHA, EWMA_K, EWMA_SIGMA_FLOOR, EWMA_MIN_SAMPLES
+    for pid in sorted(pipelines):
+        sample = pipelines[pid]
+        for metric in metrics:
+            state = states.get((pid, metric))
+            if state is None:
+                state = states[(pid, metric)] = EwmaState()
+            value = float(sample[metric])
+            mean, dev = state.mean, state.deviation
+            samples = state.samples = state.samples + 1
+            threshold = k * (floor if floor > dev else dev)  # k * max(dev, floor)
+            if samples >= least and abs(value - mean) > threshold:
+                flags.append(AnomalyFlag(tick, pid, metric, value, mean, dev))
+            if samples == 1:
+                state.mean = value
+            else:
+                state.mean = mean + alpha * (value - mean)
+                state.deviation = dev + alpha * (abs(value - mean) - dev)
+    return flags
 
 
 class AnomalyDetector:
@@ -75,11 +96,10 @@ class AnomalyDetector:
         self._states: dict[tuple[str, str], EwmaState] = {}
 
     def observe_sample(self, tick: int, pipeline: str, metric: str, value: float) -> AnomalyFlag | None:
-        state = self._states.setdefault((pipeline, metric), EwmaState())
-        mean, dev = state.mean, state.deviation
-        if state.update(value):
-            return AnomalyFlag(tick, pipeline, metric, value, mean, dev)
-        return None
+        """Fold one sample of one series, as ``observe_snapshot`` folds each."""
+
+        flags = _fold(self._states, tick, {pipeline: {metric: value}}, (metric,))
+        return flags[0] if flags else None
 
     def mean(self, pipeline: str, metric: str) -> float:
         """The series' running mean; 0.0 before its first sample."""
@@ -89,31 +109,6 @@ class AnomalyDetector:
 
     def observe_snapshot(self, tick: int, snapshot: Mapping) -> list[AnomalyFlag]:
         """Scan one observed snapshot (``pipelines`` maps each pipeline to
-        its watched metrics); returns flags raised.
+        its watched metrics); returns flags raised."""
 
-        Equivalent to ``observe_sample`` for every pipeline (sorted) and
-        watched metric, in that order, with ``EwmaState.update`` inlined.
-        """
-
-        flags: list[AnomalyFlag] = []
-        states = self._states
-        pipelines = snapshot["pipelines"]
-        alpha, k, floor, least = EWMA_ALPHA, EWMA_K, EWMA_SIGMA_FLOOR, EWMA_MIN_SAMPLES
-        for pid in sorted(pipelines):
-            sample = pipelines[pid]
-            for metric in WATCHED_METRICS:
-                state = states.get((pid, metric))
-                if state is None:
-                    state = states[(pid, metric)] = EwmaState()
-                value = float(sample[metric])
-                mean, dev = state.mean, state.deviation
-                samples = state.samples = state.samples + 1
-                threshold = k * (floor if floor > dev else dev)  # k * max(dev, floor)
-                if samples >= least and abs(value - mean) > threshold:
-                    flags.append(AnomalyFlag(tick, pid, metric, value, mean, dev))
-                if samples == 1:
-                    state.mean = value
-                else:
-                    state.mean = mean + alpha * (value - mean)
-                    state.deviation = dev + alpha * (abs(value - mean) - dev)
-        return flags
+        return _fold(self._states, tick, snapshot["pipelines"], WATCHED_METRICS)

@@ -8,7 +8,8 @@ a fixed order so output is deterministic:
 2. Sustained-idle scale-down — a pipeline whose utilization stayed under
    ``LOW_UTIL_THRESHOLD`` for ``LOW_UTIL_TICKS`` consecutive ticks (and
    whose allocation has not changed in that long, counted from its
-   ``alloc_changed_at``) gives a step back.
+   ``alloc_changed_at``) gives a step back. The bundle's ``low_util_run``
+   counts those ticks, so the rule reads one integer, not a window.
 3. Freshness scale-up — a healthy streaming pipeline lagging past its
    freshness target gets a step, most critical first, but only while the
    projected window spend stays inside budget.
@@ -46,12 +47,10 @@ def _budget_allows(policy: Mapping, pending_units: int, extra_units: int) -> boo
 
 
 def _sustained_low(bundle: ObservationBundle, pid: str, meta: Mapping) -> bool:
-    if bundle.tick - meta["alloc_changed_at"] < LOW_UTIL_TICKS:
-        return False
-    window = bundle.series[pid]["utilization"]  # the last LOW_UTIL_TICKS samples
-    if len(window) < LOW_UTIL_TICKS:
-        return False
-    return all(u < LOW_UTIL_THRESHOLD for u in window)
+    return (
+        bundle.series[pid]["low_util_run"] >= LOW_UTIL_TICKS
+        and bundle.tick - meta["alloc_changed_at"] >= LOW_UTIL_TICKS
+    )
 
 
 def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
@@ -73,7 +72,7 @@ def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
             busy.append((-meta["criticality"], pid))
         if meta["health"] != _HEALTHY or meta["recovering"]:
             continue
-        if not shed and _can_scale_down(stages) and _sustained_low(bundle, pid, meta):
+        if not shed and _sustained_low(bundle, pid, meta) and _can_scale_down(stages):
             idle.append(pid)
         target = meta["freshness_target"]
         if (

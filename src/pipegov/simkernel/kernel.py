@@ -2,20 +2,23 @@
 
 One ``step`` call advances the world by one tick:
 
-1. verify record accounting over the running queue totals (fail loudly,
-   not silently); ``check_accounting`` adds a full recount of every queue
-   and runs at the end of each experiment
-2. per pipeline, in one pass: mature pending health recoveries; enqueue
+1. per pipeline, in one pass: mature pending health recoveries; enqueue
    arrivals; under an upstream delay or its release plan only, withhold
    and release records and fire batch triggers (a suppressed dataset
    fails the scheduled run); divert quarantined partitions and resolve
-   completed drift windows
-3. compute contention from busy stages, those with records queued, then
-   process queues in topological stage order; an idle stage is skipped
-4. take checkpoints, price the tick, and emit a telemetry snapshot: the
-   capacity headroom and one ``PipelineSample`` per pipeline; the
-   snapshot and the ``TickReport`` around it are NamedTuples, like the
-   samples, so a holder can reassign none of their fields
+   completed drift windows; add busy stages, those with records queued,
+   to the contention
+2. per pipeline, one walk over its stages in topological order: process
+   and route each busy stage's queue (an idle stage is skipped), clear
+   due checkpoints, and total queued records and allocation; then verify
+   record accounting from that total (fail loudly, not silently). A step
+   moves records only in ways that keep the identity, so a break made
+   since the last step raises here; ``check_accounting`` adds a full
+   recount of every queue and runs at the end of each experiment
+3. price the tick, and emit a telemetry snapshot: the capacity headroom
+   and one ``PipelineSample`` per pipeline; the snapshot and the
+   ``TickReport`` around it are NamedTuples, like the samples, so a
+   holder can reassign none of their fields
 
 Controllers mutate the world only through ``apply_action``, and only with
 an ``ApprovedAction`` carrying the audit reference of its Allow/approval
@@ -99,17 +102,11 @@ def _contended_rate(base_rate: int, alloc: int, capacity: int, busy_alloc: int) 
     return (base_rate * alloc * capacity) // busy_alloc
 
 
-def _check_conservation(world: SimWorld, pids: list[str]) -> None:
-    for pid in pids:
-        p = world.pipelines[pid]
-        queued = 0
-        for stage in p.stages.values():
-            queued += stage.queue.records
-        if p.ingress != p.materialized + queued + p.quarantined + p.dropped:
-            raise InconsistentWorld(
-                f"pipeline {pid}: ingress {p.ingress} != materialized {p.materialized} "
-                f"+ queued {queued} + quarantined {p.quarantined} + dropped {p.dropped}"
-            )
+def _unbalanced(pid: str, p: PipelineState, queued: int) -> InconsistentWorld:
+    return InconsistentWorld(
+        f"pipeline {pid}: ingress {p.ingress} != materialized {p.materialized} "
+        f"+ queued {queued} + quarantined {p.quarantined} + dropped {p.dropped}"
+    )
 
 
 def check_accounting(world: SimWorld) -> None:
@@ -124,7 +121,11 @@ def check_accounting(world: SimWorld) -> None:
                     f"pipeline {pid} stage {sid}: queue total {stage.queue.records} "
                     f"!= recount {recount}"
                 )
-    _check_conservation(world, pids)
+    for pid in pids:
+        p = world.pipelines[pid]
+        queued = p.queued()
+        if p.ingress != p.materialized + queued + p.quarantined + p.dropped:
+            raise _unbalanced(pid, p, queued)
 
 
 def _enqueue(p: PipelineState, tick: int, count: int) -> int:
@@ -136,7 +137,7 @@ def _enqueue(p: PipelineState, tick: int, count: int) -> int:
     drift = p.pending_drift
     if drift is not None and tick <= drift.window_end:
         partition = drift.partition
-    p.entry_stage().queue.append(Cohort(tick, count, partition))
+    p.stages[p.topo[0]].queue.append(Cohort(tick, count, partition))
     p.ingress += count
     return count
 
@@ -154,7 +155,6 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     """Advance the world one tick. Fault state must already be injected."""
 
     pids = world.pipeline_ids()
-    _check_conservation(world, pids)
     t = world.tick
     failures = world.pending_failures
     world.pending_failures = []
@@ -163,7 +163,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         world.capacity_reductions = [(u, n) for u, n in world.capacity_reductions if t < u]
         capacity_now = world.effective_capacity(t)
 
-    # 2. one pass in id order, as each part touches only its own pipeline.
+    # 1. one pass in id order, as each part touches only its own pipeline.
     # Health and pauses are then settled for the tick, so the processing gate
     # is read once, and busy stages (records queued) add to the contention.
     ingress_now: dict[str, int] = {}
@@ -237,7 +237,9 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
                 if stage.queue.records:
                     busy_alloc += stage.alloc
 
-    # 3-4. per pipeline: process busy stages, take checkpoints, and sample
+    # 2. per pipeline, one walk in topological order. A stage's queue is
+    # final once it is walked, as only upstream stages feed it, so the walk
+    # also totals the queues that the conservation check reads.
     contended = busy_alloc > capacity_now
     failure_counts: dict[str, int] = {}
     for failed_pid, _ in failures:
@@ -249,56 +251,63 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     for pid in pids:
         p = world.pipelines[pid]
         stages = p.stages
+        runs = pid in allowed
+        moved: dict[str, int] = {}
         processed_total = 0
         capacity_total = 0  # rate on offer at stages that had work
-        if pid in allowed:
-            moved: dict[str, int] = {}
-            for sid in p.topo:
-                stage = stages[sid]
-                queue = stage.queue
-                before = queue.records
-                if not before:  # an idle stage has nothing to take or route
-                    continue
+        queued = 0
+        allocation = 0
+        for sid in p.topo:
+            stage = stages[sid]
+            queue = stage.queue
+            allocation += stage.alloc
+            if runs and queue.records:  # an idle stage has nothing to take or route
                 rate = (
                     _contended_rate(stage.spec.base_rate, stage.alloc, capacity_now, busy_alloc)
                     if contended
                     else stage.spec.base_rate * stage.alloc
                 )
-                if rate <= 0:
-                    continue
-                processed_cohorts = queue.take_head(rate)
-                capacity_total += rate
-                done = before - queue.records
-                moved[sid] = done
-                processed_total += done
-                if stage.downstream:
-                    # Route each processed cohort to the least-loaded downstream
-                    # queue (ties by id order): conservation-preserving routing.
-                    for cohort in processed_cohorts:
-                        target_id = min(stage.downstream, key=lambda d: (stages[d].queue.records, d))
-                        stages[target_id].queue.append(cohort)
-                        stage.forwarded_since_checkpoint[target_id] = (
-                            stage.forwarded_since_checkpoint.get(target_id, 0) + cohort.count
-                        )
-                else:
-                    for cohort in processed_cohorts:
-                        p.materialized += cohort.count
-                        materialized_now += cohort.count
-                        if cohort.arrival_tick > p.newest_materialized_arrival:
-                            p.newest_materialized_arrival = cohort.arrival_tick
-                        p.materialized_since_checkpoint.append(cohort)
-            if moved:
-                stage_processed[pid] = moved
-
-        queued = 0
-        allocation = 0
-        for stage in stages.values():
-            if t > 0 and t % stage.spec.checkpoint_interval == 0:
+                if rate > 0:
+                    before = queue.records
+                    processed_cohorts = queue.take(rate)
+                    capacity_total += rate
+                    done = before - queue.records
+                    moved[sid] = done
+                    processed_total += done
+                    downstream = stage.downstream
+                    forwarded = stage.forwarded_since_checkpoint
+                    if len(downstream) == 1:
+                        target_id = downstream[0]
+                        target = stages[target_id].queue
+                        for cohort in processed_cohorts:
+                            target.append(cohort)
+                        forwarded[target_id] = forwarded.get(target_id, 0) + done
+                    elif downstream:
+                        # Route each processed cohort to the least-loaded
+                        # downstream queue (ties by id order).
+                        for cohort in processed_cohorts:
+                            target_id = min(downstream, key=lambda d: (stages[d].queue.records, d))
+                            stages[target_id].queue.append(cohort)
+                            forwarded[target_id] = forwarded.get(target_id, 0) + cohort.count
+                    else:
+                        p.materialized += done
+                        materialized_now += done
+                        newest = p.newest_materialized_arrival
+                        for cohort in processed_cohorts:
+                            if cohort.arrival_tick > newest:
+                                newest = cohort.arrival_tick
+                        p.newest_materialized_arrival = newest
+                        p.materialized_since_checkpoint.extend(processed_cohorts)
+            queued += queue.records
+            if stage.forwarded_since_checkpoint and t and t % stage.spec.checkpoint_interval == 0:
                 stage.forwarded_since_checkpoint.clear()
-            queued += stage.queue.records
-            allocation += stage.alloc
-        if t > 0 and t % p.sink_stage().spec.checkpoint_interval == 0:
+        if moved:
+            stage_processed[pid] = moved
+        # the walk ended on the sink stage, whose checkpoint bounds a rollback
+        if p.materialized_since_checkpoint and t and t % stage.spec.checkpoint_interval == 0:
             p.materialized_since_checkpoint.clear()
+        if p.ingress != p.materialized + queued + p.quarantined + p.dropped:
+            raise _unbalanced(pid, p, queued)
         if p.health not in UNPAID:  # failing pipelines keep paying for reserved units
             compute_units += allocation
 
@@ -310,7 +319,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             ingress_now[pid],
         )
 
-    # 4. price (allocation plus storage for records materialized this tick) and snapshot
+    # 3. price (allocation plus storage for records materialized this tick) and snapshot
     cost = (
         compute_units * world.resource_model.unit_price
         + materialized_now * world.resource_model.storage_price
@@ -346,7 +355,7 @@ def _pull_back_forwarded(p: PipelineState, stage: StageState) -> int:
 
     pulled = 0
     for target_id, count in sorted(stage.forwarded_since_checkpoint.items()):
-        for cohort in p.stages[target_id].queue.take_tail(count):
+        for cohort in reversed(p.stages[target_id].queue.take(count, -1)):
             stage.queue.append(cohort)
             pulled += cohort.count
     stage.forwarded_since_checkpoint.clear()

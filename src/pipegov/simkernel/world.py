@@ -86,19 +86,10 @@ class CohortQueue:
         self._cohorts.append(cohort)
         self.records += cohort.count
 
-    def take_head(self, limit: int) -> list[Cohort]:
-        """Remove up to ``limit`` records from the front, oldest first."""
+    def take(self, limit: int, end: int = 0) -> list[Cohort]:
+        """Remove up to ``limit`` records from the front (``end`` 0), oldest
+        first, or from the back (``end`` -1), newest first."""
 
-        return self._take(limit, 0)
-
-    def take_tail(self, limit: int) -> list[Cohort]:
-        """Remove up to ``limit`` records from the back, returned in queue order."""
-
-        taken = self._take(limit, -1)
-        taken.reverse()
-        return taken
-
-    def _take(self, limit: int, end: int) -> list[Cohort]:
         cohorts = self._cohorts
         pop = cohorts.popleft if end == 0 else cohorts.pop
         taken: list[Cohort] = []
@@ -210,9 +201,6 @@ class PipelineState:
 
     def entry_stage(self) -> StageState:
         return self.stages[self.topo[0]]
-
-    def sink_stage(self) -> StageState:
-        return self.stages[self.topo[-1]]
 
 
 class PipelineSample(NamedTuple):

@@ -82,7 +82,8 @@ def _bundle(
 ) -> ObservationBundle:
     """A complete bundle, as the controller builds after the first tick:
     every pipeline has a snapshot sample (zeros unless given) and both
-    series (empty unless given)."""
+    series (an empty ingress window and a zero low-utilization run unless
+    given)."""
 
     pipelines = pipelines or {}
     snapshot_pipelines = snapshot_pipelines or {}
@@ -117,7 +118,7 @@ def _bundle(
         open_incidents=incidents,
         pipelines=pipelines,
         series={
-            pid: {"utilization": (), "ingress": (), **series.get(pid, {})} for pid in pipelines
+            pid: {"ingress": (), "low_util_run": 0, **series.get(pid, {})} for pid in pipelines
         },
         policy=base_policy,
         memory=memory or {},
@@ -266,7 +267,7 @@ class TestOptimizePropose:
 
     def test_sustained_low_utilization_scales_down(self):
         pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
-        series = {"p": {"utilization": [0.1] * LOW_UTIL_TICKS}}
+        series = {"p": {"low_util_run": LOW_UTIL_TICKS}}
         bundle = _bundle(
             pipelines=pipelines, snapshot_pipelines={"p": {"queue_depth": 1}}, series=series
         )
@@ -275,21 +276,19 @@ class TestOptimizePropose:
 
     def test_recent_alloc_change_blocks_scale_down(self):
         pipelines = {"p": _meta(alloc_changed_at=100 - (LOW_UTIL_TICKS - 1))}
-        series = {"p": {"utilization": [0.1] * LOW_UTIL_TICKS}}
+        series = {"p": {"low_util_run": LOW_UTIL_TICKS}}
         bundle = _bundle(pipelines=pipelines, series=series)
         assert optimize_propose(bundle) == []
 
     def test_single_busy_tick_blocks_scale_down(self):
-        window = [0.1] * (LOW_UTIL_TICKS - 1) + [0.35]
+        # the newest sample was busy, so the run restarted at 0
         pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
-        bundle = _bundle(pipelines=pipelines, series={"p": {"utilization": window}})
+        bundle = _bundle(pipelines=pipelines, series={"p": {"low_util_run": 0}})
         assert optimize_propose(bundle) == []
 
     def test_short_history_blocks_scale_down(self):
         pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
-        bundle = _bundle(
-            pipelines=pipelines, series={"p": {"utilization": [0.1] * (LOW_UTIL_TICKS - 1)}}
-        )
+        bundle = _bundle(pipelines=pipelines, series={"p": {"low_util_run": LOW_UTIL_TICKS - 1}})
         assert optimize_propose(bundle) == []
 
     def test_unhealthy_pipeline_never_tuned(self):
@@ -300,7 +299,7 @@ class TestOptimizePropose:
                 freshness_target=10,
             )
         }
-        series = {"p": {"utilization": [0.1] * LOW_UTIL_TICKS}}
+        series = {"p": {"low_util_run": LOW_UTIL_TICKS}}
         snap = {"p": {"queue_depth": 0, "freshness_lag": 99}}
         bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap, series=series)
         assert optimize_propose(bundle) == []

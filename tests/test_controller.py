@@ -5,19 +5,25 @@ from __future__ import annotations
 import ast
 import copy
 import json
+import math
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipegov.agents
 from pipegov.agents import (
+    LOW_UTIL_THRESHOLD,
+    LOW_UTIL_TICKS,
     BackendError,
     BuiltinBackend,
     Controller,
     NullBackend,
     OperatorModel,
     StubBackend,
+    optimize_propose,
 )
 from pipegov.core import ActionKind, Actor, ResourceModel, schema_delta
 from pipegov.harness import run_experiment
@@ -32,7 +38,14 @@ from pipegov.scenario import (
     mutate_schema,
 )
 from pipegov.scenario.model import ArrivalModel, BatchModel
-from pipegov.simkernel import Health, build_world, step
+from pipegov.simkernel import (
+    Health,
+    PipelineSample,
+    TelemetrySnapshot,
+    TickReport,
+    build_world,
+    step,
+)
 from pipegov.telemetry import AuditLog
 
 from conftest import make_batch_pipeline, make_mini_scenario, make_stream_pipeline
@@ -983,20 +996,81 @@ class TestObservationBundles:
             for name in ("utilization", "ingress")
         }
         assert len(backend.seen) == 3 * spec.horizon
+        runs = set()
         for bundle in backend.seen:
             t = bundle["tick"]
             assert set(bundle["series"]) == set(result.world.pipelines)
-            for pid, windows in bundle["series"].items():
-                for name, width in (("utilization", 30), ("ingress", 10)):
-                    ticks = range(max(0, t - width), t)  # the last `width` ticks before t
-                    expected = [recorded[(pid, name)][tick] for tick in ticks]
-                    assert windows[name] == expected, (t, pid, name)
+            for pid, series in bundle["series"].items():
+                ticks = range(max(0, t - 10), t)  # the last 10 ticks before t
+                expected = [recorded[(pid, "ingress")][tick] for tick in ticks]
+                assert series["ingress"] == expected, (t, pid)
+                run = 0  # samples in a row below 0.30, ending at tick t - 1
+                while run < t and recorded[(pid, "utilization")][t - 1 - run] < 0.30:
+                    run += 1
+                assert series["low_util_run"] == run, (t, pid)
+                runs.add(run)
+        assert {0, 29, 30} <= runs
         assert all(
-            windows == {"utilization": [], "ingress": []}
+            series == {"ingress": [], "low_util_run": 0}
             for bundle in backend.seen
             if bundle["tick"] == 0
-            for windows in bundle["series"].values()
+            for series in bundle["series"].values()
         )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(
+                        [
+                            0.0,
+                            math.nextafter(LOW_UTIL_THRESHOLD, 0.0),
+                            LOW_UTIL_THRESHOLD,
+                            math.nextafter(LOW_UTIL_THRESHOLD, 1.0),
+                            1.0,
+                        ]
+                    ),
+                    st.floats(0.0, 1.0),
+                ),
+                st.integers(1, 40),
+            ),
+            max_size=8,
+        ),
+        scaled=st.sets(st.integers(1, 320), max_size=3),
+    )
+    def test_idle_rule_gates_on_the_last_utilization_samples(self, runs, scaled):
+        # The fold keeps a run length, not a window. The idle scale-down must
+        # still fire exactly when at least LOW_UTIL_TICKS samples exist, the
+        # last LOW_UTIL_TICKS are all below LOW_UTIL_THRESHOLD, and no scaling
+        # action applied in that long.
+        spec = make_mini_scenario()
+        world, loop = _make(spec, _policy(), agents=True, backend=NullBackend())
+        for stage in world.pipelines["stream-a"].stages.values():
+            stage.alloc = stage.spec.max_alloc  # a scale-up is clamped and a scale-down allowed
+        utilization = [u for u, repeat in runs for _ in range(repeat)]
+        busy = PipelineSample(0, 0, 0, 1.0, 0)
+        changed_at = 0
+        for t, u in enumerate(utilization, start=1):
+            samples = {"stream-a": PipelineSample(0, 0, 0, u, 0), "batch-a": busy}
+            report = TickReport(t - 1, TelemetrySnapshot(samples, 0), (), 0, 0.0, {})
+            snapshot, _ = loop._fold_statistics(world, t, report)
+            if t in scaled:
+                action = loop._next_action(
+                    t, Actor.OPTIMIZATION_AGENT, ActionKind.SCALE_UP, "stream-a", delta_units=1
+                )
+                loop._apply(world, t, action, 0)
+                changed_at = t
+            *_, (actor, bundle) = loop._bundles(world, t, snapshot)
+            assert actor is Actor.OPTIMIZATION_AGENT
+            window = utilization[:t][-LOW_UTIL_TICKS:]
+            expected = (
+                len(window) == LOW_UTIL_TICKS
+                and all(v < LOW_UTIL_THRESHOLD for v in window)
+                and t - changed_at >= LOW_UTIL_TICKS
+            )
+            proposed = [c.pipeline for c in optimize_propose(bundle) if c.kind == "ScaleDown"]
+            assert proposed == (["stream-a"] if expected else []), t
 
     def test_delay_baseline_is_the_ingress_ewma_before_detection(self, canonical_spec, policy):
         # The batch pipelines see no ingress within 300 ticks, so their

@@ -701,7 +701,32 @@ class TestQueueTotals:
         check_accounting(world)
 
 
-_FAN_OUT = _diamond_spec("fan-out", checkpoint_interval=12)
+class TestStepChecksConservation:
+    """``step`` refuses a world whose records stopped balancing between steps,
+    naming the pipeline, whether or not that pipeline runs in the tick."""
+
+    @pytest.mark.parametrize("health", [Health.HEALTHY, Health.HALTED])
+    @pytest.mark.parametrize("broken", ["queue total", "ingress"])
+    @pytest.mark.parametrize("pid", ["a", "b"])
+    def test_break_between_steps_raises(self, pid, broken, health):
+        world = build_world(
+            [_pipeline("a", stages=2), _pipeline("b", stages=2)],
+            ResourceModel(capacity=64, unit_price=0.5, storage_price=0.01),
+            allocations={"a": {"s0": 4, "s1": 4}, "b": {"s0": 4, "s1": 4}},
+        )
+        for _ in range(3):
+            step(world, {"a": 100, "b": 100})
+        p = world.pipelines[pid]
+        p.health = health
+        if broken == "queue total":
+            p.stages["s1"].queue.records += 1
+        else:
+            p.ingress -= 1
+        with pytest.raises(InconsistentWorld, match=rf"^pipeline {pid}: ingress \d+ != "):
+            step(world, {"a": 100, "b": 100})
+
+
+_FAN_OUT =_diamond_spec("fan-out", checkpoint_interval=12)
 _MACHINE_PIPELINES = (_FAN_OUT, make_batch_pipeline(schedule_period=10))
 _MACHINE_PARTITIONS = [f"pt-{k}" for k in range(8)] + ["pt-ghost"]
 _MACHINE_ALLOCATIONS = st.fixed_dictionaries(
