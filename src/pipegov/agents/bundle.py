@@ -59,13 +59,13 @@ class OutcomeMemory:
             )
 
     def extract(self) -> dict[str, dict]:
-        """Plain-data form for embedding into ObservationBundles."""
+        """Plain-data form for bundles and the report. The success count
+        stays internal: both rates derive from it, and no agent reads it."""
 
         out: dict[str, dict] = {}
         for (cls, kind), cell in sorted(self._cells.items()):
             out[f"{cls}:{kind}"] = {
                 "attempts": cell.attempts,
-                "successes": cell.successes,
                 "success_rate": cell.success_rate(),
                 "mean_resolution": cell.mean_resolution(),
             }
@@ -92,13 +92,13 @@ def _plain(node: object) -> object:
 class ObservationBundle(NamedTuple):
     """Read-only view for one reasoning call.
 
-    Apart from ``memory``, it carries only the keys the builtin agents read,
-    and every key shown below is always present, except in the empty tick-0
-    snapshot. Every container in it is a ``MappingProxyType`` or a tuple,
-    so nothing a backend holds can be changed, by the backend or by the
-    controller: a view may be handed out again on later ticks, and stays
-    equal to what it was when first handed out. ``to_dict()`` returns
-    plain, JSON-ready copies.
+    It carries only the keys the builtin agents read, and every key shown
+    below is always present, except in the empty tick-0 snapshot. Every
+    container in it is a ``MappingProxyType`` or a tuple, so nothing a
+    backend holds can be changed, by the backend or by the controller: a
+    view may be handed out again on later ticks, and stays equal to what it
+    was when first handed out. ``to_dict()`` returns plain, JSON-ready
+    copies.
 
     ``snapshot`` is the previous tick's telemetry, pipelines in sorted
     order, and empty at tick 0, before the first step::
@@ -143,13 +143,17 @@ class ObservationBundle(NamedTuple):
 
     ``policy`` is the governance headroom, shared by the agents of a tick::
 
-        {max_scale_step, budget_per_window, window_remaining,
-         committed_spend, unit_price, quarantine_allowed, schema_mode,
-         allowed_strategies}
+        {max_scale_step, budget_per_window, window, committed_spend,
+         unit_price, quarantine_allowed, schema_mode, allowed_strategies}
+
+    ``window`` is the policy's ``cost.window``: new units are priced over
+    one full window, as the policy engine prices them.
 
     ``memory`` is ``OutcomeMemory.view()``, the read-only form of what the
-    report writes; agents read each cell's ``attempts``, ``success_rate``
-    and ``mean_resolution``.
+    report writes::
+
+        {"<incident class>:<action kind>": {attempts, success_rate,
+                                            mean_resolution}}
     """
 
     tick: int

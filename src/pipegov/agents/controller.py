@@ -69,6 +69,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import count
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -183,7 +184,7 @@ class Controller:
 
         self._builtin = BuiltinBackend()
         self._detector = AnomalyDetector()
-        self._action_seq = 0
+        self._action_ids = (f"ACT-{n:05d}" for n in count(1))
         self._approvals: deque[_PendingApproval] = deque()  # FIFO: due order
         self._operator_tasks: deque[_OperatorTask] = deque()  # FIFO: due order
         self._alloc_changed_at: dict[str, int] = {}
@@ -442,7 +443,8 @@ class Controller:
             if kind.value in incident.denied:
                 return None  # policy already denied this remedy
         self.ledger.proposed(candidate.incident_id, actor.value, t)
-        return self._next_action(
+        return ProposedAction(
+            next(self._action_ids),
             t,
             actor,
             kind,
@@ -453,35 +455,6 @@ class Controller:
             condition=candidate.condition,
             justification=candidate.rationale,
             incident_id=candidate.incident_id,
-        )
-
-    def _next_action(
-        self,
-        t: int,
-        actor: Actor,
-        kind: ActionKind,
-        pipeline: str,
-        *,
-        stage: str | None = None,
-        partition: str | None = None,
-        delta_units: int = 0,
-        condition: str | None = None,
-        justification: str = "",
-        incident_id: str | None = None,
-    ) -> ProposedAction:
-        self._action_seq += 1
-        return ProposedAction(
-            id=f"ACT-{self._action_seq:05d}",
-            tick=t,
-            agent=actor,
-            kind=kind,
-            pipeline=pipeline,
-            stage=stage,
-            partition=partition,
-            delta_units=delta_units,
-            condition=condition,
-            justification=justification,
-            incident_id=incident_id,
         )
 
     # ------------------------------------------------------------------
@@ -513,7 +486,8 @@ class Controller:
                         incident.id, Actor.BASELINE.value, t, self.operator.retry_backoff
                     )
                     proposals.append(
-                        self._next_action(
+                        ProposedAction(
+                            next(self._action_ids),
                             t,
                             Actor.BASELINE,
                             ActionKind.REPLAY,
@@ -548,7 +522,8 @@ class Controller:
             task = self._operator_tasks.popleft()
             if task.incident_id not in self.ledger.open:
                 continue  # resolved itself while the operator was paged
-            action = self._next_action(
+            action = ProposedAction(
+                next(self._action_ids),
                 t,
                 Actor.OPERATOR,
                 task.kind,
@@ -624,7 +599,6 @@ class Controller:
             pipeline_tags=tags,
             windowed_spend=self._window_spend,
             committed_spend=self._spend_projection(world, t, paying_units, reserved_units),
-            window_remaining=self.policy.cost.window,
             unit_price=world.resource_model.unit_price,
             delta_units_total=delta_total,
         )
@@ -755,7 +729,7 @@ class Controller:
             {
                 "max_scale_step": self.policy.cost.max_scale_step,
                 "budget_per_window": self.policy.cost.budget_per_window,
-                "window_remaining": self.policy.cost.window,
+                "window": self.policy.cost.window,
                 "committed_spend": self._spend_projection(world, t, paying_units, reserved_units),
                 "unit_price": world.resource_model.unit_price,
                 "quarantine_allowed": self.policy.schema.quarantine_allowed,

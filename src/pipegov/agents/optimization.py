@@ -41,7 +41,7 @@ def _can_scale_up(stages: Mapping[str, Mapping]) -> bool:
 def _budget_allows(policy: Mapping, pending_units: int, extra_units: int) -> bool:
     projected = (
         policy["committed_spend"]
-        + (pending_units + extra_units) * policy["unit_price"] * policy["window_remaining"]
+        + (pending_units + extra_units) * policy["unit_price"] * policy["window"]
     )
     return projected <= policy["budget_per_window"]
 

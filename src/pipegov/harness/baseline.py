@@ -15,9 +15,9 @@ Lindley recursion). The pass replays that for one pipeline at a time over
 its column of the arrival trace, holding each stage's queue as a deque of
 record counts, and takes, splits and routes those counts exactly as
 ``step`` takes, splits and routes cohorts. Its per-stage peaks are
-therefore the peaks of the kernel's ``stage_processed`` in the same
-regime; a property test over random pipeline graphs checks them against
-``step``.
+therefore the most records each stage's queue gives up in one ``step`` in
+the same regime; a property test over random pipeline graphs checks them
+against ``step``.
 """
 
 from __future__ import annotations
@@ -134,15 +134,13 @@ def stage_peaks(pipeline: PipelineSpec, arrivals) -> dict[str, int]:
     return dict(zip(topo, peaks))
 
 
-def derive_baseline_allocations(
-    spec: ScenarioSpec, headroom: float = DEFAULT_HEADROOM
-) -> dict[str, dict[str, int]]:
+def derive_baseline_allocations(spec: ScenarioSpec) -> dict[str, dict[str, int]]:
     """Size fixed allocations from a fault-free calibration pass.
 
     ``stage_peaks`` replays each pipeline's arrivals with every stage at
     max allocation and nothing contending, without building a world. Peak
     per-stage demand (processed records over base rate, in units) times
-    ``headroom`` — clamped to stage bounds — becomes the static
+    ``DEFAULT_HEADROOM`` — clamped to stage bounds — becomes the static
     allocation. Raises ValueError for a repeated pipeline id or a
     structurally invalid pipeline, as ``build_world`` does.
     """
@@ -162,7 +160,7 @@ def derive_baseline_allocations(
         stage_allocs: dict[str, int] = {}
         for stage in pipeline.stages:
             units = max(1, math.ceil(peaks[stage.id] / stage.base_rate))
-            want = math.ceil(headroom * units)
+            want = math.ceil(DEFAULT_HEADROOM * units)
             stage_allocs[stage.id] = max(stage.min_alloc, min(stage.max_alloc, want))
         allocations[pipeline.id] = stage_allocs
     return allocations

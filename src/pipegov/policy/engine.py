@@ -47,16 +47,15 @@ class ValidationContext:
     tumbling policy window. ``committed_spend`` projects the current
     allocation forward — at least to the window end, and at least one full
     window at the total reserved allocation — so approving an increase can
-    never push this window or the next past its budget. ``window_remaining``
-    is the horizon (in ticks) over which ``delta_units_total`` new units
-    are priced.
+    never push this window or the next past its budget. The
+    ``delta_units_total`` new units are priced over the policy's
+    ``cost.window``, which the context does not repeat.
     """
 
     tick: int
     pipeline_tags: tuple[str, ...] = ()
     windowed_spend: float = 0.0
     committed_spend: float = 0.0
-    window_remaining: int = 0
     unit_price: float = 0.0
     delta_units_total: int = 0  # delta_units summed over affected stages
 
@@ -66,7 +65,6 @@ class ValidationContext:
             "pipeline_tags": list(self.pipeline_tags),
             "windowed_spend": self.windowed_spend,
             "committed_spend": self.committed_spend,
-            "window_remaining": self.window_remaining,
             "unit_price": self.unit_price,
             "delta_units_total": self.delta_units_total,
         }
@@ -79,7 +77,6 @@ class ValidationContext:
                 pipeline_tags=f.take("pipeline_tags", list_of(string), ()),
                 windowed_spend=f.take("windowed_spend", number, 0.0),
                 committed_spend=f.take("committed_spend", number, 0.0),
-                window_remaining=f.take("window_remaining", integer, 0),
                 unit_price=f.take("unit_price", number, 0.0),
                 delta_units_total=f.take("delta_units_total", integer, 0),
             )
@@ -92,10 +89,10 @@ class PolicyDecision:
     explanation: str
 
 
-def projected_spend(context: ValidationContext) -> float:
+def projected_spend(policy: PolicyDocument, context: ValidationContext) -> float:
     """Window spend if the proposed allocation change is applied now."""
 
-    added = context.delta_units_total * context.unit_price * context.window_remaining
+    added = context.delta_units_total * context.unit_price * policy.cost.window
     return context.committed_spend + added
 
 
@@ -135,7 +132,7 @@ def validate_action(
 
     if action.kind is ActionKind.SCALE_UP:
         evaluated.append(RULE_BUDGET)
-        projected = projected_spend(context)
+        projected = projected_spend(policy, context)
         if projected > policy.cost.budget_per_window:
             return deny(
                 RULE_BUDGET,

@@ -247,12 +247,10 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     materialized_now = 0
     compute_units = 0  # allocation of pipelines that are neither halted nor deferred
     samples: dict[str, PipelineSample] = {}
-    stage_processed: dict[str, dict[str, int]] = {}
     for pid in pids:
         p = world.pipelines[pid]
         stages = p.stages
         runs = pid in allowed
-        moved: dict[str, int] = {}
         processed_total = 0
         capacity_total = 0  # rate on offer at stages that had work
         queued = 0
@@ -272,7 +270,6 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
                     processed_cohorts = queue.take(rate)
                     capacity_total += rate
                     done = before - queue.records
-                    moved[sid] = done
                     processed_total += done
                     downstream = stage.downstream
                     forwarded = stage.forwarded_since_checkpoint
@@ -301,8 +298,6 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             queued += queue.records
             if stage.forwarded_since_checkpoint and t and t % stage.spec.checkpoint_interval == 0:
                 stage.forwarded_since_checkpoint.clear()
-        if moved:
-            stage_processed[pid] = moved
         # the walk ended on the sink stage, whose checkpoint bounds a rollback
         if p.materialized_since_checkpoint and t and t % stage.spec.checkpoint_interval == 0:
             p.materialized_since_checkpoint.clear()
@@ -326,7 +321,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     )
     world.tick = t + 1
     snapshot = TelemetrySnapshot(samples, capacity_now - busy_alloc)
-    return TickReport(t, snapshot, tuple(failures), materialized_now, cost, stage_processed)
+    return TickReport(t, snapshot, tuple(failures), materialized_now, cost)
 
 
 def _get_pipeline(world: SimWorld, pipeline_id: str) -> PipelineState:

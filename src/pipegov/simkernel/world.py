@@ -224,8 +224,6 @@ class TickReport(NamedTuple):
     failures: tuple[tuple[str, str], ...]
     materialized: int
     cost: float
-    # pipeline -> stage -> records processed, only for pipelines that moved records
-    stage_processed: dict[str, dict[str, int]]
 
 
 @dataclass

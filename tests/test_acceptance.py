@@ -278,8 +278,11 @@ def test_criterion_1_determinism(canonical_compare_dirs):
 
 
 # SHA-256 of every artifact of ``compare`` on the canonical scenario and
-# policy (seed 42), recorded with numpy 2.4.6 before the arrival trace and
-# the streamed telemetry.csv writer replaced per-tick draws and csv.writer.
+# policy (seed 42), with numpy 2.4.6. The report, metrics and telemetry
+# digests have held since they were recorded with per-tick draws and
+# csv.writer. The audit logs and run.json were re-recorded when decision
+# contexts stopped carrying ``window_remaining`` and memory cells stopped
+# carrying ``successes``; every other payload field stayed equal.
 # Criterion 1 compares two runs of the same code; these pin the bytes
 # themselves, so a formatter or sampler change cannot pass unnoticed.
 CANONICAL_COMPARE_SHA256 = {
@@ -287,11 +290,11 @@ CANONICAL_COMPARE_SHA256 = {
     "cost_bars.csv": "59fa492c29fe2421b7832934830978249d8cce7de18d9507e511716589554be6",
     "metrics.csv": "a33020041d6d686fb835d66eaaea8166f099479a1d4ebfef1530dc2a5aec5576",
     "mttr_bars.csv": "9634a91eca827d915e91bb8a407c17f6b7fa7380c1e9c6505bb4f266ad9ccff5",
-    "agentic/audit.jsonl": "120b8efd07ead917f94b71b48017d42cf2b993380834e4275034b747342544a4",
-    "agentic/run.json": "683a5ec2b1cc26a07573be3dc4e6da76280a053a2619b0670b8857d742633d0b",
+    "agentic/audit.jsonl": "7aa6b899fb704aced6fcb533176e45690cc12f4ee7b4472b020d0c4bdfc35d71",
+    "agentic/run.json": "78fc1b63d1bf4ba2558700e4f71848bbb8f5872077798bb59dece6b5c4766d64",
     "agentic/telemetry.csv": "58f928443672436b6cd196ee8c00391bac88bee427e5cf7b753a81f9f53a84a2",
-    "static/audit.jsonl": "a4d1db3901c4bec4542f72ae19d448f6049ca6c557b54051aea5526a2cd37fcc",
-    "static/run.json": "548b9697411d990cdc67aadee8f7a4b946b59ece5cbd8ca9362714604aa6229a",
+    "static/audit.jsonl": "242342e069a1c7d81fc20d08d35183568d739ec8a5be6aec8c7038ced83a49a3",
+    "static/run.json": "6753626bf7b5ce99eb11cebe333ce222d8a5fd03b2127ae0348a518675e8eb1e",
     "static/telemetry.csv": "0eaf4245d77397571426e3e151c2f0be16ea7faf6bbd2be53d668128ee4eb2fd",
 }
 
@@ -312,7 +315,7 @@ def test_canonical_artifacts_match_recorded_digests(canonical_compare_dirs):
 # streaming drifts, contention, budgets and every fault kind, so kernel
 # and agent bytes are pinned off the reference scenario too. A change that
 # moves agent behaviour re-records it and lists the value old -> new.
-FUZZ_AGENTIC_SHA256 = "cf2f2f448b3b8276ebe41723bb30de78fc72ace521d016f92142c843cd7beab6"
+FUZZ_AGENTIC_SHA256 = "e1d44adbe08729d2878fc29747d7d11b74d4acd304f7c9b44f573864869e8136"
 
 
 def test_fuzz_runs_match_recorded_digest(fuzz_runs):

@@ -93,7 +93,7 @@ def _bundle(
         "budget_per_window": 10_000.0,
         "committed_spend": 0.0,
         "unit_price": 0.5,
-        "window_remaining": 100,
+        "window": 100,
         "allowed_strategies": ("Replay", "Rollback", "PartialRecompute", "Defer", "Resume"),
         "quarantine_allowed": True,
         "schema_mode": "permissive",
@@ -343,7 +343,7 @@ class TestOptimizePropose:
             "budget_per_window": 100.0,
             "committed_spend": 65.0,
             "unit_price": 0.5,
-            "window_remaining": 10,
+            "window": 10,
         }
         bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap, policy=policy)
         candidates = optimize_propose(bundle)
@@ -465,10 +465,10 @@ class TestRecoveryPropose:
     def test_higher_success_rate_wins(self):
         memory = {
             "TransientTaskFailure:Replay": {
-                "attempts": 3, "successes": 1, "success_rate": 1 / 3, "mean_resolution": 4.0,
+                "attempts": 3, "success_rate": 1 / 3, "mean_resolution": 4.0,
             },
             "TransientTaskFailure:Rollback": {
-                "attempts": 3, "successes": 3, "success_rate": 1.0, "mean_resolution": 9.0,
+                "attempts": 3, "success_rate": 1.0, "mean_resolution": 9.0,
             },
         }
         assert recovery_propose(self._incident(), memory, self._allowed) == "Rollback"
@@ -476,16 +476,16 @@ class TestRecoveryPropose:
     def test_faster_resolution_breaks_rate_ties(self):
         memory = {
             "TransientTaskFailure:Replay": {
-                "attempts": 2, "successes": 2, "success_rate": 1.0, "mean_resolution": 8.0,
+                "attempts": 2, "success_rate": 1.0, "mean_resolution": 8.0,
             },
             "TransientTaskFailure:Rollback": {
-                "attempts": 2, "successes": 2, "success_rate": 1.0, "mean_resolution": 5.0,
+                "attempts": 2, "success_rate": 1.0, "mean_resolution": 5.0,
             },
         }
         assert recovery_propose(self._incident(), memory, self._allowed) == "Rollback"
 
     def test_identical_stats_keep_fixed_order(self):
-        cell = {"attempts": 2, "successes": 1, "success_rate": 0.5, "mean_resolution": 6.0}
+        cell = {"attempts": 2, "success_rate": 0.5, "mean_resolution": 6.0}
         memory = {
             "TransientTaskFailure:Replay": dict(cell),
             "TransientTaskFailure:Rollback": dict(cell),
@@ -512,6 +512,7 @@ class TestRecoveryPropose:
         assert cell["success_rate"] == pytest.approx(0.5)
         assert cell["mean_resolution"] == pytest.approx(8.0)
         assert cell["attempts"] == 2
+        assert set(cell) == {"attempts", "success_rate", "mean_resolution"}  # no success count
         assert "Nope:Replay" not in extracted
 
     def test_memory_rejects_excess_successes(self):

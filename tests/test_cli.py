@@ -509,6 +509,57 @@ class TestReplayAudit:
         err = capsys.readouterr().err
         assert f"seq {seq}: malformed decision record: action.tick: must be an integer, got '{tick}'" in err, err
 
+    def test_context_with_a_window_of_its_own_is_malformed(self, compare_out, tmp_path, capsys):
+        # New units are priced over the policy's window; a context carrying
+        # the window_remaining key older logs wrote is rejected, not read.
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        seq = next(
+            raw["seq"] for raw in map(json.loads, lines) if raw["payload"].get("phase") == "initial"
+        )
+        path = tmp_path / "window-remaining.jsonl"
+        path.write_text(
+            _rechained(lines, seq, lambda p: {**p, "context": {**p["context"], "window_remaining": 1440}})
+        )
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"seq {seq}: malformed decision record: " in err, err
+        assert "window_remaining" in err, err
+
+    def test_scale_up_is_repriced_over_the_embedded_policy_window(
+        self, cli_files, tmp_path, capsys
+    ):
+        # A stub backend proposes one ScaleUp, which the policy allows. A
+        # thousandfold window in the embedded policy prices its new units
+        # past the budget, so the recorded verdict no longer follows.
+        scenario, policy = cli_files
+        script = tmp_path / "script.json"
+        script.write_text(
+            json.dumps({"5:OptimizationAgent": [{"kind": "ScaleUp", "pipeline": "stream-a", "delta_units": 1}]})
+        )
+        out = tmp_path / "run"
+        args = ["--scenario", scenario, "--policy", policy, "--out", str(out), "--quiet"]
+        assert main(["run", "--controller", "agentic", "--backend", f"stub:{script}", *args]) == 0
+        lines = (out / "audit.jsonl").read_text().splitlines()
+        (seq,) = (
+            raw["seq"]
+            for raw in map(json.loads, lines)
+            if raw["payload"].get("phase") == "initial" and raw["payload"]["action"]["kind"] == "ScaleUp"
+        )
+        assert json.loads(lines[seq - 1])["payload"]["verdict"] == "Allow"
+        assert main(["replay-audit", str(out / "audit.jsonl"), "--quiet"]) == 0
+
+        def widen(payload):
+            cost = {**payload["policy"]["cost"]}
+            cost["window"] *= 1000
+            return {**payload, "policy": {**payload["policy"], "cost": cost}}
+
+        path = tmp_path / "widened.jsonl"
+        path.write_text(_rechained(lines, 1, widen))
+
+        assert main(["replay-audit", str(path)]) == 1
+        assert f"seq {seq}: recorded verdict 'Allow' but policy says 'Deny'" in capsys.readouterr().err
+
     def test_grant_needs_the_operator_settings(self, approval_log, tmp_path, capsys):
         # Without operator_delay the grant's due tick cannot be checked.
         lines = approval_log.splitlines()

@@ -25,7 +25,7 @@ from pipegov.agents import (
     StubBackend,
     optimize_propose,
 )
-from pipegov.core import ActionKind, Actor, ResourceModel, schema_delta
+from pipegov.core import ActionKind, Actor, ProposedAction, ResourceModel, schema_delta
 from pipegov.harness import run_experiment
 from pipegov.policy import parse_policy
 from pipegov.scenario import (
@@ -157,7 +157,7 @@ class TestStaticFallback:
         assert incident.resolution == "Replay"
         assert loop.interventions == 0
         cell = loop.memory.extract()["TransientTaskFailure:Replay"]
-        assert (cell["attempts"], cell["successes"]) == (1, 1)
+        assert (cell["attempts"], cell["success_rate"]) == (1, 1.0)
         assert world.pipelines["stream-a"].health is Health.HEALTHY
 
     def test_exhausted_retries_page_the_operator(self):
@@ -281,7 +281,7 @@ class TestAgenticDrift:
         assert loop.interventions == 0
         assert _events(loop, "operator_task_enqueued") == []
         cell = loop.memory.extract()["SchemaIncompatible:QuarantinePartition"]
-        assert (cell["attempts"], cell["successes"]) == (1, 1)
+        assert (cell["attempts"], cell["success_rate"]) == (1, 1.0)
 
     def test_regulated_pipeline_waits_for_approval(self):
         spec = make_mini_scenario(
@@ -662,7 +662,7 @@ class TestIncidentState:
         ]
         assert applied == [44]  # request tick 4 + operator delay 40
         cell = loop.memory.extract()["UpstreamDelay:ScaleUp"]
-        assert (cell["attempts"], cell["successes"]) == (1, 0)
+        assert (cell["attempts"], cell["success_rate"]) == (1, 0.0)
         assert loop.ledger.open == {}
 
     def test_duplicate_open_coalesces(self):
@@ -930,13 +930,6 @@ _DATA_KEYED = {
     ("snapshot", "pipelines"),
 }
 
-# Bundle keys no agent reads, each with its reason.
-_UNREAD_BUNDLE_KEYS = {
-    # memory is OutcomeMemory.extract(), which is also the report's memory
-    # section.
-    "successes",
-}
-
 
 def _read_by_agents() -> tuple[set[str], set[str]]:
     """String subscripts and ``.get`` arguments, and ``bundle.<name>`` reads,
@@ -1053,11 +1046,12 @@ class TestObservationBundles:
         changed_at = 0
         for t, u in enumerate(utilization, start=1):
             samples = {"stream-a": PipelineSample(0, 0, 0, u, 0), "batch-a": busy}
-            report = TickReport(t - 1, TelemetrySnapshot(samples, 0), (), 0, 0.0, {})
+            report = TickReport(t - 1, TelemetrySnapshot(samples, 0), (), 0, 0.0)
             snapshot, _ = loop._fold_statistics(world, t, report)
             if t in scaled:
-                action = loop._next_action(
-                    t, Actor.OPTIMIZATION_AGENT, ActionKind.SCALE_UP, "stream-a", delta_units=1
+                action = ProposedAction(
+                    f"ACT-{t}", t, Actor.OPTIMIZATION_AGENT, ActionKind.SCALE_UP, "stream-a",
+                    delta_units=1,
                 )
                 loop._apply(world, t, action, 0)
                 changed_at = t
@@ -1199,5 +1193,5 @@ class TestObservationBundles:
             for key, value in bundle.items():
                 top.add(key)
                 nested |= _bundle_keys(value, (key,))
-        assert {"drift", "partition", "delay_baseline", "attempts"} <= nested
-        assert (top - fields, nested - keys - _UNREAD_BUNDLE_KEYS) == (set(), set())
+        assert {"drift", "partition", "delay_baseline", "attempts", "window"} <= nested
+        assert (top - fields, nested - keys) == (set(), set())

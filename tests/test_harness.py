@@ -9,6 +9,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,11 +40,13 @@ from pipegov.scenario import (
     FaultEvent,
     FaultKind,
     ScenarioSpec,
+    arrival_trace,
     default_policy_dict,
     mutate_schema,
     scenario_hash,
 )
 from pipegov.simkernel import build_world, check_accounting, step
+from pipegov.simkernel.world import CohortQueue
 from pipegov.telemetry import verify_chain
 from pipegov.telemetry.metrics import CLUSTER_SCOPE, MetricStore
 
@@ -108,13 +111,20 @@ class TestCalibration:
         total = sum(sum(stages.values()) for stages in allocations.values())
         assert total <= canonical_spec.resource_model.capacity
 
-    def test_headroom_is_monotone(self):
-        spec = make_mini_scenario()
-        lean = derive_baseline_allocations(spec, headroom=1.0)
-        fat = derive_baseline_allocations(spec, headroom=1.5)
-        for pid, stages in lean.items():
-            for sid, units in stages.items():
-                assert units <= fat[pid][sid]
+    @pytest.mark.parametrize("name", ["mini", "canonical"])
+    def test_allocation_is_one_and_a_half_times_peak_units(self, name, canonical_spec):
+        # Every caller gets one rule: ceil(1.5 x peak units), clamped to the
+        # stage's bounds, where peak units are ceil(peak / base_rate), at
+        # least 1, and the peak comes from stage_peaks over the arrivals.
+        spec = make_mini_scenario() if name == "mini" else canonical_spec
+        allocations = derive_baseline_allocations(spec)
+        trace, ticks = arrival_trace(spec), range(spec.horizon)
+        for pipeline in spec.pipelines:
+            peaks = stage_peaks(pipeline, [trace.at(t).get(pipeline.id, 0) for t in ticks])
+            for stage in pipeline.stages:
+                units = max(1, math.ceil(peaks[stage.id] / stage.base_rate))
+                want = min(stage.max_alloc, max(stage.min_alloc, math.ceil(1.5 * units)))
+                assert allocations[pipeline.id][stage.id] == want, (pipeline.id, stage.id)
 
     def test_calibration_is_repeatable(self):
         spec = make_mini_scenario()
@@ -195,10 +205,25 @@ class TestStagePeaks:
             ResourceModel(capacity=sum(max_allocs.values()), unit_price=1.0, storage_price=0.0),
             {"p": max_allocs},
         )
+        # What each stage's queue gives up during one step, counted at take.
+        stages = world.pipelines["p"].stages
+        sid_of = {stages[sid].queue: sid for sid in stages}
+        given_up: dict[str, int] = {}
+        take = CohortQueue.take
+
+        def counting_take(queue, limit, end=0):
+            cohorts = take(queue, limit, end)
+            sid = sid_of[queue]
+            given_up[sid] = given_up.get(sid, 0) + sum(c.count for c in cohorts)
+            return cohorts
+
         want = dict.fromkeys(max_allocs, 0)
-        for count in arrivals:
-            for sid, processed in step(world, {"p": count}).stage_processed.get("p", {}).items():
-                want[sid] = max(want[sid], processed)
+        with mock.patch.object(CohortQueue, "take", counting_take):
+            for count in arrivals:
+                given_up.clear()
+                step(world, {"p": count})
+                for sid, processed in given_up.items():
+                    want[sid] = max(want[sid], processed)
         check_accounting(world)
         assert stage_peaks(pipeline, arrivals) == want
 

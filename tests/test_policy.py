@@ -99,9 +99,10 @@ class TestParsePolicy:
 
 class TestValidateAction:
     def test_scale_up_within_all_bounds_allowed(self, policy):
-        # projected = 40 committed + 2 units x 0.5 price x 4 remaining = 44 <= budget
+        # projected = 40 committed + 2 units x 0.5 price x 1440 window = 1480 <= budget
         action = _action(ActionKind.SCALE_UP, delta_units=2)
-        context = _ctx(windowed_spend=40.0, committed_spend=40.0, window_remaining=4, unit_price=0.5)
+        context = _ctx(windowed_spend=40.0, committed_spend=40.0, unit_price=0.5, delta_units_total=2)
+        assert projected_spend(policy, context) == pytest.approx(1480.0)
         decision = validate_action(policy, action, context)
         assert decision.verdict is Verdict.ALLOW
         assert decision.rule_citations == (
@@ -109,6 +110,20 @@ class TestValidateAction:
             "cost.max_scale_step",
             "cost.budget_per_window",
         )
+
+    def test_new_units_are_priced_over_the_policy_window(self):
+        # 2 new units x 0.5 over a window of w ticks add w to the committed 900
+        action = _action(ActionKind.SCALE_UP, delta_units=2)
+        context = _ctx(committed_spend=900.0, unit_price=0.5, delta_units_total=2)
+        verdicts = [
+            validate_action(
+                parse_policy(_doc(**{"cost.budget_per_window": 1000.0, "cost.window": window})),
+                action,
+                context,
+            ).verdict
+            for window in (100, 101)
+        ]
+        assert verdicts == [Verdict.ALLOW, Verdict.DENY]
 
     def test_oversized_scale_step_denied(self, policy):
         action = _action(ActionKind.SCALE_UP, delta_units=6)
@@ -120,7 +135,6 @@ class TestValidateAction:
         action = _action(ActionKind.SCALE_UP, delta_units=2)
         context = _ctx(
             committed_spend=policy.cost.budget_per_window - 100.0,
-            window_remaining=1440,
             unit_price=0.5,
             delta_units_total=2,
         )
@@ -177,7 +191,7 @@ class TestValidateAction:
 
     def test_decision_is_pure(self, policy):
         action = _action(ActionKind.SCALE_UP, delta_units=2)
-        context = _ctx(committed_spend=10.0, window_remaining=5, unit_price=0.5, delta_units_total=2)
+        context = _ctx(committed_spend=10.0, unit_price=0.5, delta_units_total=2)
         first = validate_action(policy, action, context)
         second = validate_action(policy, action, context)
         assert first == second
@@ -234,7 +248,6 @@ class TestMonotonicSafety:
             )
             context = _ctx(
                 committed_spend=rng.uniform(0, 60_000),
-                window_remaining=rng.randint(1, 1440),
                 unit_price=0.5,
                 delta_units_total=abs(action.delta_units) * 2,
                 pipeline_tags=rng.choice([(), ("regulated",)]),
@@ -247,19 +260,20 @@ class TestMonotonicSafety:
 
 class TestProjectedSpend:
     def test_arithmetic(self):
-        context = _ctx(committed_spend=40.0, window_remaining=4, unit_price=0.5, delta_units_total=2)
-        assert projected_spend(context) == pytest.approx(44.0)
+        # new units are priced over the policy's own window
+        policy = parse_policy(_doc(**{"cost.window": 4}))
+        context = _ctx(committed_spend=40.0, unit_price=0.5, delta_units_total=2)
+        assert projected_spend(policy, context) == pytest.approx(44.0)
 
-    def test_zero_delta_is_committed_spend(self):
-        context = _ctx(committed_spend=40.0, window_remaining=100, unit_price=0.5)
-        assert projected_spend(context) == pytest.approx(40.0)
+    def test_zero_delta_is_committed_spend(self, policy):
+        context = _ctx(committed_spend=40.0, unit_price=0.5)
+        assert projected_spend(policy, context) == pytest.approx(40.0)
 
     def test_context_round_trip(self):
         context = _ctx(
             pipeline_tags=("regulated",),
             windowed_spend=1.5,
             committed_spend=2.5,
-            window_remaining=7,
             unit_price=0.25,
             delta_units_total=3,
         )

@@ -137,15 +137,16 @@ class TestStepProcessing:
             ResourceModel(capacity=64, unit_price=0.5, storage_price=0.0),
             allocations={"a": {"s0": 48}, "b": {"s0": 32}},
         )
-        report = step(world, {"a": 10_000, "b": 10_000})
-        # 1 * 48 * 0.8 = 38.4 -> 38 ; 10 * 32 * 0.8 = 256
-        assert report.stage_processed["a"]["s0"] == 38
-        assert report.stage_processed["b"]["s0"] == 256
+        step(world, {"a": 10_000, "b": 10_000})
+        # 1 * 48 * 0.8 = 38.4 -> 38 ; 10 * 32 * 0.8 = 256, each a single-stage
+        # pipeline's whole output
+        assert world.pipelines["a"].materialized == 38
+        assert world.pipelines["b"].materialized == 256
 
     def test_no_contention_under_capacity(self):
         world = _world(base_rate=10, alloc=4, capacity=64)
         report = step(world, {"p": 100})
-        assert report.stage_processed["p"]["s0"] == 40
+        assert world.pipelines["p"].materialized == 40
         assert report.snapshot.capacity_headroom == 60
 
     def test_idle_stages_add_no_busy_allocation(self):
@@ -161,7 +162,7 @@ class TestStepProcessing:
         report = step(world, {"b": 100})
         assert report.snapshot.capacity_headroom == 64 - 4
         assert report.snapshot.pipelines["a"].utilization == 0.0
-        assert report.stage_processed.get("a", {}) == {}
+        assert world.pipelines["a"].materialized == 0
         assert report.cost == (8 + 4 + 6) * 0.5  # idle reserved units still pay
 
     def test_multi_stage_flow_conserves_records(self):
