@@ -216,6 +216,17 @@ def _cmd_validate_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+class _AppendNewSeed(argparse.Action):
+    """``--seed``, repeatable: a seed given twice would run twice, write its
+    directory twice and count twice in the multi-seed aggregate."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        seeds = getattr(namespace, self.dest) or []
+        if value in seeds:
+            raise argparse.ArgumentError(self, f"seed {value} given more than once")
+        setattr(namespace, self.dest, [*seeds, value])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pipegov",
@@ -237,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--seed",
-            action="append",
+            action=_AppendNewSeed,
             type=int,
             help="override scenario seed (repeatable for multi-seed batches)",
         )

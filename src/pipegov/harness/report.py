@@ -7,11 +7,16 @@ files directly. Writers require the output directory to exist; the CLI
 creates it before delegating.
 
 ``telemetry.csv`` (about 310,000 rows per canonical run) is streamed into
-the open file one series at a time, read from the store's tables (doubles
-sharing a tick column) as a tick column and a strided value column: the
-csv module quotes the ``scope,metric`` prefix once per series, and each
-row is formatted as ``f"{prefix}{tick},{value!r}"``, which is what
-``csv.writer`` emits for an int tick and a float value.
+the open file one series at a time, each read through
+``MetricStore.columns`` as a tick column and a value column. Each row is
+``f"{prefix}{tick},{value!r}"``, which is what ``csv.writer`` emits for an
+int tick and a float value, but the parts are formatted once each: the csv
+module quotes the ``scope,metric`` prefix once per series, the
+``"{tick},"`` texts are reused while the next series' ticks are equal (a
+run's series share one tick column), and each value's ``repr`` is made
+once per distinct 64-bit pattern in the series. Keying by the pattern
+rather than by float equality keeps ``-0.0`` apart from ``0.0`` and finds
+a NaN again. The rows are then joined with the prefix between them.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import io
 import json
 import os
 from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from ..telemetry.metrics import MetricStore
 from .metrics import AggregateComparison, ComparisonReport, MetricsReport
@@ -168,7 +175,18 @@ def _telemetry_chunks(store: MetricStore) -> Iterator[str]:
     """telemetry.csv as one header chunk plus one chunk per series."""
 
     yield "scope,metric,tick,value\n"
+    last_ticks = tick_texts = None
     for scope, name in store.series_keys():
         prefix = _csv_text([scope, name], [])[:-1] + ","
         ticks, values = store.columns(scope, name)
-        yield "".join([f"{prefix}{tick},{value!r}\n" for tick, value in zip(ticks, values)])
+        if ticks != last_ticks:
+            last_ticks, tick_texts = ticks, [f"{tick}," for tick in ticks]
+        # One text per distinct 64-bit pattern: the value's repr, a newline
+        # and the next row's prefix, which the last row does without.
+        patterns, which = np.unique(np.frombuffer(values, np.int64), return_inverse=True)
+        texts = np.array([f"{v!r}\n{prefix}" for v in patterns.view(np.float64).tolist()], dtype=object)
+        parts = [prefix] * (2 * len(ticks) + 1)
+        parts[1::2] = tick_texts
+        parts[2::2] = texts[which].tolist()
+        parts[-1] = parts[-1][: -len(prefix)]
+        yield "".join(parts)

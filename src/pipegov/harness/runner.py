@@ -4,14 +4,16 @@ The per-tick cycle is fixed: inject scheduled faults, run the control
 loop (which sees the faults and the previous tick's telemetry), take the
 tick's arrivals from the scenario's arrival trace (drawn once per
 scenario hash and shared with calibration), advance the simulation
-kernel, then record telemetry: one row per pipeline and one cost row.
-Repeat for the scenario horizon. Everything downstream — metrics,
-comparisons, reports — consumes the RunResult this produces.
+kernel, then record telemetry as one store row: each pipeline's five
+series, in the snapshot's pipeline order, then the cluster cost. Repeat
+for the scenario horizon. Everything downstream — metrics, comparisons,
+reports — consumes the RunResult this produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 from ..agents.backends import BuiltinBackend, ReasoningBackend
 from ..agents.bundle import OutcomeMemory
@@ -109,6 +111,10 @@ def run_experiment(
         policy.version,
     )
 
+    # One column per recorded value, in the order of the kernel snapshot's
+    # pipelines, which is world.pipeline_ids() order.
+    columns = tuple((pid, name) for pid in world.pipeline_ids() for name in SAMPLE_SERIES)
+    columns += ((CLUSTER_SCOPE, "cost"),)
     prev_report: TickReport | None = None
     total_cost = 0.0
     flags_total = 0
@@ -119,9 +125,8 @@ def run_experiment(
         control = loop.tick(world, t, applied, prev_report)
         flags_total += len(control.flags)
         report = step(world, trace.at(t))
-        for pid, sample in report.snapshot.pipelines.items():
-            store.record_row(pid, SAMPLE_SERIES, t, sample)
-        store.record_row(CLUSTER_SCOPE, ("cost",), t, (report.cost,))
+        row = [*chain.from_iterable(report.snapshot.pipelines.values()), report.cost]
+        store.record_row(columns, t, row)
         total_cost += report.cost
         prev_report = report
 

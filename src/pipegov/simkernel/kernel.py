@@ -152,7 +152,12 @@ def _divert_quarantined(p: PipelineState) -> int:
 
 
 def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
-    """Advance the world one tick. Fault state must already be injected."""
+    """Advance the world one tick. Fault state must already be injected.
+
+    The report's ``snapshot.pipelines`` holds every pipeline, in
+    ``world.pipeline_ids()`` order, whatever order the world was built in;
+    the runner records each tick as one row laid out in that order.
+    """
 
     pids = world.pipeline_ids()
     t = world.tick

@@ -3,20 +3,21 @@
 A series is identified by (scope, name) where scope is a pipeline id or the
 reserved "cluster" scope for global series. Samples are (tick, value) pairs.
 
-Series recorded together under one scope form a table. ``record_row(scope,
-names, tick, row)`` appends the tick to the table's one ``array('q')`` tick
-column, which all its series share, and the row's values, in ``names``
-order, to one row-major ``array('d')``: series ``i`` of a ``w``-wide table
-is the strided column ``values[i::w]``. ``record_sample`` is a row of one.
-The runner records one five-series row per pipeline and one cost row per
-tick.
+Series recorded together form a table, keyed by its tuple of (scope, name)
+columns, which may span scopes. ``record_row(columns, tick, row)`` appends
+the tick to the table's one ``array('q')`` tick column, which all its
+series share, and the row, a list of values in column order, to one
+row-major ``array('d')``: series ``i`` of a ``w``-wide table is the strided
+column ``values[i::w]``. ``record_sample`` is a row of one. The runner
+records one row per tick: every pipeline's five series and the cluster
+cost.
 
 Values are stored as doubles: an int reads back as ``float(int)`` and
 ``-0.0`` keeps its sign. A rejected call changes nothing. A call is
-rejected for a tick that is not after the table's last tick, a row whose
-width differs from its names, a name another table of the scope already
-holds, or a value ``array('d')`` refuses (a string, an int beyond the
-double range). Readers get fresh lists and arrays, so a caller cannot
+rejected for a tick that is not after the table's last tick, a row that is
+not a list or whose width differs from its columns, a column another table
+already holds, or a value ``array('d')`` refuses (a string, an int beyond
+the double range). Readers get fresh lists and arrays, so a caller cannot
 change the store through them.
 """
 
@@ -37,44 +38,45 @@ class UnknownSeries(KeyError):
     pass
 
 
+Column = tuple[str, str]  # (scope, name)
+
+
 @dataclass
 class MetricStore:
-    # (scope, names) -> (ticks, row-major values)
-    _tables: dict[tuple[str, tuple[str, ...]], tuple[array, array]] = field(default_factory=dict)
+    # columns -> (ticks, row-major values)
+    _tables: dict[tuple[Column, ...], tuple[array, array]] = field(default_factory=dict)
     # (scope, name) -> (ticks, values, column, width) of the table holding it
-    _columns: dict[tuple[str, str], tuple[array, array, int, int]] = field(default_factory=dict)
+    _columns: dict[Column, tuple[array, array, int, int]] = field(default_factory=dict)
 
-    def record_row(self, scope: str, names: tuple[str, ...], tick: int, row: tuple[float, ...]) -> None:
-        if len(row) != len(names):
-            raise ValueError(f"table {(scope, names)}: {len(row)} values for {len(names)} series")
+    def record_row(self, columns: tuple[Column, ...], tick: int, row: list[float]) -> None:
+        if len(row) != len(columns):
+            raise ValueError(f"table {columns}: {len(row)} values for {len(columns)} series")
         try:
-            ticks, values = self._tables[scope, names]
+            ticks, values = self._tables[columns]
         except KeyError:
-            self._open_table(scope, names, tick, row)
+            self._open_table(columns, tick, row)
             return
         if tick <= ticks[-1]:
-            raise NonMonotonicTick(
-                f"table {(scope, names)}: tick {tick} is not after last tick {ticks[-1]}"
-            )
-        end = len(values)
+            raise NonMonotonicTick(f"table {columns}: tick {tick} is not after last tick {ticks[-1]}")
         ticks.append(tick)
         try:
-            values.extend(row)
+            values.fromlist(row)  # all of the row or, on an error, none of it
         except BaseException:
             ticks.pop()
-            del values[end:]
             raise
 
-    def _open_table(self, scope: str, names: tuple[str, ...], tick: int, row: tuple[float, ...]) -> None:
-        if not names or len(set(names)) < len(names) or any((scope, n) in self._columns for n in names):
-            raise ValueError(f"table {(scope, names)}: names must be distinct and new to the scope")
-        ticks, values = self._tables[scope, names] = (array("q", (tick,)), array("d", row))
-        for i, name in enumerate(names):
-            self._columns[scope, name] = (ticks, values, i, len(names))
+    def _open_table(self, columns: tuple[Column, ...], tick: int, row: list[float]) -> None:
+        if not columns or len(set(columns)) < len(columns) or any(c in self._columns for c in columns):
+            raise ValueError(f"table {columns}: columns must be distinct and held by no other table")
+        ticks, values = array("q", (tick,)), array("d")
+        values.fromlist(row)
+        self._tables[columns] = (ticks, values)
+        for i, column in enumerate(columns):
+            self._columns[column] = (ticks, values, i, len(columns))
 
     # Nothing in src/ calls it; tests do, and perfbench's tracer patches it by name.
     def record_sample(self, scope: str, name: str, tick: int, value: float) -> None:
-        self.record_row(scope, (name,), tick, (value,))
+        self.record_row(((scope, name),), tick, [value])
 
     def _column(self, scope: str, name: str) -> tuple[array, array, int, int]:
         try:

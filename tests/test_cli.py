@@ -748,6 +748,25 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["run", "--controller", "static"], ["compare"]])
+    def test_repeated_seed(self, cli_files, tmp_path, capsys, command):
+        scenario, policy = cli_files
+        out = tmp_path / "out"
+        code = main(
+            [
+                *command,
+                "--scenario", scenario,
+                "--policy", policy,
+                "--seed", "1",
+                "--seed", "2",
+                "--seed", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "argument --seed: seed 1 given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestShippedFiles:
     def test_canonical_hash_is_stable(self):

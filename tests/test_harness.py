@@ -471,6 +471,44 @@ class TestTelemetryCsv:
         assert written == reference.getvalue().encode("utf-8")
         assert b'"we,ird ""scope""",queue_depth,0,nan\n' in written
 
+    # Two tables of four rows on different ticks, the first spanning two
+    # scopes; in sorted order their series alternate, so a tick text kept
+    # for a column of equal length, or a value text found by float equality
+    # (-0.0 == 0.0), shows in the bytes. Values repeat across series.
+    ROWS = {
+        (("a", "x"), ("c", "x"), ("cluster", "cost")): [
+            (0, (0.0, 1.5, 2**53 + 1)),
+            (1, (-0.0, 1.5, math.nan)),
+            (2, (0.0, math.inf, 1.5)),
+            (3, (-0.0, -math.inf, 0.0)),
+        ],
+        (("b", "x"), ("b", "y")): [
+            (10, (1.5, -0.0)),
+            (11, (0.0, 1.5)),
+            (12, (math.nan, 0.0)),
+            (13, (-0.0, -0.0)),
+        ],
+    }
+
+    def test_row_tables_match_csv_writer(self, result, tmp_path):
+        store = MetricStore()
+        samples = {}
+        for columns, rows in self.ROWS.items():
+            for tick, row in rows:
+                store.record_row(columns, tick, list(row))
+                for column, value in zip(columns, row):
+                    samples.setdefault(column, []).append((tick, float(value)))
+        write_run_artifacts(dataclasses.replace(result, store=store), str(tmp_path))
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["scope", "metric", "tick", "value"])
+        for column in sorted(samples):
+            writer.writerows([*column, tick, value] for tick, value in samples[column])
+        written = (tmp_path / "telemetry.csv").read_bytes()
+        assert written == reference.getvalue().encode("utf-8")
+        assert b"a,x,0,0.0\na,x,1,-0.0\n" in written
+        assert b"b,x,10,1.5\n" in written
+
     @pytest.mark.skipif(
         not hasattr(os, "geteuid") or os.geteuid() == 0,
         reason="root ignores directory permissions",

@@ -94,6 +94,14 @@ def test_report_types_are_read_only():
                 setattr(held, name, getattr(held, name))
 
 
+def test_snapshot_pipelines_are_in_pipeline_id_order():
+    specs = [_pipeline(pid) for pid in ("zeta", "alpha", "mid")]
+    world = build_world(specs, ResourceModel(capacity=64, unit_price=0.5, storage_price=0.01))
+    for arrivals in ({"zeta": 5, "mid": 3}, {}):
+        report = step(world, arrivals)
+        assert list(report.snapshot.pipelines) == world.pipeline_ids() == ["alpha", "mid", "zeta"]
+
+
 class TestContendedRate:
     def test_uncontended(self):
         assert _contended_rate(10, 4, 64, 64) == 40

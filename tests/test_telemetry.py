@@ -113,6 +113,15 @@ class TestMetricStore:
             store.record_sample("p", "other", 1, "3")
         assert store.series_keys() == [("p", "cost")]
 
+    def test_row_must_be_a_list(self):
+        store = MetricStore()
+        columns = (("p", "ingress"), ("cluster", "cost"))
+        for tick in (1, 2):
+            with pytest.raises(TypeError):
+                store.record_row(columns, tick, (1.0, 2.0))
+            store.record_row(columns, tick, [1.0, 2.0])
+        assert store.series("cluster", "cost") == [(1, 2.0), (2, 2.0)]
+
     def test_float_samples_are_stored_without_per_sample_objects(self):
         # 100,000 samples: about 1.6 MB as tick and value columns, about
         # 8.8 MB as one (tick, value) tuple and boxed float per sample.
@@ -140,9 +149,17 @@ class TestMetricStore:
 
 _SCOPES = ("p", "cluster")
 _NAMES = ("a", "b", "c")
-# Tables that recur, overlap each other and the one-series tables of
-# record_sample, and two that no call may open.
-_TABLES = (("a", "b"), ("c", "b", "a"), ("b", "c"), ("c",), (), ("a", "a"))
+# Tables that recur, overlap each other and the one-column tables of
+# record_sample, some spanning both scopes, and two that no call may open.
+_TABLES = (
+    (("p", "a"), ("p", "b")),
+    (("p", "c"), ("cluster", "b"), ("p", "a")),
+    (("cluster", "b"), ("p", "c")),
+    (("cluster", "a"), ("cluster", "c"), ("p", "b")),
+    (("cluster", "c"),),
+    (),
+    (("p", "a"), ("p", "a")),
+)
 # Mostly values array('d') takes, with -0.0, an int above 2**53, an int
 # beyond the double range and a string among them.
 _VALUES = st.one_of(
@@ -154,22 +171,22 @@ _VALUES = st.one_of(
 
 @st.composite
 def _store_calls(draw):
-    """record_sample and record_row calls as (method, scope, names, tick, row).
+    """record_sample and record_row calls as (method, columns, tick, row).
 
     Ticks mostly increase; some repeat or step back, and 2**63 does not fit
-    array('q').
+    array('q'). A record_sample column is often one a wider table holds.
     """
 
     calls = []
     for i in range(draw(st.integers(0, 25))):
-        scope = draw(st.sampled_from(_SCOPES))
         tick = draw(st.sampled_from([2 * i] * 4 + [2 * i - 2, 2 * i - 3, 2**63]))
         if draw(st.booleans()):
-            calls.append(("record_sample", scope, (draw(st.sampled_from(_NAMES)),), tick, (draw(_VALUES),)))
+            column = (draw(st.sampled_from(_SCOPES)), draw(st.sampled_from(_NAMES)))
+            calls.append(("record_sample", (column,), tick, [draw(_VALUES)]))
             continue
-        names = draw(st.sampled_from(_TABLES))
-        width = draw(st.sampled_from([len(names)] * 6 + [len(names) + 1, max(len(names) - 1, 0)]))
-        calls.append(("record_row", scope, names, tick, tuple(draw(_VALUES) for _ in range(width))))
+        columns = draw(st.sampled_from(_TABLES))
+        width = draw(st.sampled_from([len(columns)] * 6 + [len(columns) + 1, max(len(columns) - 1, 0)]))
+        calls.append(("record_row", columns, tick, [draw(_VALUES) for _ in range(width)]))
     return calls
 
 
@@ -188,25 +205,25 @@ class _ListModel:
     """The store's contract as a plain dict of (tick, value) lists."""
 
     def __init__(self):
-        self.last_tick = {}  # (scope, names) -> last tick
+        self.last_tick = {}  # columns -> last tick
         self.series = {}  # (scope, name) -> [(tick, float)]
 
-    def rejects(self, scope, names, tick, row):
-        if len(row) != len(names) or not -(2**63) <= tick < 2**63:
+    def rejects(self, columns, tick, row):
+        if len(row) != len(columns) or not -(2**63) <= tick < 2**63:
             return True
-        last = self.last_tick.get((scope, names))
+        last = self.last_tick.get(columns)
         if last is None:
-            taken = any((scope, name) in self.series for name in names)
-            if not names or len(set(names)) < len(names) or taken:
+            taken = any(column in self.series for column in columns)
+            if not columns or len(set(columns)) < len(columns) or taken:
                 return True
         elif tick <= last:
             return True
         return any(_as_double(v) is None for v in row)
 
-    def record(self, scope, names, tick, row):
-        self.last_tick[scope, names] = tick
-        for name, value in zip(names, row):
-            self.series.setdefault((scope, name), []).append((tick, _as_double(value)))
+    def record(self, columns, tick, row):
+        self.last_tick[columns] = tick
+        for column, value in zip(columns, row):
+            self.series.setdefault(column, []).append((tick, _as_double(value)))
 
     def state(self):
         return repr([
@@ -228,16 +245,16 @@ class TestMetricStoreModel:
     @given(calls=_store_calls())
     def test_matches_dict_of_lists_model(self, calls):
         store, model = MetricStore(), _ListModel()
-        for method, scope, names, tick, row in calls:
-            args = (scope, names[0], tick, row[0]) if method == "record_sample" else (scope, names, tick, row)
+        for method, columns, tick, row in calls:
+            args = (*columns[0], tick, row[0]) if method == "record_sample" else (columns, tick, row)
             before = _store_state(store)
-            if model.rejects(scope, names, tick, row):
+            if model.rejects(columns, tick, row):
                 with pytest.raises((ValueError, TypeError, OverflowError)):
                     getattr(store, method)(*args)
                 assert _store_state(store) == before
             else:
                 getattr(store, method)(*args)
-                model.record(scope, names, tick, row)
+                model.record(columns, tick, row)
             assert _store_state(store) == model.state()
 
 
