@@ -397,27 +397,24 @@ class Controller:
                 raise BackendError("backend response is not a list of candidate actions")
             return candidates
         except Exception as exc:
-            payload = {
-                "kind": "outcome",
-                "event": "backend_violation",
-                "agent": bundle.agent,
-                "error": str(exc),
-            }
-            self.audit.append(bundle.tick, Actor.POLICY_ENGINE, payload, self.policy.version)
+            self._violation(bundle.tick, bundle.agent, str(exc))
             return self._builtin.decide(bundle)
+
+    def _violation(
+        self, t: int, agent: str, error: str, candidate: CandidateAction | None = None
+    ) -> None:
+        """Audit a failed backend call, or a refused ``candidate``."""
+
+        payload = {"kind": "outcome", "event": "backend_violation", "agent": agent, "error": error}
+        if candidate is not None:
+            payload["candidate"] = candidate.to_dict()
+        self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
 
     def _screen_candidate(
         self, world: SimWorld, t: int, actor: Actor, candidate: CandidateAction
     ) -> ProposedAction | None:
         def violation(reason: str) -> None:
-            payload = {
-                "kind": "outcome",
-                "event": "backend_violation",
-                "agent": actor.value,
-                "candidate": candidate.to_dict(),
-                "error": reason,
-            }
-            self.audit.append(t, Actor.POLICY_ENGINE, payload, self.policy.version)
+            self._violation(t, actor.value, reason, candidate)
 
         try:
             kind = ActionKind(candidate.kind)

@@ -1,9 +1,14 @@
 """Audit replay: the chain, the embedded policies, every decision re-validated
 against them, each approval grant and its due tick (a log with a grant must
-carry the operator settings), and each outcome's link to the decision it
-cites. Then it folds the controller's incident ledger transitions over the
-log and rejects the first illegal one. It lives in the harness, the one
-layer that sees the policy engine, ``OperatorModel`` and ``telemetry`` together.
+carry the operator settings), each outcome's link to the decision it cites,
+and the controller's incident ledger transitions, of which the first illegal
+one is rejected. It lives in the harness, the one layer that sees the policy
+engine, ``OperatorModel`` and ``telemetry`` together.
+
+Each record is read once, in seq order. So the problem reported is the one
+at the earliest bad seq, whatever its kind, and a decision is checked only
+against policies embedded before it. The controller writes ``run_start``,
+which embeds the policy and the operator settings, first.
 """
 
 from __future__ import annotations
@@ -51,24 +56,7 @@ def _check_records(records: tuple[AuditRecord, ...]) -> int:
     payloads = [record.payload for record in records]
     policies: dict[int, PolicyDocument] = {}
     operator: OperatorModel | None = None
-    for record, payload in zip(records, payloads):
-        if payload.get("kind") != "policy_change" or payload.get("policy") is None:
-            continue
-        try:
-            policy = parse_policy(payload["policy"])
-        except PolicyError as exc:
-            raise _Invalid(f"seq {record.seq}: embedded policy invalid: {exc}") from None
-        policies[policy.version] = policy
-        settings = payload.get("operator")
-        if isinstance(settings, dict) and "operator_delay" in settings:
-            delay = settings["operator_delay"]
-            malformed = f"seq {record.seq}: malformed run_start record: "
-            if type(delay) is not int:
-                raise _Invalid(f"{malformed}operator_delay {delay!r} is not an integer")
-            try:
-                operator = OperatorModel(operator_delay=delay)
-            except ValueError as exc:
-                raise _Invalid(f"{malformed}{exc}") from None
+    ledger = IncidentLedger()
 
     def cited_decision(ref: object) -> dict | None:
         cited = payloads[ref - 1] if isinstance(ref, int) and 1 <= ref <= len(payloads) else {}
@@ -85,73 +73,73 @@ def _check_records(records: tuple[AuditRecord, ...]) -> int:
 
     checked = 0
     for record, payload in zip(records, payloads):
-        seq, kind = record.seq, payload.get("kind")
-        if kind == "decision":
-            checked += 1
-            phase = payload.get("phase")
-            if phase == "initial":
-                _revalidate(record, payload, policies.get(record.policy_version))
-                continue
-            if phase != "approval_grant":
-                raise _Invalid(f"seq {seq}: decision record has unknown phase {phase!r}")
-            ref = payload.get("approved_ref")
-            request = cited_decision(ref)
-            if request is None:
-                raise _Invalid(f"seq {seq}: approval grant cites no decision")
-            if request.get("verdict") != Verdict.REQUIRE_APPROVAL.value:
-                raise _Invalid(
-                    f"seq {seq}: approval grant cites a decision that did not require approval"
-                )
-            if request.get("action") != payload.get("action"):
-                raise _Invalid(f"seq {seq}: approval grant action mismatch")
-            if operator is None:
-                raise _Invalid(
-                    f"seq {seq}: approval grant, but no run_start record gives operator_delay"
-                )
-            due = operator.due(records[ref - 1].tick)
-            if record.tick != due:
-                raise _Invalid(f"seq {seq}: approval granted at tick {record.tick}, expected {due}")
-            spend(seq, ref, "approval grant", "was already granted")
-        elif kind == "outcome" and payload.get("event") == "action_outcome":
-            ref = payload.get("decision_ref")
-            decision = cited_decision(ref)
-            if decision is None:
-                raise _Invalid(f"seq {seq}: action outcome cites no decision")
-            if decision.get("verdict") != Verdict.ALLOW.value:
-                raise _Invalid(f"seq {seq}: action executed without an Allow verdict")
-            spend(seq, ref, "action outcome", "already authorised an outcome")
-            # Every earlier decision passed the checks above, so its action parsed.
-            result = payload.get("result")
-            if not isinstance(result, dict) or result.get("action_id") != decision["action"]["id"]:
-                raise _Invalid(f"seq {seq}: action outcome is not for its decision's action")
-    _fold_incidents(records, payloads)
-    return checked
-
-
-def _fold_incidents(records: tuple[AuditRecord, ...], payloads: list) -> None:
-    """Fold the controller's ledger transitions over the log. The checks above
-    passed, so every decision's action parsed and every outcome cites one."""
-
-    ledger = IncidentLedger()
-    for record, payload in zip(records, payloads):
-        seq, event = record.seq, payload.get("event")
+        seq, kind, event = record.seq, payload.get("kind"), payload.get("event")
         try:
-            if payload.get("kind") == "decision":
-                action = payload["action"]
-                incident_id, agent = action["incident_id"], action["agent"]
-                if payload["phase"] == "approval_grant":
-                    ledger.granted(incident_id)
+            if kind == "policy_change" and payload.get("policy") is not None:
+                try:
+                    policy = parse_policy(payload["policy"])
+                except PolicyError as exc:
+                    raise _Invalid(f"seq {seq}: embedded policy invalid: {exc}") from None
+                policies[policy.version] = policy
+                settings = payload.get("operator")
+                if isinstance(settings, dict) and "operator_delay" in settings:
+                    delay = settings["operator_delay"]
+                    malformed = f"seq {seq}: malformed run_start record: "
+                    if type(delay) is not int:
+                        raise _Invalid(f"{malformed}operator_delay {delay!r} is not an integer")
+                    try:
+                        operator = OperatorModel(operator_delay=delay)
+                    except ValueError as exc:
+                        raise _Invalid(f"{malformed}{exc}") from None
+            elif kind == "decision":
+                checked += 1
+                phase, action = payload.get("phase"), payload.get("action")
+                if phase == "initial":
+                    _revalidate(record, payload, policies.get(record.policy_version))
+                    if seq < 2 or payloads[seq - 2] != {"kind": "proposal", "action": action}:
+                        raise _Invalid(f"seq {seq}: decision does not follow its proposal")
+                    incident_id, agent = action["incident_id"], action["agent"]
+                    ledger.proposed(incident_id, agent, record.tick)
+                    if payload["verdict"] == Verdict.REQUIRE_APPROVAL.value:
+                        ledger.approval_requested(incident_id, agent)
+                    elif payload["verdict"] == Verdict.DENY.value:
+                        ledger.denied(incident_id, agent, action["kind"])
                     continue
-                if seq < 2 or payloads[seq - 2] != {"kind": "proposal", "action": action}:
-                    raise _Invalid(f"seq {seq}: decision does not follow its proposal")
-                ledger.proposed(incident_id, agent, record.tick)
-                if payload["verdict"] == Verdict.REQUIRE_APPROVAL.value:
-                    ledger.approval_requested(incident_id, agent)
-                elif payload["verdict"] == Verdict.DENY.value:
-                    ledger.denied(incident_id, agent, action["kind"])
+                if phase != "approval_grant":
+                    raise _Invalid(f"seq {seq}: decision record has unknown phase {phase!r}")
+                ref = payload.get("approved_ref")
+                request = cited_decision(ref)
+                if request is None:
+                    raise _Invalid(f"seq {seq}: approval grant cites no decision")
+                if request.get("verdict") != Verdict.REQUIRE_APPROVAL.value:
+                    raise _Invalid(
+                        f"seq {seq}: approval grant cites a decision that did not require approval"
+                    )
+                if request.get("action") != action:
+                    raise _Invalid(f"seq {seq}: approval grant action mismatch")
+                if operator is None:
+                    raise _Invalid(
+                        f"seq {seq}: approval grant, but no run_start record gives operator_delay"
+                    )
+                due = operator.due(records[ref - 1].tick)
+                if record.tick != due:
+                    raise _Invalid(f"seq {seq}: approval granted at tick {record.tick}, expected {due}")
+                spend(seq, ref, "approval grant", "was already granted")
+                ledger.granted(action["incident_id"])
             elif event == "action_outcome":
-                action = payloads[payload["decision_ref"] - 1]["action"]
-                applied = payload["result"].get("status") == "applied"
+                ref = payload.get("decision_ref")
+                decision = cited_decision(ref)
+                if decision is None:
+                    raise _Invalid(f"seq {seq}: action outcome cites no decision")
+                if decision.get("verdict") != Verdict.ALLOW.value:
+                    raise _Invalid(f"seq {seq}: action executed without an Allow verdict")
+                spend(seq, ref, "action outcome", "already authorised an outcome")
+                # The cited decision is earlier, so it passed the checks above
+                # and its action parsed.
+                action, result = decision["action"], payload.get("result")
+                if not isinstance(result, dict) or result.get("action_id") != action["id"]:
+                    raise _Invalid(f"seq {seq}: action outcome is not for its decision's action")
+                applied = result.get("status") == "applied"
                 ledger.acted(action["incident_id"], action["agent"], action["kind"], record.tick, applied)
             elif event == "operator_task_enqueued":
                 ledger.escalated(str(payload.get("incident_id")))
@@ -172,6 +160,7 @@ def _fold_incidents(records: tuple[AuditRecord, ...], payloads: list) -> None:
                     raise _Invalid(f"seq {seq}: {event} record {raw} differs from the ledger's")
         except IllegalIncidentTransition as exc:
             raise _Invalid(f"seq {seq}: illegal incident transition: {exc}") from None
+    return checked
 
 
 def _revalidate(record: AuditRecord, payload: dict, policy: PolicyDocument | None) -> None:

@@ -85,44 +85,21 @@ def emit_report(comparison: ComparisonReport, out_dir: str) -> list[str]:
     """Write comparison.json, metrics.csv, and plot-ready bar CSVs."""
 
     _require_dir(out_dir)
-    written: list[str] = []
-
-    written.append(
-        _write_text(
-            os.path.join(out_dir, "comparison.json"), _json_text(comparison.to_dict())
-        )
-    )
-
-    rows = _metric_rows(comparison.baseline) + _metric_rows(comparison.agentic)
-    written.append(
-        _write_text(
-            os.path.join(out_dir, "metrics.csv"),
-            _csv_text(["controller", "metric", "value"], rows),
-        )
-    )
-
-    mttr_rows = [
-        [report.controller, "" if report.mttr_mean is None else report.mttr_mean]
-        for report in (comparison.baseline, comparison.agentic)
-    ]
-    written.append(
-        _write_text(
-            os.path.join(out_dir, "mttr_bars.csv"),
-            _csv_text(["controller", "mttr_mean"], mttr_rows),
-        )
-    )
-
-    cost_rows = [
-        [report.controller, report.total_cost]
-        for report in (comparison.baseline, comparison.agentic)
-    ]
-    written.append(
-        _write_text(
-            os.path.join(out_dir, "cost_bars.csv"),
-            _csv_text(["controller", "total_cost"], cost_rows),
-        )
-    )
-    return written
+    reports = (comparison.baseline, comparison.agentic)
+    texts = {
+        "comparison.json": _json_text(comparison.to_dict()),
+        "metrics.csv": _csv_text(
+            ["controller", "metric", "value"], [row for r in reports for row in _metric_rows(r)]
+        ),
+        "mttr_bars.csv": _csv_text(
+            ["controller", "mttr_mean"],
+            [[r.controller, "" if r.mttr_mean is None else r.mttr_mean] for r in reports],
+        ),
+        "cost_bars.csv": _csv_text(
+            ["controller", "total_cost"], [[r.controller, r.total_cost] for r in reports]
+        ),
+    }
+    return [_write_text(os.path.join(out_dir, name), text) for name, text in texts.items()]
 
 
 def emit_aggregate_report(aggregate: AggregateComparison, out_dir: str) -> list[str]:

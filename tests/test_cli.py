@@ -682,6 +682,37 @@ class TestReplayAudit:
         err = capsys.readouterr().err
         assert f"seq {seq}: " in err and message in err, err
 
+    def test_the_earliest_bad_seq_is_reported(self, compare_out, tmp_path, capsys):
+        # An incident closed twice, then a decision whose verdict was flipped.
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        rows, seq = _closed_twice([json.loads(line) for line in lines])
+        at = seq + _first(
+            rows[seq:], lambda p: p.get("phase") == "initial" and p["verdict"] == "Allow"
+        )
+        rows[at]["payload"]["verdict"] = "Deny"
+        path = tmp_path / "forged.jsonl"
+        path.write_text(_rechain(rows))
+
+        assert main(["replay-audit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"seq {seq}: illegal incident transition: no open incident" in err, err
+
+    def test_decision_needs_a_policy_embedded_before_it(self, compare_out, tmp_path, capsys):
+        lines = (compare_out / "agentic" / "audit.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        at = _first(rows, lambda p: p.get("phase") == "initial")
+        # run_start moves to just after that decision; the records between
+        # move up one seq, and so do the citations of them.
+        for payload in (row["payload"] for row in rows):
+            for key in ("decision_ref", "approved_ref"):
+                if 2 <= payload.get(key, 0) <= at + 1:
+                    payload[key] -= 1
+        path = tmp_path / "late_start.jsonl"
+        path.write_text(_rechain(rows[1 : at + 1] + rows[:1] + rows[at + 1 :]))
+
+        assert main(["replay-audit", str(path)]) == 1
+        assert f"seq {at}: no policy document for version 1" in capsys.readouterr().err
+
     def test_request_is_granted_once(self, approval_log, tmp_path, capsys):
         rows = [json.loads(line) for line in approval_log.splitlines()]
         grant = next(row for row in rows if row["payload"].get("phase") == "approval_grant")

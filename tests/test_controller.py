@@ -19,6 +19,7 @@ from pipegov.agents import (
     LOW_UTIL_TICKS,
     BackendError,
     BuiltinBackend,
+    CandidateAction,
     Controller,
     NullBackend,
     OperatorModel,
@@ -535,6 +536,35 @@ class TestBackendScreening:
         assert [(a.tick, a.agent) for a in replays] == [(1, Actor.RECOVERY_AGENT)]
         incident = _incidents(loop, "TransientTaskFailure")[0]
         assert incident.resolution == "Replay"
+
+    def test_violation_payloads(self):
+        # A failed call's violation names no candidate; a refused
+        # candidate's carries the candidate as the backend sent it.
+        refused = CandidateAction(kind="Teleport", pipeline="stream-a", rationale="why not")
+
+        class HalfBackend:
+            name = "half"
+
+            def decide(self, bundle):
+                if bundle.agent == Actor.OPTIMIZATION_AGENT.value:
+                    return [refused]
+                raise BackendError("boom")
+
+        spec = make_mini_scenario()
+        world, loop = _make(spec, _policy(), agents=True, backend=HalfBackend())
+        _drive(spec, world, loop, 1)
+
+        payloads = {e.payload["agent"]: e.payload for e in _events(loop, "backend_violation")}
+        base = {"kind": "outcome", "event": "backend_violation"}
+        assert payloads.pop(Actor.OPTIMIZATION_AGENT.value) == {
+            **base,
+            "agent": Actor.OPTIMIZATION_AGENT.value,
+            "candidate": refused.to_dict(),
+            "error": "unknown action kind 'Teleport'",
+        }
+        assert payloads
+        for agent, payload in payloads.items():
+            assert payload == {**base, "agent": agent, "error": "boom"}
 
     def test_non_list_backend_response_is_a_violation(self):
         class BadBackend:
