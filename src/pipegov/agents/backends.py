@@ -5,22 +5,29 @@ method that is a pure function of the bundle. The builtin backend runs
 the deterministic heuristics in this package; the stub backend replays
 scripted responses from a JSON file so tests can stand in for an
 external reasoning service. ``make_backend`` resolves the CLI selector
-(``builtin``, ``null`` or ``stub:<path>``). Whatever a backend raises, the
-control loop records it as a ``backend_violation`` and asks the builtin
-rules instead.
+(``builtin``, ``builtin:<agent>[,<agent>...]``, ``null`` or
+``stub:<path>``). Whatever a backend raises, the control loop records it as
+a ``backend_violation`` and asks the builtin rules instead.
+
+Each builtin rule comes with its trigger, which says from the
+controller's own state (``ControlState``) whether the rule can fire. A
+backend whose ``decide`` is ``BuiltinBackend.decide`` is asked only for
+the agents whose trigger holds; any other backend, a subclass that
+overrides ``decide`` included, is asked for every agent on every tick.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from typing import Protocol
 
 from ..core.actions import Actor
 from ..core.reader import list_of
 from .bundle import CandidateAction, ObservationBundle
-from .optimization import optimize_propose
-from .recovery import recovery_candidates
-from .schema_agent import schema_candidates
+from .optimization import optimization_wakes, optimize_propose
+from .recovery import recovery_candidates, recovery_wakes
+from .schema_agent import schema_candidates, schema_wakes
 
 
 class BackendError(ValueError):
@@ -33,22 +40,32 @@ class ReasoningBackend(Protocol):
     def decide(self, bundle: ObservationBundle) -> list[CandidateAction]: ...
 
 
-# The builtin rule for each reasoning agent, keyed by its actor value.
+# The builtin rule and trigger of each reasoning agent, keyed by its actor value.
 _BUILTIN_RULES = {
-    Actor.OPTIMIZATION_AGENT.value: optimize_propose,
-    Actor.SCHEMA_AGENT.value: schema_candidates,
-    Actor.RECOVERY_AGENT.value: recovery_candidates,
+    Actor.OPTIMIZATION_AGENT.value: (optimize_propose, optimization_wakes),
+    Actor.SCHEMA_AGENT.value: (schema_candidates, schema_wakes),
+    Actor.RECOVERY_AGENT.value: (recovery_candidates, recovery_wakes),
 }
 
 
 class BuiltinBackend:
-    """Deterministic rule-based reasoning, dispatched per agent."""
+    """Deterministic rule-based reasoning, dispatched per agent.
+
+    ``rules`` holds the (rule, trigger) pair of each agent it runs, all of
+    them unless ``agents`` names some; an agent left out proposes nothing
+    and its trigger never holds.
+    """
 
     name = "builtin"
+    rules = _BUILTIN_RULES
+
+    def __init__(self, agents: Iterable[str] | None = None) -> None:
+        if agents is not None:
+            self.rules = {agent: _BUILTIN_RULES[agent] for agent in agents}
 
     def decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
-        rule = _BUILTIN_RULES.get(bundle.agent)
-        return rule(bundle) if rule is not None else []
+        entry = self.rules.get(bundle.agent)
+        return entry[0](bundle) if entry is not None else []
 
 
 class NullBackend:
@@ -99,6 +116,10 @@ class StubBackend:
 def make_backend(selector: str) -> ReasoningBackend:
     if selector == "builtin":
         return BuiltinBackend()
+    if selector.startswith("builtin:"):
+        agents = selector[len("builtin:"):].split(",")
+        if set(agents) <= _BUILTIN_RULES.keys() and len(set(agents)) == len(agents):
+            return BuiltinBackend(agents)
     if selector == "null":
         return NullBackend()
     if selector.startswith("stub:"):

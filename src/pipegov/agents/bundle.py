@@ -5,16 +5,23 @@ exactly one (tick, agent) reasoning call. Everything a reasoning backend
 may use lives here — telemetry, open incidents, policy headroom,
 past-outcome statistics — so backends can be pure functions of the bundle
 and stay deterministic and replaceable.
+
+A ControlState is what a builtin agent's trigger reads instead: the
+controller's own state, from which that tick's bundles would be built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..core.reader import Fields, integer, string
+
+if TYPE_CHECKING:
+    from ..simkernel.world import PipelineState
+    from ..telemetry.incidents import Incident
 
 
 @dataclass
@@ -92,6 +99,10 @@ def _plain(node: object) -> object:
 class ObservationBundle(NamedTuple):
     """Read-only view for one reasoning call.
 
+    A bundle is built for each call the controller makes: for every agent
+    on every tick, except under the builtin rules, whose agents are asked
+    only on the ticks their trigger holds (see ``ControlState``).
+
     It carries only the keys the builtin agents read, and every key shown
     below is always present, except in the empty tick-0 snapshot. Every
     container in it is a ``MappingProxyType`` or a tuple, so nothing a
@@ -124,9 +135,9 @@ class ObservationBundle(NamedTuple):
     ``alloc_changed_at`` is the tick of the pipeline's last applied scaling
     action, 0 before any. A pending drift is always one the live schema
     cannot take. A pipeline's view is kept across ticks and rebuilt only
-    when one of the fields it shows changes; an incident's view is kept
-    while it stays open, and rebuilt only when its claim,
-    ``approval_pending`` or ``last_action_tick`` changes.
+    when one of the fields it shows differs from the last built; an
+    incident's view is kept while it stays open, and rebuilt only when its
+    claim, ``approval_pending`` or ``last_action_tick`` differs.
 
     ``series`` carries what each pipeline's recorded samples show through
     the previous tick::
@@ -167,6 +178,24 @@ class ObservationBundle(NamedTuple):
 
     def to_dict(self) -> dict:
         return _plain(self._asdict())
+
+
+class ControlState(NamedTuple):
+    """What a builtin agent's trigger reads to tell whether its rule can fire.
+
+    These are the raw objects a tick's bundles are built from, at the point
+    they would be built: the ledger's open incidents, the snapshot the
+    bundles would carry, the world's pipelines, and the controller's
+    low-utilization runs and last scaling ticks, by pipeline id (a missing
+    id reads 0, as in a bundle's ``series`` and ``alloc_changed_at``).
+    """
+
+    tick: int
+    incidents: Collection[Incident]
+    snapshot: Mapping
+    pipelines: Mapping[str, PipelineState]
+    low_util_runs: Mapping[str, int]
+    alloc_changed_at: Mapping[str, int]
 
 
 @dataclass(frozen=True, slots=True)

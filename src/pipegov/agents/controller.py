@@ -6,9 +6,14 @@ One chassis serves both controller modes. Every tick it:
    operator fixes),
 2. opens incidents from hard triggers (injected faults, failure events,
    freshness breaches) and closes incidents whose exit conditions hold,
-3. if it has a reasoning backend, builds one ObservationBundle per agent
-   and collects candidate actions from the backend (monitoring first,
-   then schema, recovery, optimization),
+3. if it has a reasoning backend, audits the monitoring agent's anomaly
+   flags, then builds one ObservationBundle per agent it asks and collects
+   that agent's candidate actions (schema, then recovery, then
+   optimization). Any backend but the builtin one is asked for every
+   agent on every tick. The builtin agents are asked only on a woken
+   tick, and then only those whose trigger holds; on other ticks no
+   bundle is built. Each agent module states its trigger beside its rule,
+   over state the controller already keeps (``ControlState``),
 4. sweeps unclaimed incidents into the retry/escalation fallback — without
    a backend this *is* the controller: bounded replays, then a
    simulated human operator after ``operator_delay`` ticks,
@@ -34,16 +39,18 @@ an empty mapping before the first step.
 
 Bundles carry only the keys the builtin agents read, and every container
 in them is a read-only ``MappingProxyType`` or a tuple, so the agents of
-one tick share all of it and views are kept across ticks. A pipeline's
-view is rebuilt only when its key changes: its health, failing stage,
-whether ``recover_at`` and ``suppress_until`` are set, its stage
-allocations, its drift's (partition, quarantine mode) and
+one tick share all of it and views are kept across the ticks bundles are
+built on. Each view is kept with the key it was built from and compared
+with the current key whenever bundles are built, so the ticks skipped in
+between cannot leave a view stale. A pipeline's key is its health,
+failing stage, whether ``recover_at`` and ``suppress_until`` are set, its
+stage allocations, its drift's (partition, quarantine mode) and
 ``alloc_changed_at``, the tick of its last applied scaling action. The
 ``pipelines`` mapping is kept while no view in it changed. An open
-incident's view is rebuilt only when its claim, ``approval_pending`` or
-``last_action_tick`` changes (its delay baseline is fixed when it opens),
-and dropped when it closes. Each tick's series hold a copy of every
-ingress window and the current low-utilization runs.
+incident's key is its claim, ``approval_pending`` and
+``last_action_tick`` (its delay baseline is fixed when it opens), and its
+view is dropped when it closes. Each built tick's series hold a copy of
+every ingress window and the current low-utilization runs.
 
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. Incidents
@@ -67,7 +74,7 @@ in due order and is drained from the left.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import count
 from types import MappingProxyType
@@ -94,7 +101,7 @@ from ..simkernel.world import UNPAID, Health, PipelineState, SimWorld, TickRepor
 from ..telemetry.audit import AuditLog
 from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, IncidentLedger
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
-from .bundle import CandidateAction, ObservationBundle, OutcomeMemory
+from .bundle import CandidateAction, ControlState, ObservationBundle, OutcomeMemory
 from .monitoring import AnomalyDetector, AnomalyFlag
 from .optimization import LOW_UTIL_THRESHOLD
 from .recovery import STABLE_TICKS
@@ -183,6 +190,10 @@ class Controller:
         self.incidents = self.ledger.incidents  # every incident, in detection order
 
         self._builtin = BuiltinBackend()
+        # The (rule, trigger) pairs of a backend that dispatches to the
+        # builtin rules unchanged; None asks every agent on every tick.
+        decide = getattr(type(backend), "decide", None)
+        self._rules = backend.rules if decide is BuiltinBackend.decide else None
         self._detector = AnomalyDetector()
         self._action_ids = (f"ACT-{n:05d}" for n in count(1))
         self._approvals: deque[_PendingApproval] = deque()  # FIFO: due order
@@ -229,11 +240,13 @@ class Controller:
             for flag in flags:
                 payload = {"kind": "outcome", "event": "anomaly_flag", "flag": flag.to_dict()}
                 self.audit.append(t, Actor.MONITORING_AGENT, payload, self.policy.version)
-            for actor, bundle in self._bundles(world, t, snapshot):
-                for candidate in self._decide(bundle):
-                    action = self._screen_candidate(world, t, actor, candidate)
-                    if action is not None:
-                        proposals.append(action)
+            agents = self._woken(world, t, snapshot)
+            if agents:
+                for actor, bundle in self._bundles(world, t, snapshot, agents):
+                    for candidate in self._decide(bundle):
+                        action = self._screen_candidate(world, t, actor, candidate)
+                        if action is not None:
+                            proposals.append(action)
 
         self._fallback_sweep(world, t, proposals)
 
@@ -387,6 +400,23 @@ class Controller:
 
     # ------------------------------------------------------------------
     # agent phases
+
+    def _woken(
+        self, world: SimWorld, t: int, snapshot: Mapping
+    ) -> Sequence[tuple[Actor, str]]:
+        """The agents to ask this tick, in phase order: all of them, unless
+        the backend runs the builtin rules, whose triggers pick them."""
+
+        rules = self._rules
+        if rules is None:
+            return _AGENT_NAMES
+        state = ControlState(
+            t, self.ledger.open.values(), snapshot, world.pipelines,
+            self._low_util_runs, self._alloc_changed_at,
+        )
+        return [
+            (actor, name) for actor, name in _AGENT_NAMES if name in rules and rules[name][1](state)
+        ]
 
     def _decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
         try:
@@ -660,9 +690,9 @@ class Controller:
     # observation bundles
 
     def _bundles(
-        self, world: SimWorld, t: int, snapshot: Mapping
+        self, world: SimWorld, t: int, snapshot: Mapping, agents: Sequence = _AGENT_NAMES
     ) -> Iterator[tuple[Actor, ObservationBundle]]:
-        """Yield each reasoning agent's bundle for the tick, in phase order.
+        """Yield the bundle of each of ``agents`` for the tick, in phase order.
 
         Every view is built before the first bundle is yielded, and the
         agents share all of them (see the module docstring for what is
@@ -737,7 +767,7 @@ class Controller:
         open_incidents = tuple(incidents)
         series_view = MappingProxyType(series)
         memory = self.memory.view()
-        for actor, name in _AGENT_NAMES:
+        for actor, name in agents:
             yield actor, ObservationBundle(
                 t, name, snapshot, open_incidents, self._pipelines_view, series_view, policy, memory
             )

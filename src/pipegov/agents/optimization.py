@@ -16,13 +16,21 @@ a fixed order so output is deterministic:
 
 The control loop still screens every candidate against policy; the
 budget check here just avoids proposing obvious denials.
+
+Trigger (``optimization_wakes``): the cluster is contended (rule 1), or a
+healthy pipeline with no fix maturing either has been idle that long and
+has a stage above its floor (rule 2), or is an unsuppressed stream lagging
+past its target with a stage below its ceiling (rule 3). Each rule needs
+its condition to propose anything, so on any other tick the rules return
+nothing. The floor check matters: a pipeline already at its floor stays
+idle, and without the check would wake the agent on most ticks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .bundle import CandidateAction, ObservationBundle
+from .bundle import CandidateAction, ControlState, ObservationBundle
 
 LOW_UTIL_THRESHOLD = 0.30
 LOW_UTIL_TICKS = 30
@@ -46,18 +54,45 @@ def _budget_allows(policy: Mapping, pending_units: int, extra_units: int) -> boo
     return projected <= policy["budget_per_window"]
 
 
-def _sustained_low(bundle: ObservationBundle, pid: str, meta: Mapping) -> bool:
-    return (
-        bundle.series[pid]["low_util_run"] >= LOW_UTIL_TICKS
-        and bundle.tick - meta["alloc_changed_at"] >= LOW_UTIL_TICKS
-    )
+def _contended(snapshot: Mapping) -> bool:
+    return snapshot.get("capacity_headroom", 0) < 0
+
+
+def _sustained_low(low_util_run: int, tick: int, alloc_changed_at: int) -> bool:
+    return low_util_run >= LOW_UTIL_TICKS and tick - alloc_changed_at >= LOW_UTIL_TICKS
+
+
+def _lagging(freshness_target: int | None, suppressed: bool, lag: float) -> bool:
+    return freshness_target is not None and not suppressed and lag > freshness_target
+
+
+def optimization_wakes(state: ControlState) -> bool:
+    snapshot = state.snapshot
+    if _contended(snapshot):
+        return True
+    observed = snapshot.get("pipelines", {})
+    tick, low_util_runs, alloc_changed_at = state.tick, state.low_util_runs, state.alloc_changed_at
+    for pid, p in state.pipelines.items():
+        if p.health != _HEALTHY or p.recover_at is not None:
+            continue
+        stages = p.stages.values()
+        if _sustained_low(
+            low_util_runs.get(pid, 0), tick, alloc_changed_at.get(pid, 0)
+        ) and any(st.alloc > st.spec.min_alloc for st in stages):
+            return True
+        lag = observed[pid]["freshness_lag"] if pid in observed else 0
+        if _lagging(p.spec.freshness_target, p.suppress_until is not None, lag) and any(
+            st.alloc < st.spec.max_alloc for st in stages
+        ):
+            return True
+    return False
 
 
 def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
     policy = bundle.policy
     step = policy["max_scale_step"]
     snapshot_pipelines = bundle.snapshot.get("pipelines", {})
-    contended = bundle.snapshot.get("capacity_headroom", 0) < 0
+    contended = _contended(bundle.snapshot)
 
     # One pass in pipeline order sorts every pipeline into the three rules.
     busy = []  # (-criticality, pid): shed while contended, least critical first
@@ -72,15 +107,16 @@ def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
             busy.append((-meta["criticality"], pid))
         if meta["health"] != _HEALTHY or meta["recovering"]:
             continue
-        if not shed and _sustained_low(bundle, pid, meta) and _can_scale_down(stages):
-            idle.append(pid)
-        target = meta["freshness_target"]
+        low_util_run = bundle.series[pid]["low_util_run"]
         if (
-            target is not None
-            and not meta["suppressed"]
-            and sample.get("freshness_lag", 0) > target
-            and _can_scale_up(stages)
+            not shed
+            and _sustained_low(low_util_run, bundle.tick, meta["alloc_changed_at"])
+            and _can_scale_down(stages)
         ):
+            idle.append(pid)
+        if _lagging(
+            meta["freshness_target"], meta["suppressed"], sample.get("freshness_lag", 0)
+        ) and _can_scale_up(stages):
             breaching.append((meta["criticality"], pid))
 
     candidates = [

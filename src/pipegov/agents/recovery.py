@@ -6,11 +6,15 @@ fixed preference order). The bundle-level entry point also runs the
 defer/resume state machine for upstream-delay incidents: defer while the
 source is dark, resume once ingress has been back at its pre-incident
 level for ``STABLE_TICKS`` consecutive ticks.
+
+Trigger (``recovery_wakes``): an open incident of a class in
+``STRATEGY_ORDER``, its wake set. The rule passes over every other class,
+so on any other tick it returns nothing.
 """
 
 from __future__ import annotations
 
-from .bundle import CandidateAction, ObservationBundle
+from .bundle import CandidateAction, ControlState, ObservationBundle
 
 STABLE_TICKS = 10
 STABILITY_BAND = 0.2  # fraction of the pre-incident ingress mean
@@ -64,6 +68,10 @@ def _ingress_stable(bundle: ObservationBundle, pid: str, baseline: float) -> boo
         return False
     band = max(STABILITY_BAND * baseline, STABILITY_FLOOR)
     return all(abs(x - baseline) <= band for x in window)
+
+
+def recovery_wakes(state: ControlState) -> bool:
+    return any(i.incident_class in STRATEGY_ORDER for i in state.incidents)
 
 
 def recovery_candidates(bundle: ObservationBundle) -> list[CandidateAction]:

@@ -3,11 +3,16 @@
 ``schema_propose`` is the single-incident decision rule; the bundle-level
 entry point walks open schema incidents and applies it to each pipeline
 that still has an unhandled drift window and is not halted.
+
+Trigger (``schema_wakes``): an open SchemaIncompatible incident. The rule
+acts on no other incident, so on any other tick it returns nothing.
 """
 
 from __future__ import annotations
 
-from .bundle import CandidateAction, ObservationBundle
+from .bundle import CandidateAction, ControlState, ObservationBundle
+
+_SCHEMA_INCOMPATIBLE = "SchemaIncompatible"
 
 
 class NotASchemaIncident(ValueError):
@@ -22,7 +27,7 @@ def schema_propose(incident: dict, drift: dict, policy: dict) -> CandidateAction
     bundle's policy summary (``quarantine_allowed``, ``schema_mode``).
     """
 
-    if incident["incident_class"] != "SchemaIncompatible":
+    if incident["incident_class"] != _SCHEMA_INCOMPATIBLE:
         raise NotASchemaIncident(
             f"expected a SchemaIncompatible incident, got {incident['incident_class']!r}"
         )
@@ -51,10 +56,14 @@ def schema_propose(incident: dict, drift: dict, policy: dict) -> CandidateAction
     )
 
 
+def schema_wakes(state: ControlState) -> bool:
+    return any(i.incident_class == _SCHEMA_INCOMPATIBLE for i in state.incidents)
+
+
 def schema_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
     candidates: list[CandidateAction] = []
     for incident in bundle.open_incidents:
-        if incident["incident_class"] != "SchemaIncompatible":
+        if incident["incident_class"] != _SCHEMA_INCOMPATIBLE:
             continue
         if incident["claimed_by"] not in (None, bundle.agent):
             continue

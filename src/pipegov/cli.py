@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend",
             default="builtin",
-            help="reasoning backend: builtin | null | stub:<path>",
+            help="reasoning backend: builtin | builtin:<agent>[,<agent>...] | null | stub:<path>",
         )
         p.add_argument(
             "--seed",

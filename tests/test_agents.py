@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipegov.agents import (
     AnomalyDetector,
@@ -29,7 +32,13 @@ from pipegov.agents import (
     schema_candidates,
     schema_propose,
 )
+from pipegov.agents.bundle import ControlState
+from pipegov.agents.optimization import optimization_wakes
+from pipegov.agents.recovery import recovery_wakes
+from pipegov.agents.schema_agent import schema_wakes
 from pipegov.core import Actor
+from pipegov.simkernel import Health
+from pipegov.telemetry import IncidentClass
 
 
 def _stages(alloc=2, min_alloc=1, max_alloc=6, n=2) -> dict:
@@ -746,5 +755,202 @@ class TestBackends:
         assert stub.path == str(path)
         with pytest.raises(BackendError):
             make_backend("stub:")
-        with pytest.raises(BackendError):
-            make_backend("magic")
+        for selector in (
+            "magic",
+            "builtin:",
+            "builtin:Magic",
+            "builtin:SchemaAgent,SchemaAgent",
+            "builtin:MonitoringAgent",
+        ):
+            with pytest.raises(BackendError, match="unknown backend selector"):
+                make_backend(selector)
+
+    def test_builtin_agent_list_selects_rules(self):
+        every = make_backend("builtin:SchemaAgent,OptimizationAgent,RecoveryAgent")
+        assert every.rules == BuiltinBackend().rules
+        backend = make_backend("builtin:RecoveryAgent,SchemaAgent")
+        assert list(backend.rules) == ["RecoveryAgent", "SchemaAgent"]
+        bundle = _one_stream(alloc=2, idle=LOW_UTIL_TICKS)
+        assert optimize_propose(bundle) and backend.decide(bundle) == []
+
+
+@st.composite
+def _drawn_bundles(draw, agent: str) -> ObservationBundle:
+    """A complete bundle at tick 100 over up to three pipelines: stages at,
+    between and at the bounds of their floor and ceiling, alloc gates and
+    low-utilization runs on either side of LOW_UTIL_TICKS, every health,
+    lags on either side of a target, and open incidents of every class."""
+
+    tick = 100
+    around = st.sampled_from([0, LOW_UTIL_TICKS - 1, LOW_UTIL_TICKS, LOW_UTIL_TICKS + 1])
+    seldom = st.sampled_from([False, False, True])  # so that more draws reach a rule's end
+    pids = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    pipelines, snapshot, series = {}, {}, {}
+    for pid in pids:
+        n = draw(st.integers(1, 2))
+        stages = {
+            f"s{i}": {"alloc": draw(st.sampled_from([1, 2, 4])), "min_alloc": 1, "max_alloc": 4}
+            for i in range(n)
+        }
+        drift = None
+        if not draw(seldom):
+            drift = {"partition": "pt-1", "quarantine_mode": draw(seldom)}
+        pipelines[pid] = _meta(
+            criticality=draw(st.integers(1, 3)),
+            freshness_target=draw(st.sampled_from([None, 10])),
+            health=draw(st.sampled_from([h.value for h in Health])),
+            failing_stage=draw(st.sampled_from([None, "s0"])),
+            recovering=draw(seldom),
+            suppressed=draw(seldom),
+            alloc_changed_at=tick - draw(around),
+            stages=stages,
+            drift=drift,
+        )
+        snapshot[pid] = {
+            "freshness_lag": draw(st.sampled_from([0, 10, 11, 40])),
+            "queue_depth": draw(st.sampled_from([0, 5])),
+        }
+        series[pid] = {
+            "low_util_run": draw(around),
+            "ingress": draw(st.sampled_from([(), (10.0,) * STABLE_TICKS, (0.0,) * STABLE_TICKS])),
+        }
+    incidents = []
+    for n in range(draw(st.integers(0, 3))):
+        cls = draw(st.sampled_from([c.value for c in IncidentClass]))
+        incidents.append(
+            _incident(
+                id=f"INC-{n}",
+                pipeline=draw(st.sampled_from(pids)),
+                incident_class=cls,
+                claimed_by=draw(st.sampled_from([None, agent, "operator"])),
+                approval_pending=draw(seldom),
+                last_action_tick=draw(st.sampled_from([None, tick - 20, tick - 1])),
+                delay_baseline=10.0 if cls == "UpstreamDelay" else None,
+            )
+        )
+    policy = {
+        "budget_per_window": draw(st.sampled_from([0.0, 10_000.0])),
+        "quarantine_allowed": draw(st.booleans()),
+        "schema_mode": draw(st.sampled_from(["strict", "permissive"])),
+    }
+    return _bundle(
+        agent=agent,
+        tick=tick,
+        pipelines=pipelines,
+        snapshot_pipelines=snapshot,
+        headroom=draw(st.sampled_from([-1, 0, 5])),
+        series=series,
+        incidents=tuple(incidents),
+        policy=policy,
+    )
+
+
+def _state(bundle: ObservationBundle) -> ControlState:
+    """The controller state ``bundle`` is built from: incidents and
+    pipelines with the attributes the real ones have, and the counters the
+    bundle's series and views show."""
+
+    def stage(view):
+        bounds = SimpleNamespace(min_alloc=view["min_alloc"], max_alloc=view["max_alloc"])
+        return SimpleNamespace(alloc=view["alloc"], spec=bounds)
+
+    pipelines = {
+        pid: SimpleNamespace(
+            health=Health(meta["health"]),
+            recover_at=bundle.tick + 1 if meta["recovering"] else None,
+            suppress_until=bundle.tick + 1 if meta["suppressed"] else None,
+            spec=SimpleNamespace(freshness_target=meta["freshness_target"]),
+            stages={sid: stage(view) for sid, view in meta["stages"].items()},
+        )
+        for pid, meta in bundle.pipelines.items()
+    }
+    incidents = [
+        SimpleNamespace(incident_class=IncidentClass(i["incident_class"]))
+        for i in bundle.open_incidents
+    ]
+    return ControlState(
+        bundle.tick,
+        incidents,
+        bundle.snapshot,
+        pipelines,
+        {pid: series["low_util_run"] for pid, series in bundle.series.items()},
+        {pid: meta["alloc_changed_at"] for pid, meta in bundle.pipelines.items()},
+    )
+
+
+def _one_stream(alloc: int, idle: int = 0, lag: int = 0) -> ObservationBundle:
+    """One healthy stream with a target of 10 and stages of 1 to 4 units at
+    ``alloc``: ``idle`` ticks idle and as long since its last scaling, and
+    ``lag`` behind."""
+
+    meta = _meta(
+        freshness_target=10,
+        alloc_changed_at=100 - idle,
+        stages=_stages(alloc=alloc, max_alloc=4),
+    )
+    return _bundle(
+        pipelines={"p": meta},
+        snapshot_pipelines={"p": {"freshness_lag": lag}},
+        series={"p": {"low_util_run": idle}},
+    )
+
+
+def _optimizer_should_wake(bundle: ObservationBundle) -> bool:
+    """The optimizer's trigger as its module docstring states it."""
+
+    if bundle.snapshot["capacity_headroom"] < 0:
+        return True
+    for pid, meta in bundle.pipelines.items():
+        if meta["health"] != "Healthy" or meta["recovering"]:
+            continue
+        stages = meta["stages"].values()
+        idle = (
+            bundle.series[pid]["low_util_run"] >= LOW_UTIL_TICKS
+            and bundle.tick - meta["alloc_changed_at"] >= LOW_UTIL_TICKS
+        )
+        if idle and any(s["alloc"] > s["min_alloc"] for s in stages):
+            return True
+        target = meta["freshness_target"]
+        lag = bundle.snapshot["pipelines"][pid]["freshness_lag"]
+        if (
+            target is not None
+            and not meta["suppressed"]
+            and lag > target
+            and any(s["alloc"] < s["max_alloc"] for s in stages)
+        ):
+            return True
+    return False
+
+
+def _has_class(bundle: ObservationBundle, classes: set[str]) -> bool:
+    return any(i["incident_class"] in classes for i in bundle.open_incidents)
+
+
+class TestTriggers:
+    """Each builtin agent's trigger holds exactly when its module docstring
+    says, and a rule whose trigger does not hold returns nothing, so the
+    controller may skip the call."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(bundle=_drawn_bundles(Actor.OPTIMIZATION_AGENT.value))
+    @example(bundle=_one_stream(alloc=2, idle=LOW_UTIL_TICKS))  # both clocks at the threshold
+    @example(bundle=_one_stream(alloc=1, idle=LOW_UTIL_TICKS))  # idle, every stage at its floor
+    @example(bundle=_one_stream(alloc=4, lag=11))  # lagging, every stage at its ceiling
+    def test_optimizer_trigger(self, bundle):
+        woken = optimization_wakes(_state(bundle))
+        assert woken == _optimizer_should_wake(bundle)
+        assert woken or optimize_propose(bundle) == []
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(bundle=_drawn_bundles(Actor.RECOVERY_AGENT.value))
+    def test_recovery_trigger(self, bundle):
+        woken = recovery_wakes(_state(bundle))
+        assert woken == _has_class(bundle, {"TransientTaskFailure", "UpstreamDelay"})
+        assert woken or recovery_candidates(bundle) == []
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(bundle=_drawn_bundles(Actor.SCHEMA_AGENT.value))
+    def test_schema_trigger(self, bundle):
+        woken = schema_wakes(_state(bundle))
+        assert woken == _has_class(bundle, {"SchemaIncompatible"})
+        assert woken or schema_candidates(bundle) == []

@@ -314,6 +314,26 @@ class TestCompareCommand:
         ]:
             assert (again / rel).read_bytes() == (compare_out / rel).read_bytes(), rel
 
+    def test_builtin_naming_every_agent_is_builtin(self, cli_files, compare_out, tmp_path):
+        scenario, policy = cli_files
+        named = tmp_path / "named"
+        code = main(
+            [
+                "compare",
+                "--scenario", scenario,
+                "--policy", policy,
+                "--backend", "builtin:OptimizationAgent,RecoveryAgent,SchemaAgent",
+                "--out", str(named),
+                "--quiet",
+            ]
+        )
+        assert code == 0
+        files = sorted(p.relative_to(named) for p in named.rglob("*") if p.is_file())
+        expected = sorted(p.relative_to(compare_out) for p in compare_out.rglob("*") if p.is_file())
+        assert files == expected
+        for rel in files:
+            assert (named / rel).read_bytes() == (compare_out / rel).read_bytes(), rel
+
     def test_multi_seed_aggregate(self, cli_files, tmp_path, capsys):
         scenario, policy = cli_files
         out = tmp_path / "multi"

@@ -24,9 +24,11 @@ from pipegov.agents import (
     NullBackend,
     OperatorModel,
     StubBackend,
+    make_backend,
     optimize_propose,
 )
 from pipegov.core import ActionKind, Actor, ProposedAction, ResourceModel, schema_delta
+from pipegov.core.actions import SCALING_KINDS
 from pipegov.harness import run_experiment
 from pipegov.policy import parse_policy
 from pipegov.scenario import (
@@ -1225,3 +1227,69 @@ class TestObservationBundles:
                 nested |= _bundle_keys(value, (key,))
         assert {"drift", "partition", "delay_baseline", "attempts", "window"} <= nested
         assert (top - fields, nested - keys) == (set(), set())
+
+
+class AskedEveryTickBackend(BuiltinBackend):
+    """The builtin rules behind an overridden ``decide``, which the
+    controller asks for every agent on every tick."""
+
+    def decide(self, bundle):
+        return super().decide(bundle)
+
+
+@pytest.fixture
+def builtin_calls(monkeypatch) -> list[str]:
+    """The agent of each ``BuiltinBackend.decide`` call. It is patched on
+    the class, as a tracer patches it, so the controller still sees the
+    builtin dispatch."""
+
+    calls: list[str] = []
+    decide = BuiltinBackend.decide
+
+    def counted(backend, bundle):
+        calls.append(bundle.agent)
+        return decide(backend, bundle)
+
+    monkeypatch.setattr(BuiltinBackend, "decide", counted)
+    return calls
+
+
+def _proposers(result) -> set[str]:
+    return {r.actor.value for r in result.audit.records if r.payload.get("kind") == "proposal"}
+
+
+class TestQuietTicks:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"schema.mode": "strict", "schema.quarantine_allowed": False},
+            {
+                "actions.approval_required": [
+                    {"kind": kind.value, "tag": "regulated"}
+                    for kind in ActionKind
+                    if kind not in SCALING_KINDS
+                ]
+            },
+            {"cost.budget_per_window": default_policy_dict()["cost"]["budget_per_window"] / 2},
+        ],
+        ids=["default", "strict schema, no quarantine", "approval on every remedy", "half budget"],
+    )
+    def test_skipped_calls_change_no_audit_byte(self, canonical_spec, overrides, builtin_calls):
+        spec = _short_canonical(canonical_spec)
+        policy = _policy(**overrides)
+        woken = run_experiment(spec, policy, controller="agentic", backend=BuiltinBackend())
+        woken_calls = len(builtin_calls)
+        every = run_experiment(spec, policy, controller="agentic", backend=AskedEveryTickBackend())
+        assert len(builtin_calls) - woken_calls == 3 * spec.horizon
+        assert 0 < woken_calls < 3 * spec.horizon
+        assert woken.audit.to_jsonl() == every.audit.to_jsonl()
+        assert _proposers(woken) >= {"SchemaAgent", "RecoveryAgent", "OptimizationAgent"}
+
+    def test_left_out_agent_is_never_asked(self, canonical_spec, policy, builtin_calls):
+        backend = make_backend("builtin:RecoveryAgent,SchemaAgent")
+        result = run_experiment(
+            _short_canonical(canonical_spec), policy, controller="agentic", backend=backend
+        )
+        assert set(builtin_calls) == {"RecoveryAgent", "SchemaAgent"}
+        assert "OptimizationAgent" not in _proposers(result)
