@@ -10,7 +10,7 @@ external reasoning service. ``make_backend`` resolves the CLI selector
 a ``backend_violation`` and asks the builtin rules instead.
 
 Each builtin rule comes with its trigger, which says from the
-controller's own state (``ControlState``) whether the rule can fire. A
+controller's own state (``ControlState``) whether the rule can act. A
 backend whose ``decide`` is ``BuiltinBackend.decide`` is asked only for
 the agents whose trigger holds; any other backend, a subclass that
 overrides ``decide`` included, is asked for every agent on every tick.

@@ -12,7 +12,7 @@ controller's own state, from which that tick's bundles would be built.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from ..core.reader import Fields, integer, string
 
 if TYPE_CHECKING:
-    from ..simkernel.world import PipelineState
+    from ..simkernel.world import PipelineState, TelemetrySnapshot
     from ..telemetry.incidents import Incident
 
 
@@ -181,21 +181,30 @@ class ObservationBundle(NamedTuple):
 
 
 class ControlState(NamedTuple):
-    """What a builtin agent's trigger reads to tell whether its rule can fire.
+    """What a builtin agent's trigger reads to tell whether its rule can act.
 
     These are the raw objects a tick's bundles are built from, at the point
-    they would be built: the ledger's open incidents, the snapshot the
-    bundles would carry, the world's pipelines, and the controller's
-    low-utilization runs and last scaling ticks, by pipeline id (a missing
-    id reads 0, as in a bundle's ``series`` and ``alloc_changed_at``).
+    they would be built: the ledger's open incidents, the previous tick's
+    kernel telemetry (None before the first step), the world's pipelines,
+    and the controller's ingress windows, low-utilization runs and last
+    scaling ticks, by pipeline id (a missing id reads as an empty window or
+    0, as in a bundle's ``series`` and ``alloc_changed_at``).
     """
 
     tick: int
     incidents: Collection[Incident]
-    snapshot: Mapping
+    snapshot: TelemetrySnapshot | None
     pipelines: Mapping[str, PipelineState]
+    ingress_windows: Mapping[str, Sequence[float]]
     low_util_runs: Mapping[str, int]
     alloc_changed_at: Mapping[str, int]
+
+
+def may_act(claim: str | None, agent: str, approval_pending: bool, recovering: bool) -> bool:
+    """Whether ``agent``'s rule may act on an open incident: its claim is free
+    or the agent's own, no approval is pending and no fix is maturing."""
+
+    return claim in (None, agent) and not approval_pending and not recovering
 
 
 @dataclass(frozen=True, slots=True)

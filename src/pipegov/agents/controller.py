@@ -11,9 +11,10 @@ One chassis serves both controller modes. Every tick it:
    that agent's candidate actions (schema, then recovery, then
    optimization). Any backend but the builtin one is asked for every
    agent on every tick. The builtin agents are asked only on a woken
-   tick, and then only those whose trigger holds; on other ticks no
-   bundle is built. Each agent module states its trigger beside its rule,
-   over state the controller already keeps (``ControlState``),
+   tick, and then only those whose trigger holds, which is when their
+   rule can act; on other ticks no bundle is built. Each agent module
+   states its trigger beside its rule, over state the controller already
+   keeps (``ControlState``),
 4. sweeps unclaimed incidents into the retry/escalation fallback — without
    a backend this *is* the controller: bounded replays, then a
    simulated human operator after ``operator_delay`` ticks,
@@ -32,10 +33,11 @@ as the recovery agent looks back (``STABLE_TICKS``), its run of
 consecutive samples with utilization below ``LOW_UTIL_THRESHOLD``, which
 the optimization agent compares with ``LOW_UTIL_TICKS``, and the anomaly
 detector, whose ingress mean is an UpstreamDelay's pre-delay baseline. A
-static run keeps no observation state. The detector and the agents see
-the previous tick's snapshot cut down to what they read: capacity
-headroom and each pipeline's freshness lag, queue depth and ingress, or
-an empty mapping before the first step.
+static run keeps no observation state. The detector and the triggers read
+the previous tick's kernel snapshot. Bundles show it cut down to what the
+agents read, built only on a tick that builds bundles: capacity headroom
+and each pipeline's freshness lag, queue depth and ingress, or an empty
+mapping before the first step.
 
 Bundles carry only the keys the builtin agents read, and every container
 in them is a read-only ``MappingProxyType`` or a tuple, so the agents of
@@ -97,7 +99,7 @@ from ..simkernel.kernel import (
     InvalidTarget,
     apply_action,
 )
-from ..simkernel.world import UNPAID, Health, PipelineState, SimWorld, TickReport
+from ..simkernel.world import UNPAID, Health, PipelineState, SimWorld, TelemetrySnapshot, TickReport
 from ..telemetry.audit import AuditLog
 from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, IncidentLedger
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
@@ -224,12 +226,12 @@ class Controller:
     ) -> ControlReport:
         """Run one control cycle. Called after fault injection, before step."""
 
-        snapshot = _NOTHING_OBSERVED
+        observed = prev_report.snapshot if prev_report is not None else None
         flags: list[AnomalyFlag] = []
         proposals: list[ProposedAction] = []
 
         if prev_report is not None:
-            snapshot, flags = self._fold_statistics(world, t, prev_report)
+            flags = self._fold_statistics(world, t, prev_report)
 
         self._run_due_approvals(world, t)
         self._run_due_operator_tasks(world, t)
@@ -240,9 +242,9 @@ class Controller:
             for flag in flags:
                 payload = {"kind": "outcome", "event": "anomaly_flag", "flag": flag.to_dict()}
                 self.audit.append(t, Actor.MONITORING_AGENT, payload, self.policy.version)
-            agents = self._woken(world, t, snapshot)
+            agents = self._woken(world, t, observed)
             if agents:
-                for actor, bundle in self._bundles(world, t, snapshot, agents):
+                for actor, bundle in self._bundles(world, t, _snapshot_view(observed), agents):
                     for candidate in self._decide(bundle):
                         action = self._screen_candidate(world, t, actor, candidate)
                         if action is not None:
@@ -260,13 +262,13 @@ class Controller:
 
     def _fold_statistics(
         self, world: SimWorld, t: int, prev_report: TickReport
-    ) -> tuple[Mapping, list[AnomalyFlag]]:
+    ) -> list[AnomalyFlag]:
         """Account the previous tick's compute spend and, with a backend, its
-        samples; returns the observed snapshot and the detector's flags.
+        samples; returns the detector's flags.
 
-        One pass over the samples, in pipeline order, appends the ingress
-        windows, extends or ends the low-utilization runs and builds the
-        snapshot."""
+        One pass over the samples appends the ingress windows and extends or
+        ends the low-utilization runs; the detector reads the kernel's
+        snapshot itself."""
 
         idx = prev_report.tick // self.policy.cost.window
         if idx != self._window_index:
@@ -275,10 +277,9 @@ class Controller:
         storage = prev_report.materialized * world.resource_model.storage_price
         self._window_spend += prev_report.cost - storage
         if self.backend is None:
-            return _NOTHING_OBSERVED, []
-        observed = {}
+            return []
         ingress_windows, low_util_runs = self._ingress_windows, self._low_util_runs
-        for pid, sample in sorted(prev_report.snapshot.pipelines.items()):
+        for pid, sample in prev_report.snapshot.pipelines.items():
             window = ingress_windows.get(pid)
             if window is None:
                 window = ingress_windows[pid] = deque(maxlen=STABLE_TICKS)
@@ -286,20 +287,7 @@ class Controller:
             low_util_runs[pid] = (
                 low_util_runs.get(pid, 0) + 1 if sample.utilization < LOW_UTIL_THRESHOLD else 0
             )
-            observed[pid] = MappingProxyType(
-                {
-                    "freshness_lag": sample.freshness_lag,
-                    "queue_depth": sample.queue_depth,
-                    "ingress": sample.ingress,
-                }
-            )
-        snapshot = MappingProxyType(
-            {
-                "capacity_headroom": prev_report.snapshot.capacity_headroom,
-                "pipelines": MappingProxyType(observed),
-            }
-        )
-        return snapshot, self._detector.observe_snapshot(t, snapshot)
+        return self._detector.observe_snapshot(t, prev_report.snapshot)
 
     # ------------------------------------------------------------------
     # incident detection and closure
@@ -402,7 +390,7 @@ class Controller:
     # agent phases
 
     def _woken(
-        self, world: SimWorld, t: int, snapshot: Mapping
+        self, world: SimWorld, t: int, observed: TelemetrySnapshot | None
     ) -> Sequence[tuple[Actor, str]]:
         """The agents to ask this tick, in phase order: all of them, unless
         the backend runs the builtin rules, whose triggers pick them."""
@@ -411,8 +399,8 @@ class Controller:
         if rules is None:
             return _AGENT_NAMES
         state = ControlState(
-            t, self.ledger.open.values(), snapshot, world.pipelines,
-            self._low_util_runs, self._alloc_changed_at,
+            t, self.ledger.open.values(), observed, world.pipelines,
+            self._ingress_windows, self._low_util_runs, self._alloc_changed_at,
         )
         return [
             (actor, name) for actor, name in _AGENT_NAMES if name in rules and rules[name][1](state)
@@ -771,6 +759,21 @@ class Controller:
             yield actor, ObservationBundle(
                 t, name, snapshot, open_incidents, self._pipelines_view, series_view, policy, memory
             )
+
+
+def _snapshot_view(observed: TelemetrySnapshot | None) -> Mapping:
+    """What bundles show of a kernel snapshot, pipelines in sorted order."""
+
+    if observed is None:
+        return _NOTHING_OBSERVED
+    pipelines = {
+        pid: MappingProxyType(
+            {"freshness_lag": s.freshness_lag, "queue_depth": s.queue_depth, "ingress": s.ingress}
+        )
+        for pid, s in sorted(observed.pipelines.items())
+    }
+    view = {"capacity_headroom": observed.capacity_headroom, "pipelines": MappingProxyType(pipelines)}
+    return MappingProxyType(view)
 
 
 def _pipeline_view(p: PipelineState, key: tuple) -> Mapping:

@@ -9,8 +9,10 @@ the control loop's detection phase regardless of these statistics.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+
+from ..simkernel.world import PipelineSample, TelemetrySnapshot
 
 EWMA_ALPHA = 0.2
 EWMA_K = 3.0
@@ -18,6 +20,8 @@ EWMA_SIGMA_FLOOR = 1.0
 EWMA_MIN_SAMPLES = 5
 
 WATCHED_METRICS = ("freshness_lag", "queue_depth", "ingress")
+# Each watched metric with its index in a kernel PipelineSample.
+_WATCHED = tuple((metric, PipelineSample._fields.index(metric)) for metric in WATCHED_METRICS)
 
 
 @dataclass(frozen=True)
@@ -49,17 +53,18 @@ class EwmaState:
     def update(self, value: float) -> bool:
         """Fold in one sample; True when it is anomalous (see ``_fold``)."""
 
-        return bool(_fold({("", ""): self}, 0, {"": {"": value}}, ("",)))
+        return bool(_fold({("", ""): self}, 0, {"": (value,)}, (("", 0),)))
 
 
 def _fold(
     states: dict[tuple[str, str], EwmaState],
     tick: int,
-    pipelines: Mapping[str, Mapping],
-    metrics: tuple[str, ...],
+    pipelines: Mapping[str, Sequence[float]],
+    metrics: tuple[tuple[str, int], ...],
 ) -> list[AnomalyFlag]:
     """Fold each pipeline's (sorted) sample of each metric, in that order,
     into its series' state, creating missing states; returns the flags raised.
+    ``metrics`` pairs each metric's name with its value's index in a sample.
 
     A sample is tested against the statistics *before* it is folded in,
     once enough history exists (the current sample counts toward that
@@ -71,11 +76,11 @@ def _fold(
     alpha, k, floor, least = EWMA_ALPHA, EWMA_K, EWMA_SIGMA_FLOOR, EWMA_MIN_SAMPLES
     for pid in sorted(pipelines):
         sample = pipelines[pid]
-        for metric in metrics:
+        for metric, index in metrics:
             state = states.get((pid, metric))
             if state is None:
                 state = states[(pid, metric)] = EwmaState()
-            value = float(sample[metric])
+            value = float(sample[index])
             mean, dev = state.mean, state.deviation
             samples = state.samples = state.samples + 1
             threshold = k * (floor if floor > dev else dev)  # k * max(dev, floor)
@@ -98,7 +103,7 @@ class AnomalyDetector:
     def observe_sample(self, tick: int, pipeline: str, metric: str, value: float) -> AnomalyFlag | None:
         """Fold one sample of one series, as ``observe_snapshot`` folds each."""
 
-        flags = _fold(self._states, tick, {pipeline: {metric: value}}, (metric,))
+        flags = _fold(self._states, tick, {pipeline: (value,)}, ((metric, 0),))
         return flags[0] if flags else None
 
     def mean(self, pipeline: str, metric: str) -> float:
@@ -107,8 +112,7 @@ class AnomalyDetector:
         state = self._states.get((pipeline, metric))
         return state.mean if state is not None else 0.0
 
-    def observe_snapshot(self, tick: int, snapshot: Mapping) -> list[AnomalyFlag]:
-        """Scan one observed snapshot (``pipelines`` maps each pipeline to
-        its watched metrics); returns flags raised."""
+    def observe_snapshot(self, tick: int, snapshot: TelemetrySnapshot) -> list[AnomalyFlag]:
+        """Scan the watched metrics of one kernel snapshot; returns flags raised."""
 
-        return _fold(self._states, tick, snapshot["pipelines"], WATCHED_METRICS)
+        return _fold(self._states, tick, snapshot.pipelines, _WATCHED)

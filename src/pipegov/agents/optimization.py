@@ -54,8 +54,8 @@ def _budget_allows(policy: Mapping, pending_units: int, extra_units: int) -> boo
     return projected <= policy["budget_per_window"]
 
 
-def _contended(snapshot: Mapping) -> bool:
-    return snapshot.get("capacity_headroom", 0) < 0
+def _contended(capacity_headroom: int) -> bool:
+    return capacity_headroom < 0
 
 
 def _sustained_low(low_util_run: int, tick: int, alloc_changed_at: int) -> bool:
@@ -68,9 +68,9 @@ def _lagging(freshness_target: int | None, suppressed: bool, lag: float) -> bool
 
 def optimization_wakes(state: ControlState) -> bool:
     snapshot = state.snapshot
-    if _contended(snapshot):
+    if snapshot is not None and _contended(snapshot.capacity_headroom):
         return True
-    observed = snapshot.get("pipelines", {})
+    observed = snapshot.pipelines if snapshot is not None else {}
     tick, low_util_runs, alloc_changed_at = state.tick, state.low_util_runs, state.alloc_changed_at
     for pid, p in state.pipelines.items():
         if p.health != _HEALTHY or p.recover_at is not None:
@@ -80,7 +80,7 @@ def optimization_wakes(state: ControlState) -> bool:
             low_util_runs.get(pid, 0), tick, alloc_changed_at.get(pid, 0)
         ) and any(st.alloc > st.spec.min_alloc for st in stages):
             return True
-        lag = observed[pid]["freshness_lag"] if pid in observed else 0
+        lag = observed[pid].freshness_lag if pid in observed else 0
         if _lagging(p.spec.freshness_target, p.suppress_until is not None, lag) and any(
             st.alloc < st.spec.max_alloc for st in stages
         ):
@@ -92,7 +92,7 @@ def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
     policy = bundle.policy
     step = policy["max_scale_step"]
     snapshot_pipelines = bundle.snapshot.get("pipelines", {})
-    contended = _contended(bundle.snapshot)
+    contended = _contended(bundle.snapshot.get("capacity_headroom", 0))
 
     # One pass in pipeline order sorts every pipeline into the three rules.
     busy = []  # (-criticality, pid): shed while contended, least critical first

@@ -4,14 +4,18 @@
 entry point walks open schema incidents and applies it to each pipeline
 that still has an unhandled drift window and is not halted.
 
-Trigger (``schema_wakes``): an open SchemaIncompatible incident. The rule
-acts on no other incident, so on any other tick it returns nothing.
+Trigger (``schema_wakes``): an open SchemaIncompatible incident the agent
+``may_act`` on, on a pipeline that is not Halted and whose drift is
+pending outside quarantine. The rule proposes for exactly these, through
+the same predicates, so on any other tick it returns nothing.
 """
 
 from __future__ import annotations
 
-from .bundle import CandidateAction, ControlState, ObservationBundle
+from ..core.actions import Actor
+from .bundle import CandidateAction, ControlState, ObservationBundle, may_act
 
+_AGENT = Actor.SCHEMA_AGENT.value
 _SCHEMA_INCOMPATIBLE = "SchemaIncompatible"
 
 
@@ -56,8 +60,22 @@ def schema_propose(incident: dict, drift: dict, policy: dict) -> CandidateAction
     )
 
 
+def _drift_to_handle(health: str, quarantine_mode: bool | None) -> bool:
+    # None: no drift pending. A halted pipeline would reject a second Halt.
+    return health != "Halted" and quarantine_mode is not None and not quarantine_mode
+
+
 def schema_wakes(state: ControlState) -> bool:
-    return any(i.incident_class == _SCHEMA_INCOMPATIBLE for i in state.incidents)
+    for i in state.incidents:
+        if i.incident_class != _SCHEMA_INCOMPATIBLE:
+            continue
+        p = state.pipelines[i.pipeline]
+        drift = p.pending_drift
+        if may_act(i.claim, _AGENT, i.approval_pending, p.recover_at is not None) and (
+            _drift_to_handle(p.health, None if drift is None else drift.quarantine_mode)
+        ):
+            return True
+    return False
 
 
 def schema_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
@@ -65,17 +83,10 @@ def schema_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
     for incident in bundle.open_incidents:
         if incident["incident_class"] != _SCHEMA_INCOMPATIBLE:
             continue
-        if incident["claimed_by"] not in (None, bundle.agent):
-            continue
-        if incident["approval_pending"]:
-            continue
         meta = bundle.pipelines[incident["pipeline"]]
-        if meta["health"] == "Halted":
-            continue  # already halted: a second Halt is rejected
         drift = meta["drift"]
-        if drift is None or drift["quarantine_mode"]:
-            continue  # nothing pending, or already being quarantined
-        if meta["recovering"]:
-            continue  # a fix is already in flight
-        candidates.append(schema_propose(incident, drift, bundle.policy))
+        if may_act(
+            incident["claimed_by"], bundle.agent, incident["approval_pending"], meta["recovering"]
+        ) and _drift_to_handle(meta["health"], None if drift is None else drift["quarantine_mode"]):
+            candidates.append(schema_propose(incident, drift, bundle.policy))
     return candidates

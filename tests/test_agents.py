@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -34,11 +35,16 @@ from pipegov.agents import (
 )
 from pipegov.agents.bundle import ControlState
 from pipegov.agents.optimization import optimization_wakes
-from pipegov.agents.recovery import recovery_wakes
+from pipegov.agents.recovery import (
+    REPROPOSE_AFTER,
+    STABILITY_BAND,
+    STABILITY_FLOOR,
+    recovery_wakes,
+)
 from pipegov.agents.schema_agent import schema_wakes
 from pipegov.core import Actor
-from pipegov.simkernel import Health
-from pipegov.telemetry import IncidentClass
+from pipegov.simkernel import Health, PipelineSample, TelemetrySnapshot
+from pipegov.telemetry import Incident, IncidentClass
 
 
 def _stages(alloc=2, min_alloc=1, max_alloc=6, n=2) -> dict:
@@ -189,11 +195,13 @@ class TestAnomalyDetector:
 
     def test_observe_snapshot_scans_watched_metrics(self):
         detector = AnomalyDetector()
-        quiet = {"freshness_lag": 1.0, "queue_depth": 5.0, "ingress": 50.0}
+        quiet = PipelineSample(
+            queue_depth=5, freshness_lag=1, failure_count=0, utilization=0.5, ingress=50
+        )
         for tick in range(6):
-            assert detector.observe_snapshot(tick, {"pipelines": {"orders": dict(quiet)}}) == []
-        spiked = dict(quiet, queue_depth=500.0)
-        flags = detector.observe_snapshot(6, {"pipelines": {"orders": spiked}})
+            assert detector.observe_snapshot(tick, TelemetrySnapshot({"orders": quiet}, 0)) == []
+        spiked = quiet._replace(queue_depth=500)
+        flags = detector.observe_snapshot(6, TelemetrySnapshot({"orders": spiked}, 0))
         assert [(f.pipeline, f.metric, f.tick) for f in flags] == [("orders", "queue_depth", 6)]
 
     def test_observe_snapshot_equals_observe_sample_per_series(self):
@@ -204,17 +212,18 @@ class TestAnomalyDetector:
         for tick in range(400):
             pipelines = {}
             for pid in pids:
-                pipelines[pid] = {
-                    "queue_depth": rng.randrange(0, 40),
-                    "freshness_lag": rng.choice((0, 0, 0, 1, 2, 25)),
-                    "ingress": rng.gauss(50.0, 4.0) * (6 if rng.random() < 0.03 else 1),
-                    "utilization": rng.random(),
-                }
-            flags = by_snapshot.observe_snapshot(tick, {"tick": tick, "pipelines": pipelines})
+                pipelines[pid] = PipelineSample(
+                    queue_depth=rng.randrange(0, 40),
+                    freshness_lag=rng.choice((0, 0, 0, 1, 2, 25)),
+                    failure_count=rng.randrange(0, 2),
+                    utilization=rng.random(),
+                    ingress=rng.gauss(50.0, 4.0) * (6 if rng.random() < 0.03 else 1),
+                )
+            flags = by_snapshot.observe_snapshot(tick, TelemetrySnapshot(pipelines, 0))
             expected = []
             for pid in sorted(pids):
                 for metric in WATCHED_METRICS:
-                    value = float(pipelines[pid][metric])
+                    value = float(getattr(pipelines[pid], metric))
                     flag = by_sample.observe_sample(tick, pid, metric, value)
                     if flag is not None:
                         expected.append(flag)
@@ -774,12 +783,39 @@ class TestBackends:
         assert optimize_propose(bundle) and backend.decide(bundle) == []
 
 
+_BASELINE = 10.0  # the drawn UpstreamDelay baselines: this, and 0.0 for a quiet source
+_BAND = max(STABILITY_BAND * _BASELINE, STABILITY_FLOOR)
+_FLOOR_BAND = max(STABILITY_BAND * 0.0, STABILITY_FLOOR)
+# Ingress windows on and just past the band's edges around either baseline.
+_AT_EDGE = (_BASELINE + _BAND,) * STABLE_TICKS
+_ONE_PAST_EDGE = (_BASELINE,) * (STABLE_TICKS - 1) + (math.nextafter(_BASELINE + _BAND, math.inf),)
+_AT_FLOOR_EDGE = (_FLOOR_BAND,) * STABLE_TICKS
+_WINDOWS = (
+    (),
+    (_BASELINE,) * (STABLE_TICKS - 1),  # one sample short
+    (_BASELINE,) * STABLE_TICKS,
+    _AT_EDGE,
+    (_BASELINE - _BAND,) * STABLE_TICKS,
+    _ONE_PAST_EDGE,
+    (math.nextafter(_BASELINE - _BAND, 0.0),) * STABLE_TICKS,
+    _AT_FLOOR_EDGE,
+    (0.0,) * (STABLE_TICKS - 1) + (math.nextafter(_FLOOR_BAND, math.inf),),
+)
+
+
+_ALL_CLASSES = tuple(c.value for c in IncidentClass)
+
+
 @st.composite
-def _drawn_bundles(draw, agent: str) -> ObservationBundle:
+def _drawn_bundles(draw, agent: str, classes: tuple[str, ...] = _ALL_CLASSES) -> ObservationBundle:
     """A complete bundle at tick 100 over up to three pipelines: stages at,
     between and at the bounds of their floor and ceiling, alloc gates and
     low-utilization runs on either side of LOW_UTIL_TICKS, every health,
-    lags on either side of a target, and open incidents of every class."""
+    lags on either side of a target, drift in and out of quarantine,
+    suppression, fixes maturing, ingress windows at the stability band's
+    edges, and open incidents of ``classes``, claimed by nobody, the agent
+    or someone else, with approvals pending and last actions on either side
+    of REPROPOSE_AFTER."""
 
     tick = 100
     around = st.sampled_from([0, LOW_UTIL_TICKS - 1, LOW_UTIL_TICKS, LOW_UTIL_TICKS + 1])
@@ -810,22 +846,31 @@ def _drawn_bundles(draw, agent: str) -> ObservationBundle:
             "freshness_lag": draw(st.sampled_from([0, 10, 11, 40])),
             "queue_depth": draw(st.sampled_from([0, 5])),
         }
-        series[pid] = {
-            "low_util_run": draw(around),
-            "ingress": draw(st.sampled_from([(), (10.0,) * STABLE_TICKS, (0.0,) * STABLE_TICKS])),
-        }
+        series[pid] = {"low_util_run": draw(around), "ingress": draw(st.sampled_from(_WINDOWS))}
     incidents = []
-    for n in range(draw(st.integers(0, 3))):
-        cls = draw(st.sampled_from([c.value for c in IncidentClass]))
+    for n in range(draw(st.integers(1, 3))):
+        cls = draw(st.sampled_from(classes))
         incidents.append(
             _incident(
                 id=f"INC-{n}",
                 pipeline=draw(st.sampled_from(pids)),
                 incident_class=cls,
-                claimed_by=draw(st.sampled_from([None, agent, "operator"])),
+                claimed_by=draw(st.sampled_from([None, None, agent, "operator"])),
                 approval_pending=draw(seldom),
-                last_action_tick=draw(st.sampled_from([None, tick - 20, tick - 1])),
-                delay_baseline=10.0 if cls == "UpstreamDelay" else None,
+                last_action_tick=draw(
+                    st.sampled_from(
+                        [
+                            None,
+                            tick - 1,
+                            tick - REPROPOSE_AFTER + 1,
+                            tick - REPROPOSE_AFTER,
+                            tick - REPROPOSE_AFTER - 1,
+                        ]
+                    )
+                ),
+                delay_baseline=draw(st.sampled_from([_BASELINE, 0.0]))
+                if cls == "UpstreamDelay"
+                else None,
             )
         )
     policy = {
@@ -846,9 +891,9 @@ def _drawn_bundles(draw, agent: str) -> ObservationBundle:
 
 
 def _state(bundle: ObservationBundle) -> ControlState:
-    """The controller state ``bundle`` is built from: incidents and
-    pipelines with the attributes the real ones have, and the counters the
-    bundle's series and views show."""
+    """The controller state ``bundle`` is built from: the ledger's incidents,
+    pipelines with the attributes the real ones have, the kernel snapshot,
+    and the windows and counters the bundle's series and views show."""
 
     def stage(view):
         bounds = SimpleNamespace(min_alloc=view["min_alloc"], max_alloc=view["max_alloc"])
@@ -859,20 +904,40 @@ def _state(bundle: ObservationBundle) -> ControlState:
             health=Health(meta["health"]),
             recover_at=bundle.tick + 1 if meta["recovering"] else None,
             suppress_until=bundle.tick + 1 if meta["suppressed"] else None,
+            pending_drift=None
+            if meta["drift"] is None
+            else SimpleNamespace(quarantine_mode=meta["drift"]["quarantine_mode"]),
             spec=SimpleNamespace(freshness_target=meta["freshness_target"]),
             stages={sid: stage(view) for sid, view in meta["stages"].items()},
         )
         for pid, meta in bundle.pipelines.items()
     }
     incidents = [
-        SimpleNamespace(incident_class=IncidentClass(i["incident_class"]))
+        Incident(
+            i["id"],
+            i["pipeline"],
+            IncidentClass(i["incident_class"]),
+            detected_tick=0,
+            claim=i["claimed_by"],
+            last_action_tick=i["last_action_tick"],
+            approval_pending=i["approval_pending"],
+            delay_baseline=i["delay_baseline"],
+        )
         for i in bundle.open_incidents
     ]
+    observed = TelemetrySnapshot(
+        {
+            pid: PipelineSample(s["queue_depth"], s["freshness_lag"], 0, 0.0, s["ingress"])
+            for pid, s in bundle.snapshot["pipelines"].items()
+        },
+        bundle.snapshot["capacity_headroom"],
+    )
     return ControlState(
         bundle.tick,
         incidents,
-        bundle.snapshot,
+        observed,
         pipelines,
+        {pid: series["ingress"] for pid, series in bundle.series.items()},
         {pid: series["low_util_run"] for pid, series in bundle.series.items()},
         {pid: meta["alloc_changed_at"] for pid, meta in bundle.pipelines.items()},
     )
@@ -922,14 +987,94 @@ def _optimizer_should_wake(bundle: ObservationBundle) -> bool:
     return False
 
 
-def _has_class(bundle: ObservationBundle, classes: set[str]) -> bool:
-    return any(i["incident_class"] in classes for i in bundle.open_incidents)
+def _free(bundle: ObservationBundle, incident) -> bool:
+    """Unclaimed or the agent's own, no approval pending, no fix maturing."""
+
+    return (
+        incident["claimed_by"] in (None, bundle.agent)
+        and not incident["approval_pending"]
+        and not bundle.pipelines[incident["pipeline"]]["recovering"]
+    )
+
+
+def _recovery_should_wake(bundle: ObservationBundle) -> bool:
+    """The recovery agent's trigger as its module docstring states it."""
+
+    for incident in bundle.open_incidents:
+        if not _free(bundle, incident):
+            continue
+        meta = bundle.pipelines[incident["pipeline"]]
+        health = meta["health"]
+        if incident["incident_class"] == "UpstreamDelay":
+            baseline = incident["delay_baseline"]
+            band = max(STABILITY_BAND * baseline, STABILITY_FLOOR)
+            window = bundle.series[incident["pipeline"]]["ingress"]
+            stable = len(window) == STABLE_TICKS and all(abs(x - baseline) <= band for x in window)
+            if health in ("Healthy", "Failing") or (
+                health == "Deferred" and not meta["suppressed"] and stable
+            ):
+                return True
+        elif incident["incident_class"] == "TransientTaskFailure":
+            last = incident["last_action_tick"]
+            if health == "Failing" and (last is None or bundle.tick - last >= REPROPOSE_AFTER):
+                return True
+    return False
+
+
+def _schema_should_wake(bundle: ObservationBundle) -> bool:
+    """The schema agent's trigger as its module docstring states it."""
+
+    for incident in bundle.open_incidents:
+        meta = bundle.pipelines[incident["pipeline"]]
+        drift = meta["drift"]
+        if (
+            incident["incident_class"] == "SchemaIncompatible"
+            and _free(bundle, incident)
+            and meta["health"] != "Halted"
+            and drift is not None
+            and not drift["quarantine_mode"]
+        ):
+            return True
+    return False
+
+
+def _one_incident(agent: str, incident: dict, ingress: tuple = (), **meta) -> ObservationBundle:
+    """Pipeline ``p``, with ``meta`` and ``ingress``, and one open incident on it."""
+
+    return _bundle(
+        agent=agent,
+        pipelines={"p": _meta(**meta)},
+        series={"p": {"ingress": ingress}},
+        incidents=(_incident(**incident),),
+        policy={"quarantine_allowed": False, "schema_mode": "strict"},
+    )
+
+
+_RECOVERY, _SCHEMA = Actor.RECOVERY_AGENT.value, Actor.SCHEMA_AGENT.value
+_DEFERRED = dict(  # an UpstreamDelay after the agent's applied Defer
+    incident_class="UpstreamDelay",
+    claimed_by=_RECOVERY,
+    last_action_tick=50,
+    delay_baseline=_BASELINE,
+)
+_DRIFTED = dict(incident_class="SchemaIncompatible", claimed_by=_SCHEMA)
+
+
+def _retried(ago: int) -> dict:
+    """A TransientTaskFailure whose last action was ``ago`` ticks before tick 100."""
+
+    return dict(claimed_by=_RECOVERY, last_action_tick=100 - ago)
+
+
+def _drift(quarantine_mode: bool) -> dict:
+    return {"partition": "pt-1", "quarantine_mode": quarantine_mode}
 
 
 class TestTriggers:
     """Each builtin agent's trigger holds exactly when its module docstring
     says, and a rule whose trigger does not hold returns nothing, so the
-    controller may skip the call."""
+    controller may skip the call. The recovery and schema triggers are
+    exact: a woken agent proposes."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(bundle=_drawn_bundles(Actor.OPTIMIZATION_AGENT.value))
@@ -941,16 +1086,41 @@ class TestTriggers:
         assert woken == _optimizer_should_wake(bundle)
         assert woken or optimize_propose(bundle) == []
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(bundle=_drawn_bundles(Actor.RECOVERY_AGENT.value))
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        bundle=_drawn_bundles(
+            Actor.RECOVERY_AGENT.value, ("UpstreamDelay", "TransientTaskFailure", "FreshnessBreach")
+        )
+    )
+    # Two stalls that kept the agent awake while its rule returned nothing: a
+    # Deferred stream's window one sample past the band, and an incident
+    # that someone else holds.
+    @example(bundle=_one_incident(_RECOVERY, _DEFERRED, _ONE_PAST_EDGE, health="Deferred"))
+    @example(bundle=_one_incident(_RECOVERY, dict(claimed_by="operator"), health="Failing"))
+    # Resume at the band's edge, around a busy and a quiet source.
+    @example(bundle=_one_incident(_RECOVERY, _DEFERRED, _AT_EDGE, health="Deferred"))
+    @example(
+        bundle=_one_incident(
+            _RECOVERY, dict(_DEFERRED, delay_baseline=0.0), _AT_FLOOR_EDGE, health="Deferred"
+        )
+    )
+    # Retry REPROPOSE_AFTER ticks after the last action, and not a tick sooner.
+    @example(bundle=_one_incident(_RECOVERY, _retried(REPROPOSE_AFTER), health="Failing"))
+    @example(bundle=_one_incident(_RECOVERY, _retried(REPROPOSE_AFTER - 1), health="Failing"))
     def test_recovery_trigger(self, bundle):
         woken = recovery_wakes(_state(bundle))
-        assert woken == _has_class(bundle, {"TransientTaskFailure", "UpstreamDelay"})
+        assert woken == _recovery_should_wake(bundle)
         assert woken or recovery_candidates(bundle) == []
+        assert not woken or recovery_candidates(bundle)
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(bundle=_drawn_bundles(Actor.SCHEMA_AGENT.value))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(bundle=_drawn_bundles(Actor.SCHEMA_AGENT.value, ("SchemaIncompatible", "UpstreamDelay")))
+    # A stall: the agent's own Halt applied, the drift still pending.
+    @example(bundle=_one_incident(_SCHEMA, _DRIFTED, health="Halted", drift=_drift(False)))
+    @example(bundle=_one_incident(_SCHEMA, _DRIFTED, health="Failing", drift=_drift(False)))
+    @example(bundle=_one_incident(_SCHEMA, _DRIFTED, health="Failing", drift=_drift(True)))
     def test_schema_trigger(self, bundle):
         woken = schema_wakes(_state(bundle))
-        assert woken == _has_class(bundle, {"SchemaIncompatible"})
+        assert woken == _schema_should_wake(bundle)
         assert woken or schema_candidates(bundle) == []
+        assert not woken or schema_candidates(bundle)

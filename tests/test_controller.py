@@ -27,7 +27,15 @@ from pipegov.agents import (
     make_backend,
     optimize_propose,
 )
-from pipegov.core import ActionKind, Actor, ProposedAction, ResourceModel, schema_delta
+from pipegov.agents.controller import _snapshot_view
+from pipegov.core import (
+    ActionKind,
+    Actor,
+    PipelineKind,
+    ProposedAction,
+    ResourceModel,
+    schema_delta,
+)
 from pipegov.core.actions import SCALING_KINDS
 from pipegov.harness import run_experiment
 from pipegov.policy import parse_policy
@@ -52,6 +60,7 @@ from pipegov.simkernel import (
 from pipegov.telemetry import AuditLog
 
 from conftest import make_batch_pipeline, make_mini_scenario, make_stream_pipeline
+from test_acceptance import _fuzz_case
 
 
 def _policy(**overrides):
@@ -1079,7 +1088,7 @@ class TestObservationBundles:
         for t, u in enumerate(utilization, start=1):
             samples = {"stream-a": PipelineSample(0, 0, 0, u, 0), "batch-a": busy}
             report = TickReport(t - 1, TelemetrySnapshot(samples, 0), (), 0, 0.0)
-            snapshot, _ = loop._fold_statistics(world, t, report)
+            loop._fold_statistics(world, t, report)
             if t in scaled:
                 action = ProposedAction(
                     f"ACT-{t}", t, Actor.OPTIMIZATION_AGENT, ActionKind.SCALE_UP, "stream-a",
@@ -1087,7 +1096,7 @@ class TestObservationBundles:
                 )
                 loop._apply(world, t, action, 0)
                 changed_at = t
-            *_, (actor, bundle) = loop._bundles(world, t, snapshot)
+            *_, (actor, bundle) = loop._bundles(world, t, _snapshot_view(report.snapshot))
             assert actor is Actor.OPTIMIZATION_AGENT
             window = utilization[:t][-LOW_UTIL_TICKS:]
             expected = (
@@ -1213,6 +1222,54 @@ class TestObservationBundles:
             assert shown[-1] == (incident.claim, incident.approval_pending, incident.last_action_tick)
         assert all(before != after for before, after in zip(shown, shown[1:])), shown
 
+    def test_woken_bundles_show_the_previous_kernel_snapshot(
+        self, canonical_spec, policy, monkeypatch
+    ):
+        spec = _short_canonical(canonical_spec)
+        keeping = KeepingBackend()  # asked every tick, so also before the first step
+        world, loop = _make(spec, policy, agents=True, backend=keeping)
+        loop.tick(world, 0, [], None)
+        assert [b.snapshot for b in keeping.kept] == [{}] * 3
+        assert all(type(b.snapshot) is MappingProxyType for b in keeping.kept)
+
+        # Later, the snapshot view is built only on a tick that builds
+        # bundles, from the previous tick's kernel snapshot, whatever ticks
+        # were skipped in between.
+        seen = []
+        decide = BuiltinBackend.decide
+
+        def keep(backend, bundle):
+            seen.append(bundle)
+            return decide(backend, bundle)
+
+        monkeypatch.setattr(BuiltinBackend, "decide", keep)
+        world, loop = _make(spec, policy, agents=True, operator=OperatorModel())
+        observed = {}
+        prev = None
+        for t in range(spec.horizon):
+            loop.tick(world, t, inject_faults(spec, world, t), prev)
+            prev = step(world, generate_arrivals(spec, t))
+            observed[t] = prev.snapshot
+        built = sorted({bundle.tick for bundle in seen})
+        assert 1 < len(built) < spec.horizon // 2
+        assert any(later - earlier > 1 for earlier, later in zip(built, built[1:]))
+        for bundle in seen:
+            kernel = observed[bundle.tick - 1]
+            expected = {
+                "capacity_headroom": kernel.capacity_headroom,
+                "pipelines": {
+                    pid: {
+                        "freshness_lag": sample.freshness_lag,
+                        "queue_depth": sample.queue_depth,
+                        "ingress": sample.ingress,
+                    }
+                    for pid, sample in sorted(kernel.pipelines.items())
+                },
+            }
+            # Keys, their order and the values' types and values, read-only.
+            assert json.dumps(bundle.to_dict()["snapshot"]) == json.dumps(expected), bundle.tick
+            assert _read_only_containers(bundle.snapshot) == 2 + len(world.pipelines)
+
     def test_bundles_carry_only_keys_the_agents_read(self, canonical_spec, policy):
         backend = RecordingBackend()
         run_experiment(
@@ -1258,9 +1315,22 @@ def _proposers(result) -> set[str]:
     return {r.actor.value for r in result.audit.records if r.payload.get("kind") == "proposal"}
 
 
+def _applied_by(result, actor: Actor, pipelines: set[str]) -> list[str]:
+    """The kinds of ``actor``'s applied actions on ``pipelines``, in audit order."""
+
+    return [
+        r.payload["result"]["kind"]
+        for r in result.audit.records
+        if r.payload.get("event") == "action_outcome"
+        and r.actor is actor
+        and r.payload["result"]["status"] == "applied"
+        and r.payload["result"]["pipeline"] in pipelines
+    ]
+
+
 class TestQuietTicks:
     @pytest.mark.parametrize(
-        "overrides",
+        "case",
         [
             {},
             {"schema.mode": "strict", "schema.quarantine_allowed": False},
@@ -1272,19 +1342,43 @@ class TestQuietTicks:
                 ]
             },
             {"cost.budget_per_window": default_policy_dict()["cost"]["budget_per_window"] / 2},
+            # Criterion 2's fuzz cases in which a stream is Deferred and then
+            # Resumed: the recovery trigger gates a Resume on the ingress window.
+            3,
+            12,
+            43,
         ],
-        ids=["default", "strict schema, no quarantine", "approval on every remedy", "half budget"],
+        ids=[
+            "default",
+            "strict schema, no quarantine",
+            "approval on every remedy",
+            "half budget",
+            "fuzz case 3",
+            "fuzz case 12",
+            "fuzz case 43",
+        ],
     )
-    def test_skipped_calls_change_no_audit_byte(self, canonical_spec, overrides, builtin_calls):
-        spec = _short_canonical(canonical_spec)
-        policy = _policy(**overrides)
-        woken = run_experiment(spec, policy, controller="agentic", backend=BuiltinBackend())
+    def test_skipped_calls_change_no_audit_byte(self, canonical_spec, case, builtin_calls):
+        if isinstance(case, dict):  # policy overrides on the short canonical scenario
+            spec, policy, config = _short_canonical(canonical_spec), _policy(**case), None
+        else:
+            spec, policy, config, _ = _fuzz_case(case)
+        woken = run_experiment(
+            spec, policy, controller="agentic", backend=BuiltinBackend(), config=config
+        )
         woken_calls = len(builtin_calls)
-        every = run_experiment(spec, policy, controller="agentic", backend=AskedEveryTickBackend())
+        every = run_experiment(
+            spec, policy, controller="agentic", backend=AskedEveryTickBackend(), config=config
+        )
         assert len(builtin_calls) - woken_calls == 3 * spec.horizon
         assert 0 < woken_calls < 3 * spec.horizon
         assert woken.audit.to_jsonl() == every.audit.to_jsonl()
-        assert _proposers(woken) >= {"SchemaAgent", "RecoveryAgent", "OptimizationAgent"}
+        if isinstance(case, dict):
+            assert _proposers(woken) >= {"SchemaAgent", "RecoveryAgent", "OptimizationAgent"}
+        else:
+            streams = {p.id for p in spec.pipelines if p.kind is PipelineKind.STREAMING}
+            kinds = _applied_by(woken, Actor.RECOVERY_AGENT, streams)
+            assert "Resume" in kinds[kinds.index("Defer"):], kinds
 
     def test_left_out_agent_is_never_asked(self, canonical_spec, policy, builtin_calls):
         backend = make_backend("builtin:RecoveryAgent,SchemaAgent")
