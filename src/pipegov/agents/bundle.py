@@ -46,10 +46,8 @@ class OutcomeMemory:
 
     def __init__(self) -> None:
         self._cells: dict[tuple[str, str], MemoryCell] = {}
-        self._view: Mapping[str, Mapping] | None = None
 
     def _cell(self, incident_class: str, kind: str) -> MemoryCell:
-        self._view = None
         return self._cells.setdefault((incident_class, kind), MemoryCell())
 
     def record_attempt(self, incident_class: str, kind: str) -> None:
@@ -79,13 +77,10 @@ class OutcomeMemory:
         return out
 
     def view(self) -> Mapping[str, Mapping]:
-        """``extract()`` as read-only mappings, rebuilt only after a record."""
+        """``extract()`` as read-only mappings."""
 
-        if self._view is None:
-            self._view = MappingProxyType(
-                {key: MappingProxyType(cell) for key, cell in self.extract().items()}
-            )
-        return self._view
+        cells = self.extract()
+        return MappingProxyType({key: MappingProxyType(cell) for key, cell in cells.items()})
 
 
 def _plain(node: object) -> object:
@@ -107,9 +102,9 @@ class ObservationBundle(NamedTuple):
     below is always present, except in the empty tick-0 snapshot. Every
     container in it is a ``MappingProxyType`` or a tuple, so nothing a
     backend holds can be changed, by the backend or by the controller: a
-    view may be handed out again on later ticks, and stays equal to what it
-    was when first handed out. ``to_dict()`` returns plain, JSON-ready
-    copies.
+    view stays equal to what it was when handed out. Its views are built
+    fresh on each tick that builds bundles, and the agents of that tick
+    share them. ``to_dict()`` returns plain, JSON-ready copies.
 
     ``snapshot`` is the previous tick's telemetry, pipelines in sorted
     order, and empty at tick 0, before the first step::
@@ -134,10 +129,7 @@ class ObservationBundle(NamedTuple):
 
     ``alloc_changed_at`` is the tick of the pipeline's last applied scaling
     action, 0 before any. A pending drift is always one the live schema
-    cannot take. A pipeline's view is kept across ticks and rebuilt only
-    when one of the fields it shows differs from the last built; an
-    incident's view is kept while it stays open, and rebuilt only when its
-    claim, ``approval_pending`` or ``last_action_tick`` differs.
+    cannot take.
 
     ``series`` carries what each pipeline's recorded samples show through
     the previous tick::

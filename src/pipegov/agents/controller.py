@@ -35,24 +35,10 @@ the optimization agent compares with ``LOW_UTIL_TICKS``, and the anomaly
 detector, whose ingress mean is an UpstreamDelay's pre-delay baseline. A
 static run keeps no observation state. The detector and the triggers read
 the previous tick's kernel snapshot. Bundles show it cut down to what the
-agents read, built only on a tick that builds bundles: capacity headroom
-and each pipeline's freshness lag, queue depth and ingress, or an empty
-mapping before the first step.
-
-Bundles carry only the keys the builtin agents read, and every container
-in them is a read-only ``MappingProxyType`` or a tuple, so the agents of
-one tick share all of it and views are kept across the ticks bundles are
-built on. Each view is kept with the key it was built from and compared
-with the current key whenever bundles are built, so the ticks skipped in
-between cannot leave a view stale. A pipeline's key is its health,
-failing stage, whether ``recover_at`` and ``suppress_until`` are set, its
-stage allocations, its drift's (partition, quarantine mode) and
-``alloc_changed_at``, the tick of its last applied scaling action. The
-``pipelines`` mapping is kept while no view in it changed. An open
-incident's key is its claim, ``approval_pending`` and
-``last_action_tick`` (its delay baseline is fixed when it opens), and its
-view is dropped when it closes. Each built tick's series hold a copy of
-every ingress window and the current low-utilization runs.
+agents read: capacity headroom and each pipeline's freshness lag, queue
+depth and ingress, or an empty mapping before the first step. Every view
+a bundle shows is built fresh on each tick that builds bundles, and the
+agents of that tick share it.
 
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. Incidents
@@ -76,7 +62,7 @@ in due order and is drained from the left.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import count
 from types import MappingProxyType
@@ -208,10 +194,6 @@ class Controller:
         # both stay empty without a backend.
         self._ingress_windows: dict[str, deque[float]] = {}
         self._low_util_runs: dict[str, int] = {}
-        # Read-only views kept across ticks, each with the key it was built from.
-        self._pipeline_views: dict[str, tuple[tuple, Mapping]] = {}
-        self._pipelines_view: Mapping[str, Mapping] = MappingProxyType({})
-        self._incident_views: dict[str, tuple[tuple, Mapping]] = {}
         self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
 
     # ------------------------------------------------------------------
@@ -380,7 +362,6 @@ class Controller:
             if not done:
                 continue
             self.ledger.closed(incident.id, t)
-            self._incident_views.pop(incident.id, None)
             if incident.resolution is not None:
                 self.memory.record_success(cls.value, incident.resolution, incident.duration())
             payload = {"kind": "outcome", "event": "incident_closed", "incident": incident.to_dict()}
@@ -571,9 +552,7 @@ class Controller:
     # ------------------------------------------------------------------
     # validation and execution
 
-    def _spend_projection(
-        self, world: SimWorld, t: int, paying_units: int, reserved_units: int
-    ) -> float:
+    def _committed_spend(self, world: SimWorld, t: int) -> float:
         """Committed spend; new units are priced over ``policy.cost.window``.
 
         Two commitments are projected and the larger governs: finishing the
@@ -586,6 +565,12 @@ class Controller:
         reason.
         """
 
+        paying_units = reserved_units = 0
+        for p in world.pipelines.values():
+            units = p.allocation_total()
+            reserved_units += units
+            if p.health not in UNPAID:
+                paying_units += units
         window = self.policy.cost.window
         remaining = window - (t % window)
         price = world.resource_model.unit_price
@@ -595,12 +580,6 @@ class Controller:
         )
 
     def _context(self, world: SimWorld, t: int, action: ProposedAction) -> ValidationContext:
-        paying_units = reserved_units = 0
-        for p in world.pipelines.values():
-            units = p.allocation_total()
-            reserved_units += units
-            if p.health not in UNPAID:
-                paying_units += units
         tags: tuple[str, ...] = ()
         delta_total = 0
         pipeline = world.pipelines.get(action.pipeline)
@@ -613,7 +592,7 @@ class Controller:
             tick=t,
             pipeline_tags=tags,
             windowed_spend=self._window_spend,
-            committed_spend=self._spend_projection(world, t, paying_units, reserved_units),
+            committed_spend=self._committed_spend(world, t),
             unit_price=world.resource_model.unit_price,
             delta_units_total=delta_total,
         )
@@ -679,22 +658,15 @@ class Controller:
 
     def _bundles(
         self, world: SimWorld, t: int, snapshot: Mapping, agents: Sequence = _AGENT_NAMES
-    ) -> Iterator[tuple[Actor, ObservationBundle]]:
-        """Yield the bundle of each of ``agents`` for the tick, in phase order.
+    ) -> list[tuple[Actor, ObservationBundle]]:
+        """The bundle of each of ``agents`` for the tick, in phase order.
 
-        Every view is built before the first bundle is yielded, and the
-        agents share all of them (see the module docstring for what is
-        kept across ticks). The pass over the pipelines also totals the
-        units the committed spend is projected from.
+        Every view is built fresh, and the agents share all of them.
         """
 
-        incidents = []
-        incident_views = self._incident_views
-        for incident in self.ledger.open.values():
-            key = (incident.claim, incident.approval_pending, incident.last_action_tick)
-            kept = incident_views.get(incident.id)
-            if kept is None or kept[0] != key:
-                view = {
+        open_incidents = tuple(
+            MappingProxyType(
+                {
                     "id": incident.id,
                     "pipeline": incident.pipeline,
                     "incident_class": incident.incident_class.value,
@@ -703,62 +675,35 @@ class Controller:
                     "last_action_tick": incident.last_action_tick,
                     "delay_baseline": incident.delay_baseline,
                 }
-                kept = incident_views[incident.id] = (key, MappingProxyType(view))
-            incidents.append(kept[1])
-
-        pipeline_views = self._pipeline_views
-        ingress_windows, low_util_runs = self._ingress_windows, self._low_util_runs
-        alloc_changed_at = self._alloc_changed_at
-        changed = False
-        series = {}
-        paying_units = reserved_units = 0
-        for pid, p in world.pipelines.items():
-            allocs = [st.alloc for st in p.stages.values()]
-            units = sum(allocs)
-            reserved_units += units
-            if p.health not in UNPAID:
-                paying_units += units
-            drift = p.pending_drift
-            if drift is not None:
-                drift = (drift.partition, drift.quarantine_mode)
-            key = (
-                p.health, p.failing_stage, p.recover_at is None, p.suppress_until is None,
-                allocs, drift, alloc_changed_at.get(pid, 0),
             )
-            kept = pipeline_views.get(pid)
-            if kept is None or kept[0] != key:
-                pipeline_views[pid] = (key, _pipeline_view(p, key))
-                changed = True
+            for incident in self.ledger.open.values()
+        )
+        pipelines, series = {}, {}
+        for pid, p in world.pipelines.items():
+            pipelines[pid] = _pipeline_view(p, self._alloc_changed_at.get(pid, 0))
             series[pid] = MappingProxyType(
                 {
-                    "ingress": tuple(ingress_windows.get(pid, ())),
-                    "low_util_run": low_util_runs.get(pid, 0),
+                    "ingress": tuple(self._ingress_windows.get(pid, ())),
+                    "low_util_run": self._low_util_runs.get(pid, 0),
                 }
             )
-        if changed:
-            self._pipelines_view = MappingProxyType(
-                {pid: view for pid, (_, view) in pipeline_views.items()}
-            )
-
         policy = MappingProxyType(
             {
                 "max_scale_step": self.policy.cost.max_scale_step,
                 "budget_per_window": self.policy.cost.budget_per_window,
                 "window": self.policy.cost.window,
-                "committed_spend": self._spend_projection(world, t, paying_units, reserved_units),
+                "committed_spend": self._committed_spend(world, t),
                 "unit_price": world.resource_model.unit_price,
                 "quarantine_allowed": self.policy.schema.quarantine_allowed,
                 "schema_mode": self.policy.schema.mode,
                 "allowed_strategies": self._allowed_strategies,
             }
         )
-        open_incidents = tuple(incidents)
-        series_view = MappingProxyType(series)
+        views = (open_incidents, MappingProxyType(pipelines), MappingProxyType(series), policy)
         memory = self.memory.view()
-        for actor, name in agents:
-            yield actor, ObservationBundle(
-                t, name, snapshot, open_incidents, self._pipelines_view, series_view, policy, memory
-            )
+        return [
+            (actor, ObservationBundle(t, name, snapshot, *views, memory)) for actor, name in agents
+        ]
 
 
 def _snapshot_view(observed: TelemetrySnapshot | None) -> Mapping:
@@ -776,13 +721,15 @@ def _snapshot_view(observed: TelemetrySnapshot | None) -> Mapping:
     return MappingProxyType(view)
 
 
-def _pipeline_view(p: PipelineState, key: tuple) -> Mapping:
-    """A pipeline's read-only view, built from the key it is kept under."""
+def _pipeline_view(p: PipelineState, alloc_changed_at: int) -> Mapping:
+    """A pipeline's read-only view; ``alloc_changed_at`` is the tick of its
+    last applied scaling action, 0 before any."""
 
-    health, failing_stage, idle, unsuppressed, _, drift, alloc_changed_at = key
+    drift = p.pending_drift
     if drift is not None:
-        partition, quarantine_mode = drift
-        drift = MappingProxyType({"partition": partition, "quarantine_mode": quarantine_mode})
+        drift = MappingProxyType(
+            {"partition": drift.partition, "quarantine_mode": drift.quarantine_mode}
+        )
     stages = {
         sid: MappingProxyType(
             {"alloc": st.alloc, "min_alloc": st.spec.min_alloc, "max_alloc": st.spec.max_alloc}
@@ -792,10 +739,10 @@ def _pipeline_view(p: PipelineState, key: tuple) -> Mapping:
     view = {
         "criticality": p.spec.criticality,
         "freshness_target": p.spec.freshness_target,
-        "health": health.value,
-        "failing_stage": failing_stage,
-        "recovering": not idle,
-        "suppressed": not unsuppressed,
+        "health": p.health.value,
+        "failing_stage": p.failing_stage,
+        "recovering": p.recover_at is not None,
+        "suppressed": p.suppress_until is not None,
         "alloc_changed_at": alloc_changed_at,
         "stages": MappingProxyType(stages),
         "drift": drift,

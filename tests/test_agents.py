@@ -533,6 +533,27 @@ class TestRecoveryPropose:
         assert set(cell) == {"attempts", "success_rate", "mean_resolution"}  # no success count
         assert "Nope:Replay" not in extracted
 
+        # view() is extract() made read-only at both levels, built on each
+        # call: a view already handed out never changes, a later one shows
+        # every record since.
+        view = memory.view()
+        assert view == extracted
+        with pytest.raises(TypeError):
+            view["Nope:Replay"] = {}
+        with pytest.raises(TypeError):
+            view["TransientTaskFailure:Replay"]["attempts"] = 0
+        for record in (
+            lambda: memory.record_attempt("TransientTaskFailure", "Rollback"),
+            lambda: memory.record_success("TransientTaskFailure", "Replay", resolution_ticks=4),
+        ):
+            before = memory.view()
+            shown = {key: dict(cell) for key, cell in before.items()}
+            record()
+            assert before == shown
+            assert memory.view() == memory.extract() != shown
+        assert memory.view()["TransientTaskFailure:Rollback"]["attempts"] == 1
+        assert memory.view()["TransientTaskFailure:Replay"]["mean_resolution"] == pytest.approx(6.0)
+
     def test_memory_rejects_excess_successes(self):
         memory = OutcomeMemory()
         memory.record_attempt("TransientTaskFailure", "Replay")

@@ -27,7 +27,7 @@ from pipegov.agents import (
     make_backend,
     optimize_propose,
 )
-from pipegov.agents.controller import _snapshot_view
+from pipegov.agents.controller import AGENT_PHASES, _snapshot_view
 from pipegov.core import (
     ActionKind,
     Actor,
@@ -898,7 +898,6 @@ class ViewCheckingBackend(BuiltinBackend):
     def __init__(self) -> None:
         self.world = self.loop = None
         self.claims: set = set()
-        self.pipeline_maps: list = []
         self.seen_fields: set[str] = set()
 
     def decide(self, bundle):
@@ -952,8 +951,6 @@ class ViewCheckingBackend(BuiltinBackend):
             view = bundle.to_dict()["pipelines"][pid]
             assert view == expected, (bundle.tick, pid)
             self.seen_fields |= {key for key, value in expected.items() if value}
-        if not self.pipeline_maps or self.pipeline_maps[-1][1] is not bundle.pipelines:
-            self.pipeline_maps.append((bundle.tick, bundle.pipelines))
         return super().decide(bundle)
 
 
@@ -1175,6 +1172,27 @@ class TestObservationBundles:
         assert any(b["memory"] for b in backend.seen)
         assert any(b["open_incidents"] for b in backend.seen)
 
+    def test_bundle_and_validation_see_one_committed_spend(self, canonical_spec, policy):
+        # Nothing applies between a tick's bundles and the validation of its
+        # first agent proposal, so both must read the same committed spend.
+        backend = RecordingBackend()
+        result = run_experiment(
+            _short_canonical(canonical_spec), policy, controller="agentic", backend=backend
+        )
+        shown = {bundle["tick"]: bundle["policy"]["committed_spend"] for bundle in backend.seen}
+        agents = {actor.value for actor in AGENT_PHASES[1:]}
+        validated = {}
+        for record in result.audit.records:
+            payload = record.payload
+            if (
+                payload["kind"] == "decision"
+                and payload["phase"] == "initial"
+                and payload["action"]["agent"] in agents
+            ):
+                validated.setdefault(record.tick, payload["context"]["committed_spend"])
+        assert len(validated) >= 5 and len(set(validated.values())) > 1, validated
+        assert {t: shown[t] for t in validated} == validated
+
     def test_views_follow_the_world_every_tick(self, canonical_spec):
         # A policy that denies the schema agent's quarantine makes the sweep
         # escalate, and a replay of the regulated stream waits for approval.
@@ -1188,8 +1206,6 @@ class TestObservationBundles:
             world, loop = _make(spec, policy, agents=True, backend=backend, operator=OperatorModel())
             backend.world, backend.loop = world, loop
             _drive(spec, world, loop, spec.horizon)
-            # The mapping is kept across most ticks and rebuilt on some.
-            assert 1 < len(backend.pipeline_maps) < spec.horizon // 2
             fields = {"drift", "delay_baseline", "recovering", "suppressed", "failing_stage"}
             assert fields | {"alloc_changed_at"} <= backend.seen_fields
             claims |= backend.claims
@@ -1216,7 +1232,7 @@ class TestObservationBundles:
         shown = []
         for change in changes:
             change()
-            _, bundle = next(loop._bundles(world, 3, MappingProxyType({})))
+            _, bundle = loop._bundles(world, 3, MappingProxyType({}))[0]
             (view,) = bundle.open_incidents
             shown.append((view["claimed_by"], view["approval_pending"], view["last_action_tick"]))
             assert shown[-1] == (incident.claim, incident.approval_pending, incident.last_action_tick)
