@@ -35,8 +35,6 @@ class BackendError(ValueError):
 
 
 class ReasoningBackend(Protocol):
-    name: str
-
     def decide(self, bundle: ObservationBundle) -> list[CandidateAction]: ...
 
 
@@ -56,7 +54,6 @@ class BuiltinBackend:
     and its trigger never holds.
     """
 
-    name = "builtin"
     rules = _BUILTIN_RULES
 
     def __init__(self, agents: Iterable[str] | None = None) -> None:
@@ -77,8 +74,6 @@ class NullBackend:
     check relies on.
     """
 
-    name = "null"
-
     def decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
         return []
 
@@ -91,8 +86,6 @@ class StubBackend:
     control loop records the violation and falls back to the builtin
     rules for that call.
     """
-
-    name = "stub"
 
     def __init__(self, path: str) -> None:
         self.path = path

@@ -12,7 +12,7 @@ controller's own state, from which that tick's bundles would be built.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
@@ -22,6 +22,7 @@ from ..core.reader import Fields, integer, string
 if TYPE_CHECKING:
     from ..simkernel.world import PipelineState, TelemetrySnapshot
     from ..telemetry.incidents import Incident
+    from .controller import PipelineObservation
 
 
 @dataclass
@@ -99,18 +100,29 @@ class ObservationBundle(NamedTuple):
     only on the ticks their trigger holds (see ``ControlState``).
 
     It carries only the keys the builtin agents read, and every key shown
-    below is always present, except in the empty tick-0 snapshot. Every
-    container in it is a ``MappingProxyType`` or a tuple, so nothing a
-    backend holds can be changed, by the backend or by the controller: a
-    view stays equal to what it was when handed out. Its views are built
-    fresh on each tick that builds bundles, and the agents of that tick
-    share them. ``to_dict()`` returns plain, JSON-ready copies.
+    below is always present, from tick 0 on. Every container in it is a
+    ``MappingProxyType`` or a tuple, so nothing a backend holds can be
+    changed, by the backend or by the controller: a view stays equal to
+    what it was when handed out. Its views are built fresh on each tick
+    that builds bundles, and the agents of that tick share them.
+    ``to_dict()`` returns plain, JSON-ready copies.
 
-    ``snapshot`` is the previous tick's telemetry, pipelines in sorted
-    order, and empty at tick 0, before the first step::
+    ``observed`` is what the controller has observed of the cluster and of
+    each pipeline through the previous tick, pipelines in sorted order::
 
         {capacity_headroom,
-         pipelines: {pipeline_id: {freshness_lag, queue_depth, ingress}}}
+         pipelines: {pipeline_id: {freshness_lag, queue_depth, ingress,
+                                   low_util_run}}}
+
+    The headroom, lag and queue depth are the previous tick's kernel
+    telemetry. ``ingress`` holds the last 10 ingress samples
+    (``STABLE_TICKS``), newest last, as far back as the recovery agent
+    looks. ``low_util_run`` counts the samples in a row, ending with the
+    newest, whose utilization is below ``LOW_UTIL_THRESHOLD``; the
+    optimization agent's idle rule holds when it is at least
+    ``LOW_UTIL_TICKS``. Both follow the values the runner records into its
+    MetricStore. Before the first step every value reads 0 and the window
+    ``()``.
 
     ``open_incidents`` lists the open incidents in detection order::
 
@@ -131,19 +143,6 @@ class ObservationBundle(NamedTuple):
     action, 0 before any. A pending drift is always one the live schema
     cannot take.
 
-    ``series`` carries what each pipeline's recorded samples show through
-    the previous tick::
-
-        {pipeline_id: {"ingress": (...), "low_util_run": n}}
-
-    ``ingress`` holds the last 10 ingress samples (``STABLE_TICKS``), newest
-    last, as far back as the recovery agent looks. ``low_util_run`` counts
-    the samples in a row, ending with the newest, whose utilization is below
-    ``LOW_UTIL_THRESHOLD``; the optimization agent's idle rule holds when it
-    is at least ``LOW_UTIL_TICKS``. Both follow the values the runner
-    records into its MetricStore, folded by the controller from each tick's
-    report: ``()`` and 0 before the first report.
-
     ``policy`` is the governance headroom, shared by the agents of a tick::
 
         {max_scale_step, budget_per_window, window, committed_spend,
@@ -161,10 +160,9 @@ class ObservationBundle(NamedTuple):
 
     tick: int
     agent: str
-    snapshot: Mapping
+    observed: Mapping
     open_incidents: tuple[Mapping, ...]
     pipelines: Mapping[str, Mapping]
-    series: Mapping[str, Mapping[str, tuple[float, ...] | int]]
     policy: Mapping
     memory: Mapping[str, Mapping]
 
@@ -177,18 +175,17 @@ class ControlState(NamedTuple):
 
     These are the raw objects a tick's bundles are built from, at the point
     they would be built: the ledger's open incidents, the previous tick's
-    kernel telemetry (None before the first step), the world's pipelines,
-    and the controller's ingress windows, low-utilization runs and last
-    scaling ticks, by pipeline id (a missing id reads as an empty window or
-    0, as in a bundle's ``series`` and ``alloc_changed_at``).
+    kernel telemetry (every value 0 before the first step), the world's
+    pipelines, and by pipeline id the controller's observation records,
+    which a bundle's ``observed`` shows, and last scaling ticks (a missing
+    id reads as 0, as in a bundle's ``alloc_changed_at``).
     """
 
     tick: int
     incidents: Collection[Incident]
-    snapshot: TelemetrySnapshot | None
+    snapshot: TelemetrySnapshot
     pipelines: Mapping[str, PipelineState]
-    ingress_windows: Mapping[str, Sequence[float]]
-    low_util_runs: Mapping[str, int]
+    observations: Mapping[str, PipelineObservation]
     alloc_changed_at: Mapping[str, int]
 
 

@@ -28,17 +28,15 @@ identical audit trail.
 
 Each tick starts by folding the previous tick's report once: its compute
 spend goes into the current budget window and, when a backend is
-present, each pipeline's samples feed its rolling ingress window, as long
-as the recovery agent looks back (``STABLE_TICKS``), its run of
-consecutive samples with utilization below ``LOW_UTIL_THRESHOLD``, which
-the optimization agent compares with ``LOW_UTIL_TICKS``, and the anomaly
+present, each pipeline's sample into its one ``PipelineObservation``
+record (ingress window and low-utilization run) and into the anomaly
 detector, whose ingress mean is an UpstreamDelay's pre-delay baseline. A
-static run keeps no observation state. The detector and the triggers read
-the previous tick's kernel snapshot. Bundles show it cut down to what the
-agents read: capacity headroom and each pipeline's freshness lag, queue
-depth and ingress, or an empty mapping before the first step. Every view
-a bundle shows is built fresh on each tick that builds bundles, and the
-agents of that tick share it.
+static run keeps no observation state. The detector reads the previous
+tick's kernel snapshot, the triggers read it and the records, and a
+bundle's ``observed`` view shows both, cut down to what the agents read,
+every pipeline and key present from tick 0, when every value reads 0.
+Every view a bundle shows is built fresh on each tick that builds
+bundles, and the agents of that tick share it.
 
 The audit log is the only record of what happened; the per-tick
 ControlReport carries just the proposals and anomaly flags. Incidents
@@ -61,9 +59,9 @@ in due order and is drained from the left.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from types import MappingProxyType
 from typing import NamedTuple
@@ -85,7 +83,15 @@ from ..simkernel.kernel import (
     InvalidTarget,
     apply_action,
 )
-from ..simkernel.world import UNPAID, Health, PipelineState, SimWorld, TelemetrySnapshot, TickReport
+from ..simkernel.world import (
+    UNPAID,
+    Health,
+    PipelineSample,
+    PipelineState,
+    SimWorld,
+    TelemetrySnapshot,
+    TickReport,
+)
 from ..telemetry.audit import AuditLog
 from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, IncidentLedger
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
@@ -103,7 +109,7 @@ AGENT_PHASES = (
 )
 
 _AGENT_NAMES = tuple((actor, actor.value) for actor in AGENT_PHASES[1:])
-_NOTHING_OBSERVED: Mapping = MappingProxyType({})  # the snapshot before the first step
+_UNSAMPLED = PipelineSample(0, 0, 0, 0.0, 0)  # every value before the first step
 
 # Kernel failure events that open (or re-mark as failed) an incident.
 _FAILURE_CLASSES = {
@@ -134,6 +140,17 @@ class OperatorModel:
         drained at the start of a tick, so never before ``t + 1``."""
 
         return t + max(self.operator_delay, 1)
+
+
+@dataclass(slots=True)
+class PipelineObservation:
+    """One pipeline's samples through the previous tick, as the controller
+    folds them: the last ``STABLE_TICKS`` ingress values, newest last, and
+    how many in a row, ending with the newest, had utilization below
+    ``LOW_UTIL_THRESHOLD``. A new record stands for a pipeline not yet sampled."""
+
+    ingress: deque[float] = field(default_factory=lambda: deque(maxlen=STABLE_TICKS))
+    low_util_run: int = 0
 
 
 @dataclass(frozen=True)
@@ -189,11 +206,8 @@ class Controller:
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
-        # Through the previous tick, each pipeline's ingress samples, newest
-        # last, and how many samples in a row ended below LOW_UTIL_THRESHOLD;
-        # both stay empty without a backend.
-        self._ingress_windows: dict[str, deque[float]] = {}
-        self._low_util_runs: dict[str, int] = {}
+        # Each pipeline's record; nothing is folded without a backend.
+        self._observations = defaultdict(PipelineObservation)
         self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
 
     # ------------------------------------------------------------------
@@ -208,7 +222,6 @@ class Controller:
     ) -> ControlReport:
         """Run one control cycle. Called after fault injection, before step."""
 
-        observed = prev_report.snapshot if prev_report is not None else None
         flags: list[AnomalyFlag] = []
         proposals: list[ProposedAction] = []
 
@@ -224,9 +237,13 @@ class Controller:
             for flag in flags:
                 payload = {"kind": "outcome", "event": "anomaly_flag", "flag": flag.to_dict()}
                 self.audit.append(t, Actor.MONITORING_AGENT, payload, self.policy.version)
+            if prev_report is not None:
+                observed = prev_report.snapshot
+            else:  # before the first step every value reads 0
+                observed = TelemetrySnapshot(dict.fromkeys(world.pipeline_ids(), _UNSAMPLED), 0)
             agents = self._woken(world, t, observed)
             if agents:
-                for actor, bundle in self._bundles(world, t, _snapshot_view(observed), agents):
+                for actor, bundle in self._bundles(world, t, observed, agents):
                     for candidate in self._decide(bundle):
                         action = self._screen_candidate(world, t, actor, candidate)
                         if action is not None:
@@ -248,9 +265,8 @@ class Controller:
         """Account the previous tick's compute spend and, with a backend, its
         samples; returns the detector's flags.
 
-        One pass over the samples appends the ingress windows and extends or
-        ends the low-utilization runs; the detector reads the kernel's
-        snapshot itself."""
+        One pass over the samples folds each into its pipeline's record; the
+        detector reads the kernel's snapshot itself."""
 
         idx = prev_report.tick // self.policy.cost.window
         if idx != self._window_index:
@@ -260,14 +276,12 @@ class Controller:
         self._window_spend += prev_report.cost - storage
         if self.backend is None:
             return []
-        ingress_windows, low_util_runs = self._ingress_windows, self._low_util_runs
+        observations = self._observations
         for pid, sample in prev_report.snapshot.pipelines.items():
-            window = ingress_windows.get(pid)
-            if window is None:
-                window = ingress_windows[pid] = deque(maxlen=STABLE_TICKS)
-            window.append(float(sample.ingress))
-            low_util_runs[pid] = (
-                low_util_runs.get(pid, 0) + 1 if sample.utilization < LOW_UTIL_THRESHOLD else 0
+            record = observations[pid]
+            record.ingress.append(float(sample.ingress))
+            record.low_util_run = (
+                record.low_util_run + 1 if sample.utilization < LOW_UTIL_THRESHOLD else 0
             )
         return self._detector.observe_snapshot(t, prev_report.snapshot)
 
@@ -298,10 +312,9 @@ class Controller:
     ) -> None:
         for event in applied_faults:
             if event.kind is FaultKind.SCHEMA_DRIFT:
-                if world.pipelines[event.pipeline].pending_drift is not None:
-                    self._note_incident(
-                        event.pipeline, IncidentClass.SCHEMA_INCOMPATIBLE, t
-                    )
+                # Only a drift the live schema cannot take fails the pipeline.
+                if (event.pipeline, "schema_drift") in world.pending_failures:
+                    self._note_incident(event.pipeline, IncidentClass.SCHEMA_INCOMPATIBLE, t)
             elif event.kind is FaultKind.UPSTREAM_DELAY:
                 self._note_incident(event.pipeline, IncidentClass.UPSTREAM_DELAY, t)
             elif event.kind is FaultKind.RESOURCE_CONTENTION:
@@ -347,12 +360,7 @@ class Controller:
                 done = world.pipelines[incident.pipeline].health is Health.HEALTHY
             elif cls is IncidentClass.UPSTREAM_DELAY:
                 p = world.pipelines[incident.pipeline]
-                done = (
-                    p.suppress_until is None
-                    and not p.release_plan
-                    and p.withheld == 0
-                    and p.health is Health.HEALTHY
-                )
+                done = p.suppress_until is None and p.health is Health.HEALTHY
             elif cls is IncidentClass.RESOURCE_CONTENTION:
                 done = prev_snap is not None and prev_snap.capacity_headroom >= 0
             elif cls is IncidentClass.FRESHNESS_BREACH:
@@ -371,7 +379,7 @@ class Controller:
     # agent phases
 
     def _woken(
-        self, world: SimWorld, t: int, observed: TelemetrySnapshot | None
+        self, world: SimWorld, t: int, observed: TelemetrySnapshot
     ) -> Sequence[tuple[Actor, str]]:
         """The agents to ask this tick, in phase order: all of them, unless
         the backend runs the builtin rules, whose triggers pick them."""
@@ -381,7 +389,7 @@ class Controller:
             return _AGENT_NAMES
         state = ControlState(
             t, self.ledger.open.values(), observed, world.pipelines,
-            self._ingress_windows, self._low_util_runs, self._alloc_changed_at,
+            self._observations, self._alloc_changed_at,
         )
         return [
             (actor, name) for actor, name in _AGENT_NAMES if name in rules and rules[name][1](state)
@@ -657,7 +665,7 @@ class Controller:
     # observation bundles
 
     def _bundles(
-        self, world: SimWorld, t: int, snapshot: Mapping, agents: Sequence = _AGENT_NAMES
+        self, world: SimWorld, t: int, observed: TelemetrySnapshot, agents: Sequence = _AGENT_NAMES
     ) -> list[tuple[Actor, ObservationBundle]]:
         """The bundle of each of ``agents`` for the tick, in phase order.
 
@@ -678,15 +686,10 @@ class Controller:
             )
             for incident in self.ledger.open.values()
         )
-        pipelines, series = {}, {}
-        for pid, p in world.pipelines.items():
-            pipelines[pid] = _pipeline_view(p, self._alloc_changed_at.get(pid, 0))
-            series[pid] = MappingProxyType(
-                {
-                    "ingress": tuple(self._ingress_windows.get(pid, ())),
-                    "low_util_run": self._low_util_runs.get(pid, 0),
-                }
-            )
+        pipelines = {
+            pid: _pipeline_view(p, self._alloc_changed_at.get(pid, 0))
+            for pid, p in world.pipelines.items()
+        }
         policy = MappingProxyType(
             {
                 "max_scale_step": self.policy.cost.max_scale_step,
@@ -699,25 +702,29 @@ class Controller:
                 "allowed_strategies": self._allowed_strategies,
             }
         )
-        views = (open_incidents, MappingProxyType(pipelines), MappingProxyType(series), policy)
-        memory = self.memory.view()
-        return [
-            (actor, ObservationBundle(t, name, snapshot, *views, memory)) for actor, name in agents
-        ]
+        observed_view = _snapshot_view(observed, self._observations)
+        views = (observed_view, open_incidents, MappingProxyType(pipelines), policy, self.memory.view())
+        return [(actor, ObservationBundle(t, name, *views)) for actor, name in agents]
 
 
-def _snapshot_view(observed: TelemetrySnapshot | None) -> Mapping:
-    """What bundles show of a kernel snapshot, pipelines in sorted order."""
+def _snapshot_view(
+    snapshot: TelemetrySnapshot, observations: Mapping[str, PipelineObservation]
+) -> Mapping:
+    """What bundles show of the previous tick's kernel snapshot and of each
+    pipeline's record, pipelines in sorted order."""
 
-    if observed is None:
-        return _NOTHING_OBSERVED
-    pipelines = {
-        pid: MappingProxyType(
-            {"freshness_lag": s.freshness_lag, "queue_depth": s.queue_depth, "ingress": s.ingress}
+    pipelines = {}
+    for pid, sample in sorted(snapshot.pipelines.items()):
+        record = observations[pid]
+        pipelines[pid] = MappingProxyType(
+            {
+                "freshness_lag": sample.freshness_lag,
+                "queue_depth": sample.queue_depth,
+                "ingress": tuple(record.ingress),
+                "low_util_run": record.low_util_run,
+            }
         )
-        for pid, s in sorted(observed.pipelines.items())
-    }
-    view = {"capacity_headroom": observed.capacity_headroom, "pipelines": MappingProxyType(pipelines)}
+    view = {"capacity_headroom": snapshot.capacity_headroom, "pipelines": MappingProxyType(pipelines)}
     return MappingProxyType(view)
 
 

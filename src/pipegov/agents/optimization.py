@@ -68,19 +68,19 @@ def _lagging(freshness_target: int | None, suppressed: bool, lag: float) -> bool
 
 def optimization_wakes(state: ControlState) -> bool:
     snapshot = state.snapshot
-    if snapshot is not None and _contended(snapshot.capacity_headroom):
+    if _contended(snapshot.capacity_headroom):
         return True
-    observed = snapshot.pipelines if snapshot is not None else {}
-    tick, low_util_runs, alloc_changed_at = state.tick, state.low_util_runs, state.alloc_changed_at
+    samples, observations = snapshot.pipelines, state.observations
+    tick, alloc_changed_at = state.tick, state.alloc_changed_at
     for pid, p in state.pipelines.items():
         if p.health != _HEALTHY or p.recover_at is not None:
             continue
         stages = p.stages.values()
         if _sustained_low(
-            low_util_runs.get(pid, 0), tick, alloc_changed_at.get(pid, 0)
+            observations[pid].low_util_run, tick, alloc_changed_at.get(pid, 0)
         ) and any(st.alloc > st.spec.min_alloc for st in stages):
             return True
-        lag = observed[pid].freshness_lag if pid in observed else 0
+        lag = samples[pid].freshness_lag
         if _lagging(p.spec.freshness_target, p.suppress_until is not None, lag) and any(
             st.alloc < st.spec.max_alloc for st in stages
         ):
@@ -91,8 +91,8 @@ def optimization_wakes(state: ControlState) -> bool:
 def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
     policy = bundle.policy
     step = policy["max_scale_step"]
-    snapshot_pipelines = bundle.snapshot.get("pipelines", {})
-    contended = _contended(bundle.snapshot.get("capacity_headroom", 0))
+    observed = bundle.observed["pipelines"]
+    contended = _contended(bundle.observed["capacity_headroom"])
 
     # One pass in pipeline order sorts every pipeline into the three rules.
     busy = []  # (-criticality, pid): shed while contended, least critical first
@@ -101,21 +101,20 @@ def optimize_propose(bundle: ObservationBundle) -> list[CandidateAction]:
     for pid in sorted(bundle.pipelines):
         meta = bundle.pipelines[pid]
         stages = meta["stages"]
-        sample = snapshot_pipelines.get(pid, {})
-        shed = contended and sample.get("queue_depth", 0) > 0 and _can_scale_down(stages)
+        seen = observed[pid]
+        shed = contended and seen["queue_depth"] > 0 and _can_scale_down(stages)
         if shed:
             busy.append((-meta["criticality"], pid))
         if meta["health"] != _HEALTHY or meta["recovering"]:
             continue
-        low_util_run = bundle.series[pid]["low_util_run"]
         if (
             not shed
-            and _sustained_low(low_util_run, bundle.tick, meta["alloc_changed_at"])
+            and _sustained_low(seen["low_util_run"], bundle.tick, meta["alloc_changed_at"])
             and _can_scale_down(stages)
         ):
             idle.append(pid)
         if _lagging(
-            meta["freshness_target"], meta["suppressed"], sample.get("freshness_lag", 0)
+            meta["freshness_target"], meta["suppressed"], seen["freshness_lag"]
         ) and _can_scale_up(stages):
             breaching.append((meta["criticality"], pid))
 

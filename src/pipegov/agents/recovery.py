@@ -102,7 +102,7 @@ def recovery_wakes(state: ControlState) -> bool:
         if not may_act(i.claim, _AGENT, i.approval_pending, p.recover_at is not None):
             continue
         if i.incident_class == _UPSTREAM_DELAY:
-            window = state.ingress_windows.get(i.pipeline, ())
+            window = state.observations[i.pipeline].ingress
             if _defers(p.health) or _resumes(
                 p.health, p.suppress_until is not None, window, i.delay_baseline
             ):
@@ -127,7 +127,7 @@ def recovery_candidates(bundle: ObservationBundle) -> list[CandidateAction]:
         health = meta["health"]
 
         if incident_class == _UPSTREAM_DELAY:
-            window = bundle.series[pid]["ingress"]
+            window = bundle.observed["pipelines"][pid]["ingress"]
             if _resumes(health, meta["suppressed"], window, incident["delay_baseline"]):
                 candidates.append(
                     CandidateAction(

@@ -183,10 +183,10 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             p.failing_stage = None
 
         raw = arrivals.get(pid, 0)
-        if p.suppress_until is None and not p.release_plan:
+        if p.suppress_until is None:
             ingress_now[pid] = _enqueue(p, t, raw) if raw > 0 else 0
         else:  # under an upstream delay or its release plan
-            active_suppression = p.suppress_until is not None and t < p.suppress_until
+            active_suppression = t < p.suppress_until
             enq = 0
             if active_suppression:
                 p.withheld += raw
@@ -195,7 +195,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
 
             # Delay expired: declare the missing fraction dropped and spread the
             # rest uniformly over the next release_span ticks.
-            if p.suppress_until is not None and t >= p.suppress_until and p.withheld > 0:
+            if t >= p.suppress_until and p.withheld > 0:
                 missing = math.floor(p.withheld * p.missing_fraction)
                 if missing:
                     p.ingress += missing
@@ -211,7 +211,7 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             while p.release_plan and p.release_plan[0][0] <= t:
                 _, count = p.release_plan.popleft()
                 enq += _enqueue(p, t, count)
-            if p.suppress_until is not None and t >= p.suppress_until and not p.release_plan:
+            if t >= p.suppress_until and not p.release_plan:
                 p.suppress_until = None
                 p.missing_fraction = 0.0
 
@@ -404,7 +404,7 @@ def apply_action(world: SimWorld, approved: ApprovedAction) -> ActionOutcome:
         if p.failing_cause == "schema_drift":
             return outcome("failed", "schema change unresolved; replay cannot clear it")
         if p.failing_cause == "missing_input":
-            if p.suppress_until is not None or p.withheld > 0 or p.release_plan:
+            if p.suppress_until is not None:
                 return outcome("failed", "input data still unavailable")
             p.recover_at = t + world.constants.replay_latency
             return outcome("applied", "input complete; rerun scheduled", healthy_at=p.recover_at)

@@ -177,7 +177,10 @@ class PipelineState:
     paused_until: int = 0  # processing pause for rollback/recompute work
     pending_drift: PendingDrift | None = None
 
-    # upstream delay state
+    # Upstream delay state. The kernel fills withheld and release_plan only
+    # while suppress_until is set, and clears suppress_until only once the
+    # delay has passed and the plan is empty. So suppress_until None means
+    # the delay is over: withheld is 0 and release_plan is empty.
     suppress_until: int | None = None
     missing_fraction: float = 0.0
     withheld: int = 0
@@ -233,7 +236,7 @@ class SimWorld:
     constants: SimConstants
     tick: int = 0
     capacity_reductions: list[tuple[int, int]] = field(default_factory=list)  # (until, units)
-    consumed_faults: set[tuple] = field(default_factory=set)
+    consumed_faults: set[int] = field(default_factory=set)  # fault schedule indexes
     # (pipeline, kind) failures raised by fault injection, reported by the next step
     pending_failures: list[tuple[str, str]] = field(default_factory=list)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -34,6 +35,7 @@ from pipegov.agents import (
     schema_propose,
 )
 from pipegov.agents.bundle import ControlState
+from pipegov.agents.controller import PipelineObservation
 from pipegov.agents.optimization import optimization_wakes
 from pipegov.agents.recovery import (
     REPROPOSE_AFTER,
@@ -88,21 +90,18 @@ def _bundle(
     agent: str = Actor.OPTIMIZATION_AGENT.value,
     tick: int = 100,
     pipelines: dict | None = None,
-    snapshot_pipelines: dict | None = None,
+    observed: dict | None = None,
     headroom: int = 10,
-    series: dict | None = None,
     incidents: tuple = (),
     policy: dict | None = None,
     memory: dict | None = None,
 ) -> ObservationBundle:
-    """A complete bundle, as the controller builds after the first tick:
-    every pipeline has a snapshot sample (zeros unless given) and both
-    series (an empty ingress window and a zero low-utilization run unless
-    given)."""
+    """A complete bundle, as the controller builds it: every pipeline has
+    every observed key, zeros and an empty ingress window unless
+    ``observed`` gives them."""
 
     pipelines = pipelines or {}
-    snapshot_pipelines = snapshot_pipelines or {}
-    series = series or {}
+    observed = observed or {}
     base_policy = {
         "max_scale_step": 2,
         "budget_per_window": 10_000.0,
@@ -118,13 +117,14 @@ def _bundle(
     return ObservationBundle(
         tick=tick,
         agent=agent,
-        snapshot={
+        observed={
             "pipelines": {
                 pid: {
                     "freshness_lag": 0,
                     "queue_depth": 0,
-                    "ingress": 0.0,
-                    **snapshot_pipelines.get(pid, {}),
+                    "ingress": (),
+                    "low_util_run": 0,
+                    **observed.get(pid, {}),
                 }
                 for pid in pipelines
             },
@@ -132,9 +132,6 @@ def _bundle(
         },
         open_incidents=incidents,
         pipelines=pipelines,
-        series={
-            pid: {"ingress": (), "low_util_run": 0, **series.get(pid, {})} for pid in pipelines
-        },
         policy=base_policy,
         memory=memory or {},
     )
@@ -244,7 +241,7 @@ class TestAnomalyDetector:
 
 class TestOptimizePropose:
     def test_idle_quiet_cluster_proposes_nothing(self):
-        bundle = _bundle(pipelines={"p": _meta()}, snapshot_pipelines={"p": {"queue_depth": 0}})
+        bundle = _bundle(pipelines={"p": _meta()}, observed={"p": {"queue_depth": 0}})
         assert optimize_propose(bundle) == []
 
     def test_contention_sheds_least_critical_first(self):
@@ -256,7 +253,7 @@ class TestOptimizePropose:
             "alpha": {"queue_depth": 40, "freshness_lag": 0},
             "beta": {"queue_depth": 40, "freshness_lag": 0},
         }
-        bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap, headroom=-4)
+        bundle = _bundle(pipelines=pipelines, observed=snap, headroom=-4)
         candidates = optimize_propose(bundle)
         sheds = [c for c in candidates if c.kind == "ScaleDown"]
         assert [c.pipeline for c in sheds] == ["beta", "alpha"]
@@ -268,7 +265,7 @@ class TestOptimizePropose:
             "acme": _meta(criticality=2),
         }
         snap = {pid: {"queue_depth": 9} for pid in pipelines}
-        bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap, headroom=-1)
+        bundle = _bundle(pipelines=pipelines, observed=snap, headroom=-1)
         assert [c.pipeline for c in optimize_propose(bundle)] == ["acme", "zeta"]
 
     def test_contention_skips_drained_and_floored_pipelines(self):
@@ -280,33 +277,31 @@ class TestOptimizePropose:
             "drained": {"queue_depth": 0},
             "floored": {"queue_depth": 50},
         }
-        bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap, headroom=-2)
+        bundle = _bundle(pipelines=pipelines, observed=snap, headroom=-2)
         assert optimize_propose(bundle) == []
 
     def test_sustained_low_utilization_scales_down(self):
         pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
-        series = {"p": {"low_util_run": LOW_UTIL_TICKS}}
-        bundle = _bundle(
-            pipelines=pipelines, snapshot_pipelines={"p": {"queue_depth": 1}}, series=series
-        )
+        observed = {"p": {"queue_depth": 1, "low_util_run": LOW_UTIL_TICKS}}
+        bundle = _bundle(pipelines=pipelines, observed=observed)
         candidates = optimize_propose(bundle)
         assert [(c.kind, c.pipeline, c.delta_units) for c in candidates] == [("ScaleDown", "p", 2)]
 
     def test_recent_alloc_change_blocks_scale_down(self):
         pipelines = {"p": _meta(alloc_changed_at=100 - (LOW_UTIL_TICKS - 1))}
-        series = {"p": {"low_util_run": LOW_UTIL_TICKS}}
-        bundle = _bundle(pipelines=pipelines, series=series)
+        observed = {"p": {"low_util_run": LOW_UTIL_TICKS}}
+        bundle = _bundle(pipelines=pipelines, observed=observed)
         assert optimize_propose(bundle) == []
 
     def test_single_busy_tick_blocks_scale_down(self):
         # the newest sample was busy, so the run restarted at 0
         pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
-        bundle = _bundle(pipelines=pipelines, series={"p": {"low_util_run": 0}})
+        bundle = _bundle(pipelines=pipelines, observed={"p": {"low_util_run": 0}})
         assert optimize_propose(bundle) == []
 
     def test_short_history_blocks_scale_down(self):
         pipelines = {"p": _meta(alloc_changed_at=100 - LOW_UTIL_TICKS)}
-        bundle = _bundle(pipelines=pipelines, series={"p": {"low_util_run": LOW_UTIL_TICKS - 1}})
+        bundle = _bundle(pipelines=pipelines, observed={"p": {"low_util_run": LOW_UTIL_TICKS - 1}})
         assert optimize_propose(bundle) == []
 
     def test_unhealthy_pipeline_never_tuned(self):
@@ -317,9 +312,8 @@ class TestOptimizePropose:
                 freshness_target=10,
             )
         }
-        series = {"p": {"low_util_run": LOW_UTIL_TICKS}}
-        snap = {"p": {"queue_depth": 0, "freshness_lag": 99}}
-        bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap, series=series)
+        observed = {"p": {"queue_depth": 0, "freshness_lag": 99, "low_util_run": LOW_UTIL_TICKS}}
+        bundle = _bundle(pipelines=pipelines, observed=observed)
         assert optimize_propose(bundle) == []
 
     def test_freshness_breach_scales_up_most_critical_first(self):
@@ -328,7 +322,7 @@ class TestOptimizePropose:
             "high": _meta(criticality=1, freshness_target=10),
         }
         snap = {pid: {"queue_depth": 0, "freshness_lag": 25} for pid in pipelines}
-        bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap)
+        bundle = _bundle(pipelines=pipelines, observed=snap)
         candidates = optimize_propose(bundle)
         assert [(c.kind, c.pipeline) for c in candidates] == [
             ("ScaleUp", "high"),
@@ -338,17 +332,17 @@ class TestOptimizePropose:
     def test_lag_at_target_is_not_a_breach(self):
         pipelines = {"p": _meta(freshness_target=10)}
         snap = {"p": {"queue_depth": 0, "freshness_lag": 10}}
-        assert optimize_propose(_bundle(pipelines=pipelines, snapshot_pipelines=snap)) == []
+        assert optimize_propose(_bundle(pipelines=pipelines, observed=snap)) == []
 
     def test_maxed_out_pipeline_cannot_scale_up(self):
         pipelines = {"p": _meta(freshness_target=10, stages=_stages(alloc=6, max_alloc=6))}
         snap = {"p": {"queue_depth": 0, "freshness_lag": 99}}
-        assert optimize_propose(_bundle(pipelines=pipelines, snapshot_pipelines=snap)) == []
+        assert optimize_propose(_bundle(pipelines=pipelines, observed=snap)) == []
 
     def test_suppressed_pipeline_not_scaled_up(self):
         pipelines = {"p": _meta(freshness_target=10, suppressed=True)}
         snap = {"p": {"queue_depth": 0, "freshness_lag": 99}}
-        assert optimize_propose(_bundle(pipelines=pipelines, snapshot_pipelines=snap)) == []
+        assert optimize_propose(_bundle(pipelines=pipelines, observed=snap)) == []
 
     def test_budget_headroom_limits_scale_ups_cumulatively(self):
         # each proposal adds step(2) x 2 stages = 4 units at 0.5/unit over 10 ticks = 20
@@ -363,7 +357,7 @@ class TestOptimizePropose:
             "unit_price": 0.5,
             "window": 10,
         }
-        bundle = _bundle(pipelines=pipelines, snapshot_pipelines=snap, policy=policy)
+        bundle = _bundle(pipelines=pipelines, observed=snap, policy=policy)
         candidates = optimize_propose(bundle)
         assert [(c.kind, c.pipeline) for c in candidates] == [("ScaleUp", "high")]
 
@@ -623,22 +617,22 @@ class TestRecoveryCandidates:
         assert [(c.kind, c.pipeline) for c in candidates] == [("Defer", "p")]
 
     def test_deferred_pipeline_resumes_after_stable_ingress(self):
-        series = {"p": {"ingress": [20.0] * STABLE_TICKS}}
+        observed = {"p": {"ingress": [20.0] * STABLE_TICKS}}
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
             pipelines={"p": _meta(health="Deferred")},
-            series=series,
+            observed=observed,
             incidents=(self._delay(),),
         )
         candidates = recovery_candidates(bundle)
         assert [c.kind for c in candidates] == ["Resume"]
 
     def test_resume_waits_for_full_stability_window(self):
-        series = {"p": {"ingress": [20.0] * (STABLE_TICKS - 1)}}
+        observed = {"p": {"ingress": [20.0] * (STABLE_TICKS - 1)}}
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
             pipelines={"p": _meta(health="Deferred")},
-            series=series,
+            observed=observed,
             incidents=(self._delay(),),
         )
         assert recovery_candidates(bundle) == []
@@ -648,7 +642,7 @@ class TestRecoveryCandidates:
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
             pipelines={"p": _meta(health="Deferred")},
-            series={"p": {"ingress": window}},
+            observed={"p": {"ingress": window}},
             incidents=(self._delay(),),
         )
         assert recovery_candidates(bundle) == []
@@ -658,7 +652,7 @@ class TestRecoveryCandidates:
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
             pipelines={"p": _meta(health="Deferred")},
-            series={"p": {"ingress": [0.5] * STABLE_TICKS}},
+            observed={"p": {"ingress": [0.5] * STABLE_TICKS}},
             incidents=(self._delay(0.0),),
         )
         assert [c.kind for c in recovery_candidates(bundle)] == ["Resume"]
@@ -667,7 +661,7 @@ class TestRecoveryCandidates:
         bundle = _bundle(
             agent=Actor.RECOVERY_AGENT.value,
             pipelines={"p": _meta(health="Deferred", suppressed=True)},
-            series={"p": {"ingress": [20.0] * STABLE_TICKS}},
+            observed={"p": {"ingress": [20.0] * STABLE_TICKS}},
             incidents=(self._delay(),),
         )
         assert recovery_candidates(bundle) == []
@@ -842,7 +836,7 @@ def _drawn_bundles(draw, agent: str, classes: tuple[str, ...] = _ALL_CLASSES) ->
     around = st.sampled_from([0, LOW_UTIL_TICKS - 1, LOW_UTIL_TICKS, LOW_UTIL_TICKS + 1])
     seldom = st.sampled_from([False, False, True])  # so that more draws reach a rule's end
     pids = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
-    pipelines, snapshot, series = {}, {}, {}
+    pipelines, observed = {}, {}
     for pid in pids:
         n = draw(st.integers(1, 2))
         stages = {
@@ -863,11 +857,12 @@ def _drawn_bundles(draw, agent: str, classes: tuple[str, ...] = _ALL_CLASSES) ->
             stages=stages,
             drift=drift,
         )
-        snapshot[pid] = {
+        observed[pid] = {
             "freshness_lag": draw(st.sampled_from([0, 10, 11, 40])),
             "queue_depth": draw(st.sampled_from([0, 5])),
+            "low_util_run": draw(around),
+            "ingress": draw(st.sampled_from(_WINDOWS)),
         }
-        series[pid] = {"low_util_run": draw(around), "ingress": draw(st.sampled_from(_WINDOWS))}
     incidents = []
     for n in range(draw(st.integers(1, 3))):
         cls = draw(st.sampled_from(classes))
@@ -903,9 +898,8 @@ def _drawn_bundles(draw, agent: str, classes: tuple[str, ...] = _ALL_CLASSES) ->
         agent=agent,
         tick=tick,
         pipelines=pipelines,
-        snapshot_pipelines=snapshot,
+        observed=observed,
         headroom=draw(st.sampled_from([-1, 0, 5])),
-        series=series,
         incidents=tuple(incidents),
         policy=policy,
     )
@@ -914,7 +908,7 @@ def _drawn_bundles(draw, agent: str, classes: tuple[str, ...] = _ALL_CLASSES) ->
 def _state(bundle: ObservationBundle) -> ControlState:
     """The controller state ``bundle`` is built from: the ledger's incidents,
     pipelines with the attributes the real ones have, the kernel snapshot,
-    and the windows and counters the bundle's series and views show."""
+    and the records and scaling ticks the bundle's views show."""
 
     def stage(view):
         bounds = SimpleNamespace(min_alloc=view["min_alloc"], max_alloc=view["max_alloc"])
@@ -946,20 +940,23 @@ def _state(bundle: ObservationBundle) -> ControlState:
         )
         for i in bundle.open_incidents
     ]
-    observed = TelemetrySnapshot(
+    observed = bundle.observed["pipelines"]
+    snapshot = TelemetrySnapshot(
         {
-            pid: PipelineSample(s["queue_depth"], s["freshness_lag"], 0, 0.0, s["ingress"])
-            for pid, s in bundle.snapshot["pipelines"].items()
+            pid: PipelineSample(s["queue_depth"], s["freshness_lag"], 0, 0.0, 0)
+            for pid, s in observed.items()
         },
-        bundle.snapshot["capacity_headroom"],
+        bundle.observed["capacity_headroom"],
     )
     return ControlState(
         bundle.tick,
         incidents,
-        observed,
+        snapshot,
         pipelines,
-        {pid: series["ingress"] for pid, series in bundle.series.items()},
-        {pid: series["low_util_run"] for pid, series in bundle.series.items()},
+        {
+            pid: PipelineObservation(deque(s["ingress"], maxlen=STABLE_TICKS), s["low_util_run"])
+            for pid, s in observed.items()
+        },
         {pid: meta["alloc_changed_at"] for pid, meta in bundle.pipelines.items()},
     )
 
@@ -976,28 +973,27 @@ def _one_stream(alloc: int, idle: int = 0, lag: int = 0) -> ObservationBundle:
     )
     return _bundle(
         pipelines={"p": meta},
-        snapshot_pipelines={"p": {"freshness_lag": lag}},
-        series={"p": {"low_util_run": idle}},
+        observed={"p": {"freshness_lag": lag, "low_util_run": idle}},
     )
 
 
 def _optimizer_should_wake(bundle: ObservationBundle) -> bool:
     """The optimizer's trigger as its module docstring states it."""
 
-    if bundle.snapshot["capacity_headroom"] < 0:
+    if bundle.observed["capacity_headroom"] < 0:
         return True
     for pid, meta in bundle.pipelines.items():
         if meta["health"] != "Healthy" or meta["recovering"]:
             continue
         stages = meta["stages"].values()
         idle = (
-            bundle.series[pid]["low_util_run"] >= LOW_UTIL_TICKS
+            bundle.observed["pipelines"][pid]["low_util_run"] >= LOW_UTIL_TICKS
             and bundle.tick - meta["alloc_changed_at"] >= LOW_UTIL_TICKS
         )
         if idle and any(s["alloc"] > s["min_alloc"] for s in stages):
             return True
         target = meta["freshness_target"]
-        lag = bundle.snapshot["pipelines"][pid]["freshness_lag"]
+        lag = bundle.observed["pipelines"][pid]["freshness_lag"]
         if (
             target is not None
             and not meta["suppressed"]
@@ -1029,7 +1025,7 @@ def _recovery_should_wake(bundle: ObservationBundle) -> bool:
         if incident["incident_class"] == "UpstreamDelay":
             baseline = incident["delay_baseline"]
             band = max(STABILITY_BAND * baseline, STABILITY_FLOOR)
-            window = bundle.series[incident["pipeline"]]["ingress"]
+            window = bundle.observed["pipelines"][incident["pipeline"]]["ingress"]
             stable = len(window) == STABLE_TICKS and all(abs(x - baseline) <= band for x in window)
             if health in ("Healthy", "Failing") or (
                 health == "Deferred" and not meta["suppressed"] and stable
@@ -1065,7 +1061,7 @@ def _one_incident(agent: str, incident: dict, ingress: tuple = (), **meta) -> Ob
     return _bundle(
         agent=agent,
         pipelines={"p": _meta(**meta)},
-        series={"p": {"ingress": ingress}},
+        observed={"p": {"ingress": ingress}},
         incidents=(_incident(**incident),),
         policy={"quarantine_allowed": False, "schema_mode": "strict"},
     )

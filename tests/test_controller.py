@@ -6,6 +6,7 @@ import ast
 import copy
 import json
 import math
+from itertools import takewhile
 from pathlib import Path
 from types import MappingProxyType
 
@@ -17,6 +18,7 @@ import pipegov.agents
 from pipegov.agents import (
     LOW_UTIL_THRESHOLD,
     LOW_UTIL_TICKS,
+    STABLE_TICKS,
     BackendError,
     BuiltinBackend,
     CandidateAction,
@@ -27,7 +29,7 @@ from pipegov.agents import (
     make_backend,
     optimize_propose,
 )
-from pipegov.agents.controller import AGENT_PHASES, _snapshot_view
+from pipegov.agents.controller import AGENT_PHASES
 from pipegov.core import (
     ActionKind,
     Actor,
@@ -384,6 +386,35 @@ class TestAgenticDrift:
         assert statuses == ["applied"]
         p = world.pipelines["stream-a"]
         assert p.health is Health.HALTED and p.pending_drift is not None
+
+
+    def test_drift_the_live_schema_takes_opens_no_incident(self):
+        # A batch pipeline keeps a quarantined drift pending until its next
+        # schedule boundary (tick 200). A compatible drift that lands before
+        # then fails nothing, so it must open no incident and page no one.
+        base = make_batch_pipeline().schema
+
+        def drift(tick: int, kind: str, seed: int) -> FaultEvent:
+            delta = schema_delta(base, mutate_schema(base, kind, seed=seed))
+            return FaultEvent(
+                tick=tick, kind=FaultKind.SCHEMA_DRIFT, pipeline="batch-a", delta=delta,
+                partition=f"pt-{tick}",
+            )
+
+        faults = [drift(5, "incompatible", 4), drift(60, "compatible", 1)]
+        spec = make_mini_scenario(horizon=150, faults=faults)
+        runs = {c: run_experiment(spec, _policy(), controller=c) for c in ("static", "agentic")}
+        shown = {
+            c: ([(i.id, i.detected_tick, i.resolution) for i in r.incidents], r.interventions)
+            for c, r in runs.items()
+        }
+        assert shown == {
+            "static": ([("INC-0001", 5, "Resume")], 1),
+            "agentic": ([("INC-0001", 5, "QuarantinePartition")], 0),
+        }
+        batch = runs["agentic"].world.pipelines["batch-a"]
+        assert batch.pending_drift is not None and batch.pending_drift.quarantine_mode
+        assert batch.schema != base  # the compatible drift was taken
 
 
 class TestAgenticRecovery:
@@ -955,7 +986,7 @@ class ViewCheckingBackend(BuiltinBackend):
 
 
 # Agent modules whose reads define the bundle: the monitoring agent reads
-# the snapshot through the anomaly detector.
+# the kernel snapshot through the anomaly detector.
 _AGENT_MODULES = ("recovery", "optimization", "schema_agent", "monitoring")
 
 # Dict paths whose keys are data (pipeline, stage and memory-cell ids),
@@ -963,9 +994,8 @@ _AGENT_MODULES = ("recovery", "optimization", "schema_agent", "monitoring")
 _DATA_KEYED = {
     ("pipelines",),
     ("pipelines", "*", "stages"),
-    ("series",),
     ("memory",),
-    ("snapshot", "pipelines"),
+    ("observed", "pipelines"),
 }
 
 
@@ -1030,22 +1060,24 @@ class TestObservationBundles:
         runs = set()
         for bundle in backend.seen:
             t = bundle["tick"]
-            assert set(bundle["series"]) == set(result.world.pipelines)
-            for pid, series in bundle["series"].items():
+            observed = bundle["observed"]["pipelines"]
+            assert list(observed) == sorted(result.world.pipelines)
+            for pid, seen in observed.items():
                 ticks = range(max(0, t - 10), t)  # the last 10 ticks before t
                 expected = [recorded[(pid, "ingress")][tick] for tick in ticks]
-                assert series["ingress"] == expected, (t, pid)
+                assert seen["ingress"] == expected, (t, pid)
                 run = 0  # samples in a row below 0.30, ending at tick t - 1
                 while run < t and recorded[(pid, "utilization")][t - 1 - run] < 0.30:
                     run += 1
-                assert series["low_util_run"] == run, (t, pid)
+                assert seen["low_util_run"] == run, (t, pid)
                 runs.add(run)
         assert {0, 29, 30} <= runs
+        unsampled = {"freshness_lag": 0, "queue_depth": 0, "ingress": [], "low_util_run": 0}
         assert all(
-            series == {"ingress": [], "low_util_run": 0}
+            seen == unsampled
             for bundle in backend.seen
             if bundle["tick"] == 0
-            for series in bundle["series"].values()
+            for seen in bundle["observed"]["pipelines"].values()
         )
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -1093,7 +1125,7 @@ class TestObservationBundles:
                 )
                 loop._apply(world, t, action, 0)
                 changed_at = t
-            *_, (actor, bundle) = loop._bundles(world, t, _snapshot_view(report.snapshot))
+            *_, (actor, bundle) = loop._bundles(world, t, report.snapshot)
             assert actor is Actor.OPTIMIZATION_AGENT
             window = utilization[:t][-LOW_UTIL_TICKS:]
             expected = (
@@ -1232,7 +1264,7 @@ class TestObservationBundles:
         shown = []
         for change in changes:
             change()
-            _, bundle = loop._bundles(world, 3, MappingProxyType({}))[0]
+            _, bundle = loop._bundles(world, 3, TelemetrySnapshot({}, 0))[0]
             (view,) = bundle.open_incidents
             shown.append((view["claimed_by"], view["approval_pending"], view["last_action_tick"]))
             assert shown[-1] == (incident.claim, incident.approval_pending, incident.last_action_tick)
@@ -1245,12 +1277,19 @@ class TestObservationBundles:
         keeping = KeepingBackend()  # asked every tick, so also before the first step
         world, loop = _make(spec, policy, agents=True, backend=keeping)
         loop.tick(world, 0, [], None)
-        assert [b.snapshot for b in keeping.kept] == [{}] * 3
-        assert all(type(b.snapshot) is MappingProxyType for b in keeping.kept)
+        unsampled = {"freshness_lag": 0, "queue_depth": 0, "ingress": (), "low_util_run": 0}
+        before_the_first_step = {
+            "capacity_headroom": 0,
+            "pipelines": {pid: unsampled for pid in sorted(world.pipelines)},
+        }
+        assert [b.observed for b in keeping.kept] == [before_the_first_step] * 3
+        for bundle in keeping.kept:
+            assert list(bundle.observed["pipelines"]) == sorted(world.pipelines)
+            assert _read_only_containers(bundle.observed) == 2 + 2 * len(world.pipelines)
 
-        # Later, the snapshot view is built only on a tick that builds
-        # bundles, from the previous tick's kernel snapshot, whatever ticks
-        # were skipped in between.
+        # Later, the observed view is built only on a tick that builds
+        # bundles, from the previous tick's kernel snapshot and the samples
+        # folded through it, whatever ticks were skipped in between.
         seen = []
         decide = BuiltinBackend.decide
 
@@ -1271,20 +1310,24 @@ class TestObservationBundles:
         assert any(later - earlier > 1 for earlier, later in zip(built, built[1:]))
         for bundle in seen:
             kernel = observed[bundle.tick - 1]
+            history = [observed[t].pipelines for t in range(bundle.tick)]
             expected = {
                 "capacity_headroom": kernel.capacity_headroom,
                 "pipelines": {
                     pid: {
                         "freshness_lag": sample.freshness_lag,
                         "queue_depth": sample.queue_depth,
-                        "ingress": sample.ingress,
+                        "ingress": [float(h[pid].ingress) for h in history[-STABLE_TICKS:]],
+                        "low_util_run": len(
+                            list(takewhile(lambda h: h[pid].utilization < 0.30, history[::-1]))
+                        ),
                     }
                     for pid, sample in sorted(kernel.pipelines.items())
                 },
             }
             # Keys, their order and the values' types and values, read-only.
-            assert json.dumps(bundle.to_dict()["snapshot"]) == json.dumps(expected), bundle.tick
-            assert _read_only_containers(bundle.snapshot) == 2 + len(world.pipelines)
+            assert json.dumps(bundle.to_dict()["observed"]) == json.dumps(expected), bundle.tick
+            assert _read_only_containers(bundle.observed) == 2 + 2 * len(world.pipelines)
 
     def test_bundles_carry_only_keys_the_agents_read(self, canonical_spec, policy):
         backend = RecordingBackend()

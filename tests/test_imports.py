@@ -1,5 +1,5 @@
 """Every name a module imports is used, every name perfbench patches
-exists, and every dataclass field is read.
+exists, and every dataclass and NamedTuple field is read.
 
 Imports: package ``__init__`` modules are skipped, since their imports are
 re-exports, and so are ``from __future__`` imports. A name counts as used
@@ -10,7 +10,8 @@ when it appears as a ``Name`` node, as the root of an attribute chain
 Patch targets: every attribute perfbench's tracer replaces through
 ``_patch`` exists in ``src/``.
 
-Fields: every field declared in a ``src/pipegov`` dataclass must be read
+Fields: every field declared in a ``src/pipegov`` dataclass or NamedTuple
+class (``ObservationBundle``, ``ControlState``, the kernel reports) must be read
 as an attribute (``x.field`` in a load context) somewhere in ``src/``,
 ``tests/`` or ``perfbench/``. The match is by name, not by type, and a
 field read only through ``getattr`` or ``asdict`` does not count.
@@ -117,6 +118,8 @@ def _is_dataclass(decorator: ast.expr) -> bool:
 
 
 def _is_named_tuple(base: ast.expr) -> bool:
+    if isinstance(base, ast.Attribute):  # typing.NamedTuple
+        return base.attr == "NamedTuple"
     return isinstance(base, ast.Name) and base.id == "NamedTuple"
 
 
@@ -147,10 +150,11 @@ def test_field_scanner():
         "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
         "class B:\n    z: int\n"
         "class C(NamedTuple):\n    w: int\n"
+        "class D(typing.NamedTuple):\n    v: int\n"
         "def f(a):\n    a.y = 1\n    return a.x\n"
     )
-    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("C", "w")]
-    assert attribute_reads(source) == {"x"}
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("C", "w"), ("D", "v")]
+    assert attribute_reads(source) == {"NamedTuple", "x"}
 
 
 def test_every_dataclass_field_is_read():
@@ -165,6 +169,8 @@ def test_every_dataclass_field_is_read():
     ]
     assert ("src/pipegov/simkernel/world.py", "SimWorld", "pending_failures") in declared
     assert ("src/pipegov/simkernel/world.py", "PipelineSample", "ingress") in declared
+    assert ("src/pipegov/agents/bundle.py", "ObservationBundle", "observed") in declared
+    assert ("src/pipegov/agents/bundle.py", "ControlState", "observations") in declared
     unread = [
         (where, cls, name)
         for where, cls, name in declared

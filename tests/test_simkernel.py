@@ -842,6 +842,13 @@ class KernelMachine(RuleBasedStateMachine):
         check_accounting(self.world)
 
     @invariant()
+    def delay_state_ends_with_the_delay(self):
+        # The controller's closure and the Replay gate read suppress_until alone.
+        for p in self.world.pipelines.values():
+            if p.suppress_until is None:
+                assert p.withheld == 0 and not p.release_plan
+
+    @invariant()
     def allocations_stay_in_bounds(self):
         for p in self.world.pipelines.values():
             for stage in p.stages.values():
