@@ -22,7 +22,7 @@ from ..core.reader import Fields, integer, string
 if TYPE_CHECKING:
     from ..simkernel.world import PipelineState, TelemetrySnapshot
     from ..telemetry.incidents import Incident
-    from .controller import PipelineObservation
+    from .monitoring import PipelineObservation
 
 
 @dataclass

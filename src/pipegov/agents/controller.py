@@ -28,13 +28,14 @@ identical audit trail.
 
 Each tick starts by folding the previous tick's report once: its compute
 spend goes into the current budget window and, when a backend is
-present, each pipeline's sample into its one ``PipelineObservation``
-record (ingress window and low-utilization run) and into the anomaly
-detector, whose ingress mean is an UpstreamDelay's pre-delay baseline. A
-static run keeps no observation state. The detector reads the previous
-tick's kernel snapshot, the triggers read it and the records, and a
-bundle's ``observed`` view shows both, cut down to what the agents read,
-every pipeline and key present from tick 0, when every value reads 0.
+present, its kernel snapshot into the anomaly detector, in one pass over
+the pipelines that folds each pipeline's ``PipelineObservation`` record
+(ingress window and low-utilization run) and its watched series; the
+detector's ingress mean is an UpstreamDelay's pre-delay baseline. A
+static run keeps no observation state. The triggers read the previous
+tick's kernel snapshot and the records, and a bundle's ``observed`` view
+shows both, cut down to what the agents read, every pipeline and key
+present from tick 0, when every value reads 0.
 Every view a bundle shows is built fresh on each tick that builds
 bundles, and the agents of that tick share it.
 
@@ -59,9 +60,9 @@ in due order and is drained from the left.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from types import MappingProxyType
 from typing import NamedTuple
@@ -96,9 +97,7 @@ from ..telemetry.audit import AuditLog
 from ..telemetry.incidents import CLUSTER_PIPELINE, Incident, IncidentClass, IncidentLedger
 from .backends import BackendError, BuiltinBackend, ReasoningBackend
 from .bundle import CandidateAction, ControlState, ObservationBundle, OutcomeMemory
-from .monitoring import AnomalyDetector, AnomalyFlag
-from .optimization import LOW_UTIL_THRESHOLD
-from .recovery import STABLE_TICKS
+from .monitoring import AnomalyDetector, AnomalyFlag, PipelineObservation
 
 # Reasoning phases, in the order they run each tick.
 AGENT_PHASES = (
@@ -140,17 +139,6 @@ class OperatorModel:
         drained at the start of a tick, so never before ``t + 1``."""
 
         return t + max(self.operator_delay, 1)
-
-
-@dataclass(slots=True)
-class PipelineObservation:
-    """One pipeline's samples through the previous tick, as the controller
-    folds them: the last ``STABLE_TICKS`` ingress values, newest last, and
-    how many in a row, ending with the newest, had utilization below
-    ``LOW_UTIL_THRESHOLD``. A new record stands for a pipeline not yet sampled."""
-
-    ingress: deque[float] = field(default_factory=lambda: deque(maxlen=STABLE_TICKS))
-    low_util_run: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,10 +183,12 @@ class Controller:
         self.incidents = self.ledger.incidents  # every incident, in detection order
 
         self._builtin = BuiltinBackend()
-        # The (rule, trigger) pairs of a backend that dispatches to the
-        # builtin rules unchanged; None asks every agent on every tick.
-        decide = getattr(type(backend), "decide", None)
-        self._rules = backend.rules if decide is BuiltinBackend.decide else None
+        # The (actor, agent, trigger) of each agent run by a backend that
+        # dispatches to the builtin rules unchanged; None asks every agent.
+        self._triggers = None
+        if getattr(type(backend), "decide", None) is BuiltinBackend.decide:
+            rules = backend.rules
+            self._triggers = tuple((a, n, rules[n][1]) for a, n in _AGENT_NAMES if n in rules)
         self._detector = AnomalyDetector()
         self._action_ids = (f"ACT-{n:05d}" for n in count(1))
         self._approvals: deque[_PendingApproval] = deque()  # FIFO: due order
@@ -206,8 +196,7 @@ class Controller:
         self._alloc_changed_at: dict[str, int] = {}
         self._window_index: int | None = None
         self._window_spend = 0.0
-        # Each pipeline's record; nothing is folded without a backend.
-        self._observations = defaultdict(PipelineObservation)
+        self._breach_limits: list[tuple[str, int]] | None = None  # set on the first report
         self._allowed_strategies = tuple(k.value for k in policy.recovery.allowed_strategies)
 
     # ------------------------------------------------------------------
@@ -262,11 +251,8 @@ class Controller:
     def _fold_statistics(
         self, world: SimWorld, t: int, prev_report: TickReport
     ) -> list[AnomalyFlag]:
-        """Account the previous tick's compute spend and, with a backend, its
-        samples; returns the detector's flags.
-
-        One pass over the samples folds each into its pipeline's record; the
-        detector reads the kernel's snapshot itself."""
+        """Account the previous tick's compute spend and, with a backend, fold
+        its snapshot into the detector; returns the detector's flags."""
 
         idx = prev_report.tick // self.policy.cost.window
         if idx != self._window_index:
@@ -276,13 +262,6 @@ class Controller:
         self._window_spend += prev_report.cost - storage
         if self.backend is None:
             return []
-        observations = self._observations
-        for pid, sample in prev_report.snapshot.pipelines.items():
-            record = observations[pid]
-            record.ingress.append(float(sample.ingress))
-            record.low_util_run = (
-                record.low_util_run + 1 if sample.utilization < LOW_UTIL_THRESHOLD else 0
-            )
         return self._detector.observe_snapshot(t, prev_report.snapshot)
 
     # ------------------------------------------------------------------
@@ -334,18 +313,24 @@ class Controller:
             if incident_class is not None:
                 self._note_incident(pid, incident_class, t, failed=True)
 
-        tolerance = self.policy.freshness.breach_tolerance
-        for pid, sample in prev_report.snapshot.pipelines.items():
-            target = world.pipelines[pid].spec.freshness_target
-            if target is None:
-                continue
-            if sample.freshness_lag > target + tolerance:
+        if self._breach_limits is None:  # a controller governs one world
+            tolerance = self.policy.freshness.breach_tolerance
+            specs = [world.pipelines[pid].spec for pid in world.pipeline_ids()]
+            self._breach_limits = [
+                (s.id, s.freshness_target + tolerance)
+                for s in specs
+                if s.freshness_target is not None
+            ]
+        samples = prev_report.snapshot.pipelines
+        for pid, limit in self._breach_limits:
+            if samples[pid].freshness_lag > limit:
                 self._note_incident(pid, IncidentClass.FRESHNESS_BREACH, t)
 
     def _close_matured(
         self, world: SimWorld, t: int, prev_report: TickReport | None
     ) -> None:
-        prev_snap = prev_report.snapshot if prev_report is not None else None
+        if prev_report is None:
+            return  # tick 0: every open incident was detected this tick
         for incident in list(self.ledger.open.values()):
             if incident.detected_tick >= t:
                 continue
@@ -362,11 +347,10 @@ class Controller:
                 p = world.pipelines[incident.pipeline]
                 done = p.suppress_until is None and p.health is Health.HEALTHY
             elif cls is IncidentClass.RESOURCE_CONTENTION:
-                done = prev_snap is not None and prev_snap.capacity_headroom >= 0
+                done = prev_report.snapshot.capacity_headroom >= 0
             elif cls is IncidentClass.FRESHNESS_BREACH:
-                target = world.pipelines[incident.pipeline].spec.freshness_target
-                if prev_snap is not None and target is not None:
-                    done = prev_snap.pipelines[incident.pipeline].freshness_lag <= target
+                lag = prev_report.snapshot.pipelines[incident.pipeline].freshness_lag
+                done = lag <= world.pipelines[incident.pipeline].spec.freshness_target
             if not done:
                 continue
             self.ledger.closed(incident.id, t)
@@ -384,16 +368,14 @@ class Controller:
         """The agents to ask this tick, in phase order: all of them, unless
         the backend runs the builtin rules, whose triggers pick them."""
 
-        rules = self._rules
-        if rules is None:
+        triggers = self._triggers
+        if triggers is None:
             return _AGENT_NAMES
         state = ControlState(
             t, self.ledger.open.values(), observed, world.pipelines,
-            self._observations, self._alloc_changed_at,
+            self._detector.observations, self._alloc_changed_at,
         )
-        return [
-            (actor, name) for actor, name in _AGENT_NAMES if name in rules and rules[name][1](state)
-        ]
+        return [(actor, name) for actor, name, wakes in triggers if wakes(state)]
 
     def _decide(self, bundle: ObservationBundle) -> list[CandidateAction]:
         try:
@@ -702,7 +684,7 @@ class Controller:
                 "allowed_strategies": self._allowed_strategies,
             }
         )
-        observed_view = _snapshot_view(observed, self._observations)
+        observed_view = _snapshot_view(observed, self._detector.observations)
         views = (observed_view, open_incidents, MappingProxyType(pipelines), policy, self.memory.view())
         return [(actor, ObservationBundle(t, name, *views)) for actor, name in agents]
 

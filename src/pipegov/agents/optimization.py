@@ -76,15 +76,22 @@ def optimization_wakes(state: ControlState) -> bool:
         if p.health != _HEALTHY or p.recover_at is not None:
             continue
         stages = p.stages.values()
-        if _sustained_low(
-            observations[pid].low_util_run, tick, alloc_changed_at.get(pid, 0)
-        ) and any(st.alloc > st.spec.min_alloc for st in stages):
-            return True
-        lag = samples[pid].freshness_lag
-        if _lagging(p.spec.freshness_target, p.suppress_until is not None, lag) and any(
-            st.alloc < st.spec.max_alloc for st in stages
+        # Cheapest condition first: most idle pipelines sit at their floor,
+        # and a pipeline without a freshness target never lags.
+        for st in stages:
+            if st.alloc > st.spec.min_alloc:
+                if _sustained_low(
+                    observations[pid].low_util_run, tick, alloc_changed_at.get(pid, 0)
+                ):
+                    return True
+                break
+        target = p.spec.freshness_target
+        if target is not None and _lagging(
+            target, p.suppress_until is not None, samples[pid].freshness_lag
         ):
-            return True
+            for st in stages:
+                if st.alloc < st.spec.max_alloc:
+                    return True
     return False
 
 

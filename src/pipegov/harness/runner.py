@@ -1,6 +1,7 @@
 """Experiment runner: one scenario, one controller, one deterministic run.
 
-The per-tick cycle is fixed: inject scheduled faults, run the control
+The per-tick cycle is fixed: inject the faults scheduled for the tick
+(``inject_faults`` is called only on a tick that has one), run the control
 loop (which sees the faults and the previous tick's telemetry), take the
 tick's arrivals from the scenario's arrival trace (drawn once per
 scenario hash and shared with calibration), advance the simulation
@@ -120,8 +121,9 @@ def run_experiment(
     flags_total = 0
     # Draws go through this module's name, which perfbench's tracer wraps.
     trace = arrival_trace(spec, generate_arrivals)
+    fault_ticks = {event.tick for event in spec.fault_schedule}
     for t in range(spec.horizon):
-        applied = inject_faults(spec, world, t)
+        applied = inject_faults(spec, world, t) if t in fault_ticks else []
         control = loop.tick(world, t, applied, prev_report)
         flags_total += len(control.flags)
         report = step(world, trace.at(t))

@@ -35,7 +35,7 @@ from pipegov.agents import (
     schema_propose,
 )
 from pipegov.agents.bundle import ControlState
-from pipegov.agents.controller import PipelineObservation
+from pipegov.agents.monitoring import PipelineObservation
 from pipegov.agents.optimization import optimization_wakes
 from pipegov.agents.recovery import (
     REPROPOSE_AFTER,
@@ -229,6 +229,42 @@ class TestAnomalyDetector:
         assert {metric for _, metric in raised} == set(WATCHED_METRICS)
         assert {pid for pid, _ in raised} == set(pids)
         assert by_snapshot._states == by_sample._states
+
+    def test_late_pipeline_and_single_samples_share_its_row(self):
+        # "late" first appears in a snapshot at tick 50, and its ingress
+        # series is also fed single samples, before and after that, so the
+        # snapshot fold meets a row that holds one series of three.
+        rng = random.Random(5)
+        mixed, by_sample = AnomalyDetector(), AnomalyDetector()
+        raised = set()
+        for tick in range(150):
+            pids = ("late", "early") if tick >= 50 else ("early",)  # not in sorted order
+            pipelines = {
+                pid: PipelineSample(
+                    queue_depth=rng.randrange(0, 40),
+                    freshness_lag=rng.choice((0, 0, 1, 25)),
+                    failure_count=0,
+                    utilization=rng.random(),
+                    ingress=rng.randrange(40, 60) * (6 if rng.random() < 0.05 else 1),
+                )
+                for pid in pids
+            }
+            got = mixed.observe_snapshot(tick, TelemetrySnapshot(pipelines, 0))
+            expected = [
+                by_sample.observe_sample(tick, pid, metric, getattr(pipelines[pid], metric))
+                for pid in sorted(pids)
+                for metric in WATCHED_METRICS
+            ]
+            if tick % 3 == 0:
+                value = rng.randrange(40, 60) * (6 if rng.random() < 0.1 else 1)
+                got.append(mixed.observe_sample(tick, "late", "ingress", value))
+                expected.append(by_sample.observe_sample(tick, "late", "ingress", value))
+            got = [f for f in got if f is not None]
+            assert got == [f for f in expected if f is not None], tick
+            raised.update((f.tick >= 50, f.pipeline, f.metric) for f in got)
+        assert {(False, "late", "ingress"), (True, "late", "ingress")} <= raised
+        assert {(True, "late", "queue_depth"), (True, "late", "freshness_lag")} <= raised
+        assert mixed._states == by_sample._states
 
     def test_states_are_independent_per_pipeline_and_metric(self):
         detector = AnomalyDetector()

@@ -687,6 +687,48 @@ class TestIncidentState:
         assert record.retries_used == 1
         assert loop.ledger.open.keys() == {i.id for i in loop.incidents.values() if i.open}
 
+    @pytest.mark.parametrize("agents", [False, True], ids=["static", "agentic"])
+    def test_breaches_on_one_tick_are_numbered_in_pipeline_id_order(self, agents):
+        # Two like streams, listed in reverse id order, backlog on the same
+        # arrivals, so both breach on one tick.
+        streams = (make_stream_pipeline("stream-b"), make_stream_pipeline("stream-a"))
+        spec = ScenarioSpec(
+            horizon=40,
+            seed=7,
+            resource_model=ResourceModel(capacity=32, unit_price=0.5, storage_price=0.01),
+            pipelines=streams,
+            arrival_models={p.id: ArrivalModel(base_rate=15.0) for p in streams},
+            batch_models={},
+        )
+        world, loop = _make(spec, _policy(), agents=agents)
+        _drive(spec, world, loop, 40, arrivals_fn=lambda t: {"stream-a": 200, "stream-b": 200})
+
+        first, second = _incidents(loop, "FreshnessBreach")[:2]
+        assert first.detected_tick == second.detected_tick
+        assert [first.pipeline, second.pipeline] == world.pipeline_ids() == ["stream-a", "stream-b"]
+        assert int(first.id[4:]) + 1 == int(second.id[4:])
+
+    def test_breaches_follow_pipeline_ids_not_snapshot_order(self):
+        # A snapshot is a plain mapping; in whatever order it lists the
+        # pipelines, breaches on one tick open in pipeline id order.
+        spec = ScenarioSpec(
+            horizon=10,
+            seed=7,
+            resource_model=ResourceModel(capacity=32, unit_price=0.5, storage_price=0.01),
+            pipelines=(make_stream_pipeline("stream-b"), make_stream_pipeline("stream-a")),
+            arrival_models={},
+            batch_models={},
+        )
+        world, loop = _make(spec, _policy())
+        loop.tick(world, 0, [], None)
+        lagging = PipelineSample(0, 100, 0, 1.0, 0)
+        snapshot = TelemetrySnapshot({"stream-b": lagging, "stream-a": lagging}, 0)
+        loop.tick(world, 1, [], TickReport(0, snapshot, (), 0, 0.0))
+        assert [(i.id, i.pipeline) for i in _incidents(loop, "FreshnessBreach")] == [
+            ("INC-0001", "stream-a"),
+            ("INC-0002", "stream-b"),
+        ]
+
     def test_approval_granted_after_close_counts_without_a_record(self, tmp_path):
         policy = _policy(
             **{"actions.approval_required": [{"kind": "ScaleUp", "tag": "regulated"}]}

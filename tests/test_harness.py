@@ -351,6 +351,68 @@ class TestRunExperiment:
                 assert result.world.pipelines[pid].stages[sid].alloc == units
 
 
+    @pytest.mark.parametrize("controller", runner.CONTROLLER_MODES)
+    def test_each_fault_is_applied_once_on_its_tick(self, mini_policy, controller, monkeypatch):
+        # The runner asks for faults only on ticks that have one; at the first
+        # and last tick, and two on one tick, each still lands once, in
+        # schedule order.
+        spec = make_mini_scenario(
+            faults=[
+                FaultEvent(
+                    tick=0,
+                    kind=FaultKind.UPSTREAM_DELAY,
+                    pipeline="stream-a",
+                    delay_ticks=20,
+                    missing_fraction=0.5,
+                ),
+                FaultEvent(
+                    tick=300,
+                    kind=FaultKind.TRANSIENT_TASK_FAILURE,
+                    pipeline="stream-a",
+                    stage="ingest",
+                ),
+                FaultEvent(
+                    tick=300,
+                    kind=FaultKind.RESOURCE_CONTENTION,
+                    capacity_reduction=4,
+                    duration_ticks=10,
+                ),
+                FaultEvent(
+                    tick=599,
+                    kind=FaultKind.TRANSIENT_TASK_FAILURE,
+                    pipeline="batch-a",
+                    stage="extract",
+                ),
+            ]
+        )
+        calls = []
+        inject = runner.inject_faults
+
+        def recorded(spec, world, tick):
+            applied = inject(spec, world, tick)
+            calls.append((tick, applied))
+            return applied
+
+        monkeypatch.setattr(runner, "inject_faults", recorded)
+        result = run_experiment(spec, mini_policy, controller=controller)
+
+        schedule = spec.fault_schedule
+        assert spec.horizon == 600
+        assert calls == [(0, [schedule[0]]), (300, [schedule[1], schedule[2]]), (599, [schedule[3]])]
+        assert result.world.consumed_faults == {0, 1, 2, 3}
+        opened = [
+            (r.tick, r.payload["incident"]["incident_class"], r.payload["incident"]["pipeline"])
+            for r in result.audit.records
+            if r.payload.get("event") == "incident_opened" and r.tick in (0, 300, 599)
+        ]
+        assert opened == [
+            (0, "UpstreamDelay", "stream-a"),
+            (300, "TransientTaskFailure", "stream-a"),
+            (300, "ResourceContention", "cluster"),
+            (599, "TransientTaskFailure", "batch-a"),
+        ]
+
+
 class TestReseed:
     def test_same_seed_is_identity(self):
         spec = make_mini_scenario()
