@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import random
 from collections import deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pipegov.agents
 from pipegov.agents import (
     AnomalyDetector,
     BackendError,
@@ -1177,3 +1180,25 @@ class TestTriggers:
         assert woken == _schema_should_wake(bundle)
         assert woken or schema_candidates(bundle) == []
         assert not woken or schema_candidates(bundle)
+
+    def test_every_control_state_field_is_read_by_a_trigger(self):
+        # A field no trigger reads is carried for nothing. Matched by the
+        # trigger's parameter (``state.<field>``), so a field of the same
+        # name read elsewhere, as ``report.snapshot`` or ``world.pipelines``,
+        # does not count.
+        read: set[str] = set()
+        for path in Path(pipegov.agents.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(fn, ast.FunctionDef) and fn.name.endswith("_wakes")):
+                    continue
+                state = fn.args.args[0].arg
+                read |= {
+                    node.attr
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == state
+                }
+        assert read >= {"incidents", "observations"}  # the scan finds the triggers
+        assert set(ControlState._fields) - read == set()

@@ -471,6 +471,31 @@ class TestAgenticRecovery:
         assert loop.interventions == 0
         assert world.pipelines["stream-a"].health is Health.HEALTHY
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2B: incidents open from applied fault events, so a task failure "
+        "that a Deferred pipeline ignores still opens one (INC-0003, ticks 30-143, resolution None)",
+    )
+    def test_task_failure_on_a_deferred_pipeline_opens_no_incident(self):
+        # The recovery agent Defers stream-a at tick 5; the task failure at
+        # tick 30 then does nothing in the data plane.
+        spec = make_mini_scenario(
+            faults=[
+                FaultEvent(
+                    tick=5,
+                    kind=FaultKind.UPSTREAM_DELAY,
+                    pipeline="stream-a",
+                    delay_ticks=60,
+                    missing_fraction=0.0,
+                ),
+                _task_failure(30),
+            ]
+        )
+        result = run_experiment(spec, _policy(), controller="agentic")
+        opened = [(i.id, i.incident_class.value) for i in result.incidents]
+        assert ("INC-0001", "UpstreamDelay") in opened
+        assert not any(kind == "TransientTaskFailure" for _, kind in opened)
+
 
 class TestBudgetGate:
     def _stub(self, tmp_path, entries):

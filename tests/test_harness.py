@@ -8,7 +8,9 @@ import io
 import json
 import math
 import os
+import random
 import tempfile
+from array import array
 from unittest import mock
 
 import pytest
@@ -32,7 +34,7 @@ from pipegov.harness import (
     reseed,
     run_experiment,
 )
-from pipegov.harness import runner
+from pipegov.harness import baseline, runner
 from pipegov.harness.baseline import stage_peaks
 from pipegov.harness.report import IoFailure, write_run_artifacts
 from pipegov.policy import parse_policy
@@ -153,6 +155,18 @@ class TestCalibration:
             derive_baseline_allocations(spec)
 
 
+def _valid_pipeline(stages: tuple[StageSpec, ...]) -> PipelineSpec:
+    pipeline = PipelineSpec(
+        id="p",
+        kind=PipelineKind.STREAMING,
+        stages=stages,
+        schema=make_stream_pipeline().schema,
+        freshness_target=10,
+    )
+    assert validate_pipeline_spec(pipeline) == []
+    return pipeline
+
+
 @st.composite
 def _random_pipeline(draw) -> PipelineSpec:
     """A DAG with fan-out and fan-in, maybe several sources, and one sink.
@@ -176,21 +190,56 @@ def _random_pipeline(draw) -> PipelineSpec:
         )
         for i in range(n)
     )
-    pipeline = PipelineSpec(
-        id="p",
-        kind=PipelineKind.STREAMING,
-        stages=stages,
-        schema=make_stream_pipeline().schema,
-        freshness_target=10,
+    return _valid_pipeline(stages)
+
+
+@st.composite
+def _fan_in_pipeline(draw) -> PipelineSpec:
+    """A DAG in which no stage fans out: chains, several sources and fan-in, one sink.
+
+    Each stage but the last feeds exactly one later stage; ids are shuffled
+    as in ``_random_pipeline``.
+    """
+
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations([f"s{i}" for i in range(n)]))
+    upstream: list[list[str]] = [[] for _ in range(n)]
+    for i in range(n - 1):
+        upstream[draw(st.integers(i + 1, n - 1))].append(ids[i])
+    stages = tuple(
+        StageSpec(
+            id=ids[i],
+            upstream=tuple(upstream[i]),
+            base_rate=draw(st.integers(1, 12)),
+            max_alloc=draw(st.integers(1, 4)),
+        )
+        for i in range(n)
     )
-    assert validate_pipeline_spec(pipeline) == []
-    return pipeline
+    return _valid_pipeline(stages)
 
 
 # Per-tick arrivals: quiet ticks, ordinary ones and bursts above every rate.
 _ARRIVALS = st.lists(
     st.one_of(st.just(0), st.integers(0, 40), st.integers(100, 400)), min_size=1, max_size=60
 )
+
+
+@st.composite
+def _long_arrivals(draw) -> list[int]:
+    """Up to 3,000 ticks in runs of quiet ticks, ordinary counts and bursts above every rate."""
+
+    counts: list[int] = []
+    for kind, length, seed in draw(
+        st.lists(
+            st.tuples(st.sampled_from(["quiet", "ordinary", "burst"]), st.integers(1, 600), st.integers(0, 2**32)),
+            min_size=1,
+            max_size=10,
+        )
+    ):
+        rng = random.Random(seed)
+        low, high = {"quiet": (0, 0), "ordinary": (0, 40), "burst": (100, 400)}[kind]
+        counts += [rng.randint(low, high) for _ in range(length)]
+    return counts[:3000]
 
 
 class TestStagePeaks:
@@ -226,6 +275,33 @@ class TestStagePeaks:
                     want[sid] = max(want[sid], processed)
         check_accounting(world)
         assert stage_peaks(pipeline, arrivals) == want
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(pipeline=_fan_in_pipeline(), arrivals=_ARRIVALS)
+    def test_fan_in_peaks_equal_the_kernels(self, pipeline, arrivals):
+        # The closed form's regime, through the kernel check above.
+        self.test_peaks_equal_the_kernels.hypothesis.inner_test(self, pipeline=pipeline, arrivals=arrivals)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pipeline=_fan_in_pipeline(), arrivals=_long_arrivals())
+    def test_closed_form_equals_the_replay(self, pipeline, arrivals):
+        want = baseline._replayed_peaks(pipeline, arrivals)
+        assert baseline._closed_form_peaks(pipeline, arrivals) == want
+        # a trace column, as calibration passes it
+        assert baseline._closed_form_peaks(pipeline, array("q", arrivals)) == want
+
+    @pytest.mark.parametrize(
+        "arrivals",
+        [[2**62, 2**62, 2**62], [2**64, 3]],
+        ids=["prefix sums past int64", "count past int64"],
+    )
+    def test_counts_past_int64_are_replayed(self, arrivals):
+        # a serves its rate, 3, on every tick, and b passes those 3 on.
+        pipeline = _valid_pipeline(
+            (StageSpec(id="a", base_rate=3, max_alloc=1), StageSpec(id="b", upstream=("a",), base_rate=5, max_alloc=1))
+        )
+        assert baseline._closed_form_peaks(pipeline, arrivals) is None
+        assert stage_peaks(pipeline, arrivals) == {"a": 3, "b": 3}
 
 
 class TestBaselineConfig:
