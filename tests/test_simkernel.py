@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -97,6 +98,7 @@ def test_report_types_are_read_only():
 def test_snapshot_pipelines_are_in_pipeline_id_order():
     specs = [_pipeline(pid) for pid in ("zeta", "alpha", "mid")]
     world = build_world(specs, ResourceModel(capacity=64, unit_price=0.5, storage_price=0.01))
+    assert list(world.pipelines) == world.pipeline_ids()
     for arrivals in ({"zeta": 5, "mid": 3}, {}):
         report = step(world, arrivals)
         assert list(report.snapshot.pipelines) == world.pipeline_ids() == ["alpha", "mid", "zeta"]
@@ -859,3 +861,109 @@ TestKernelMachine = KernelMachine.TestCase
 TestKernelMachine.settings = settings(
     derandomize=True, max_examples=100, stateful_step_count=80, deadline=None
 )
+
+
+class TestPinnedTrace:
+    """A seeded drive through every kernel path, pinned byte for byte.
+
+    The canonical and fuzz digests see only two-stage chains and the state
+    machine checks invariants only, so this is what pins fan-out routing,
+    fan-in and multi-stage checkpoints. A world with the diamond fan-out
+    pipeline and a batch pipeline meets contention, upstream delays with
+    their release plans, drifts (quarantined or accepted), task failures
+    and every action kind, legal or not. Any change to what the kernel
+    reports or where it leaves a record changes a digest.
+    """
+
+    TICKS = 600
+    REPORTS_SHA256 = "12ddf68d45b5ec9533620c167f6097ee31e56a6904c719c1fda843db6817efe6"
+    LAYOUTS_SHA256 = "a14eaa95a50c69ecf13d030a876048d8ac76272aaf94f99c0c1b39d79c69ae68"
+
+    def _faults(self, rng: random.Random) -> list[FaultEvent]:
+        """One fault every 15 ticks, the four kinds in turn."""
+
+        events: list[FaultEvent] = []
+        for k, tick in enumerate(range(4, self.TICKS - 40, 15)):
+            kind = list(FaultKind)[k % 4]
+            target = rng.choice(_MACHINE_PIPELINES)
+            if kind is FaultKind.TRANSIENT_TASK_FAILURE:
+                stage = rng.choice(target.stages).id
+                events.append(FaultEvent(tick, kind, target.id, stage=stage))
+            elif kind is FaultKind.UPSTREAM_DELAY:
+                events.append(
+                    FaultEvent(
+                        tick,
+                        kind,
+                        target.id,
+                        delay_ticks=rng.randint(3, 14),
+                        missing_fraction=rng.choice([0.0, 0.25, 0.6]),
+                    )
+                )
+            elif kind is FaultKind.RESOURCE_CONTENTION:
+                events.append(
+                    FaultEvent(
+                        tick,
+                        kind,
+                        capacity_reduction=rng.randint(4, 12),
+                        duration_ticks=rng.randint(5, 20),
+                    )
+                )
+            else:
+                mode = rng.choice(["compatible", "incompatible", "incompatible"])
+                changed = mutate_schema(target.schema, mode, seed=rng.randint(0, 99))
+                delta = schema_delta(target.schema, changed)
+                events.append(FaultEvent(tick, kind, target.id, delta=delta, partition=f"pt-{k}"))
+        return events
+
+    def _action(self, rng: random.Random, world: SimWorld) -> ApprovedAction:
+        pid = rng.choice(["fan-out", "fan-out", "batch-a", "batch-a", "ghost"])
+        drift = world.pipelines[pid].pending_drift if pid in world.pipelines else None
+        action = ProposedAction(
+            id="ACT-1",
+            tick=world.tick,
+            agent=Actor.OPERATOR,
+            kind=rng.choice(list(ActionKind)),
+            pipeline=pid,
+            stage=rng.choice([None, None, None, *_DIAMOND, "extract", "load", "ghost"]),
+            partition=rng.choice([None, drift.partition if drift else None, "pt-ghost"]),
+            delta_units=rng.randint(-2, 2),
+        )
+        return ApprovedAction(action=action, decision_ref=1)
+
+    def test_trace_matches_recorded_digests(self):
+        rng = random.Random(2025)
+        allocations = {p.id: {s.id: 2 for s in p.stages} for p in _MACHINE_PIPELINES}
+        spec, world = _faulted_world(self._faults(rng), _FAN_OUT, allocations)
+        reports, layouts = hashlib.sha256(), hashlib.sha256()
+        applied: set[ActionKind] = set()
+        refused: set[ActionKind] = set()
+        failures: set[str] = set()
+        contended = released = False
+        for _ in range(self.TICKS):
+            inject_faults(spec, world, world.tick)
+            for _ in range(rng.randint(0, 2)):
+                approved = self._action(rng, world)
+                try:
+                    outcome = apply_action(world, approved)
+                except (InvalidTarget, IllegalTransition):
+                    refused.add(approved.action.kind)
+                else:
+                    if outcome.applied:
+                        applied.add(outcome.kind)
+            batch = rng.choice([0, 0, 0, 120, 300]) if world.tick % 10 == 0 else 0
+            report = step(world, {"fan-out": rng.randint(0, 90), "batch-a": batch})
+            reports.update(repr(report).encode())
+            for pid, p in world.pipelines.items():
+                for sid, stage in p.stages.items():
+                    layout = [(c.arrival_tick, c.count, c.partition) for c in stage.queue]
+                    layouts.update(f"{pid}/{sid}:{layout!r}\n".encode())
+            contended = contended or report.snapshot.capacity_headroom < 0
+            released = released or any(p.release_plan for p in world.pipelines.values())
+            failures.update(kind for _, kind in report.failures)
+        check_accounting(world)
+        # the drive reached every path the digests are meant to pin
+        assert applied == refused == set(ActionKind)
+        assert failures == {"task_failure", "schema_drift", "missing_input"}
+        assert contended and released
+        assert world.pipelines["fan-out"].quarantined > 0
+        assert (reports.hexdigest(), layouts.hexdigest()) == (self.REPORTS_SHA256, self.LAYOUTS_SHA256)
