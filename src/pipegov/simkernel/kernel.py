@@ -1,6 +1,8 @@
 """State transition function and action application.
 
-One ``step`` call advances the world by one tick:
+One ``step`` call advances the world by one tick. It walks orders stored
+once, not sorted or looked up each tick: the world's pipelines in id
+order, and each pipeline's stages in topological order, as its ``chain``.
 
 1. per pipeline, in one pass: mature pending health recoveries; enqueue
    arrivals; under an upstream delay or its release plan only, withhold
@@ -45,6 +47,11 @@ from pipegov.simkernel.world import (
     NOT_RUNNING,
     UNPAID,
 )
+
+
+# Reading a member through its Enum class costs about ten times a global
+# read, and the step reads this one for every pipeline on every tick.
+_HEALTHY = Health.HEALTHY
 
 
 class InconsistentWorld(RuntimeError):
@@ -112,17 +119,15 @@ def _unbalanced(pid: str, p: PipelineState, queued: int) -> InconsistentWorld:
 def check_accounting(world: SimWorld) -> None:
     """Recount every queue against its running total, then check conservation."""
 
-    pids = world.pipeline_ids()
-    for pid in pids:
-        for sid, stage in world.pipelines[pid].stages.items():
+    for pid, p in world.pipelines.items():
+        for sid, stage in p.stages.items():
             recount = stage.queue.recount()
             if recount != stage.queue.records:
                 raise InconsistentWorld(
                     f"pipeline {pid} stage {sid}: queue total {stage.queue.records} "
                     f"!= recount {recount}"
                 )
-    for pid in pids:
-        p = world.pipelines[pid]
+    for pid, p in world.pipelines.items():
         queued = p.queued()
         if p.ingress != p.materialized + queued + p.quarantined + p.dropped:
             raise _unbalanced(pid, p, queued)
@@ -137,7 +142,7 @@ def _enqueue(p: PipelineState, tick: int, count: int) -> int:
     drift = p.pending_drift
     if drift is not None and tick <= drift.window_end:
         partition = drift.partition
-    p.stages[p.topo[0]].queue.append(Cohort(tick, count, partition))
+    p.chain[0].queue.append(Cohort(tick, count, partition))
     p.ingress += count
     return count
 
@@ -146,7 +151,7 @@ def _divert_quarantined(p: PipelineState) -> int:
     drift = p.pending_drift
     if drift is None or not drift.quarantine_mode:
         return 0
-    moved = sum(p.stages[sid].queue.remove_partition(drift.partition) for sid in p.topo)
+    moved = sum(stage.queue.remove_partition(drift.partition) for stage in p.chain)
     p.quarantined += moved
     return moved
 
@@ -159,7 +164,6 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     the runner records each tick as one row laid out in that order.
     """
 
-    pids = world.pipeline_ids()
     t = world.tick
     failures = world.pending_failures
     world.pending_failures = []
@@ -174,10 +178,9 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     ingress_now: dict[str, int] = {}
     allowed: set[str] = set()
     busy_alloc = 0
-    for pid in pids:
-        p = world.pipelines[pid]
+    for pid, p in world.pipelines.items():
         if p.recover_at is not None and t >= p.recover_at:
-            p.health = Health.HEALTHY
+            p.health = _HEALTHY
             p.recover_at = None
             p.failing_cause = None
             p.failing_stage = None
@@ -236,9 +239,9 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
             if t > drift.window_end:
                 p.pending_drift = None
 
-        if p.health is Health.HEALTHY and t >= p.paused_until:
+        if p.health is _HEALTHY and t >= p.paused_until:
             allowed.add(pid)
-            for stage in p.stages.values():
+            for stage in p.chain:
                 if stage.queue.records:
                     busy_alloc += stage.alloc
 
@@ -252,16 +255,14 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
     materialized_now = 0
     compute_units = 0  # allocation of pipelines that are neither halted nor deferred
     samples: dict[str, PipelineSample] = {}
-    for pid in pids:
-        p = world.pipelines[pid]
+    for pid, p in world.pipelines.items():
         stages = p.stages
         runs = pid in allowed
         processed_total = 0
         capacity_total = 0  # rate on offer at stages that had work
         queued = 0
         allocation = 0
-        for sid in p.topo:
-            stage = stages[sid]
+        for stage in p.chain:
             queue = stage.queue
             allocation += stage.alloc
             if runs and queue.records:  # an idle stage has nothing to take or route
@@ -311,13 +312,14 @@ def step(world: SimWorld, arrivals: dict[str, int]) -> TickReport:
         if p.health not in UNPAID:  # failing pipelines keep paying for reserved units
             compute_units += allocation
 
-        samples[pid] = PipelineSample(
+        # PipelineSample's own __new__ does just this, in one more Python frame
+        samples[pid] = tuple.__new__(PipelineSample, (
             queued,
             t - p.newest_materialized_arrival,
             failure_counts.get(pid, 0),
             min(1.0, processed_total / capacity_total) if processed_total else 0.0,
             ingress_now[pid],
-        )
+        ))
 
     # 3. price (allocation plus storage for records materialized this tick) and snapshot
     cost = (
@@ -336,12 +338,12 @@ def _get_pipeline(world: SimWorld, pipeline_id: str) -> PipelineState:
     return p
 
 
-def _target_stages(p: PipelineState, stage_id: str | None) -> list[StageState]:
+def _target_stages(p: PipelineState, stage_id: str | None) -> tuple[StageState, ...]:
     if stage_id is None:
-        return [p.stages[sid] for sid in p.topo]
+        return p.chain
     if stage_id not in p.stages:
         raise InvalidTarget(f"pipeline {p.spec.id!r} has no stage {stage_id!r}")
-    return [p.stages[stage_id]]
+    return (p.stages[stage_id],)
 
 
 def _pull_back_forwarded(p: PipelineState, stage: StageState) -> int:

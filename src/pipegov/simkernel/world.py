@@ -168,7 +168,7 @@ class PendingDrift:
 class PipelineState:
     spec: PipelineSpec
     stages: dict[str, StageState]
-    topo: list[str]
+    chain: tuple[StageState, ...]  # the stages in topological order, entry first
     schema: Schema
     health: Health = Health.HEALTHY
     failing_cause: str | None = None  # "schema_drift" | "task_failure" | "missing_input"
@@ -202,8 +202,12 @@ class PipelineState:
     def allocation_total(self) -> int:
         return sum(s.alloc for s in self.stages.values())
 
+    @property
+    def topo(self) -> list[str]:
+        return [s.spec.id for s in self.chain]
+
     def entry_stage(self) -> StageState:
-        return self.stages[self.topo[0]]
+        return self.chain[0]
 
 
 class PipelineSample(NamedTuple):
@@ -231,7 +235,7 @@ class TickReport(NamedTuple):
 
 @dataclass
 class SimWorld:
-    pipelines: dict[str, PipelineState]
+    pipelines: dict[str, PipelineState]  # in id order, whatever order it is given in
     resource_model: ResourceModel
     constants: SimConstants
     tick: int = 0
@@ -240,8 +244,11 @@ class SimWorld:
     # (pipeline, kind) failures raised by fault injection, reported by the next step
     pending_failures: list[tuple[str, str]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.pipelines = dict(sorted(self.pipelines.items()))
+
     def pipeline_ids(self) -> list[str]:
-        return sorted(self.pipelines)
+        return list(self.pipelines)
 
     def effective_capacity(self, tick: int) -> int:
         reduced = sum(units for until, units in self.capacity_reductions if tick < until)
@@ -291,7 +298,6 @@ def build_world(
 
     states: dict[str, PipelineState] = {}
     for spec in checked_pipelines(pipelines):
-        topo = stage_topology(spec)
         downstream_map: dict[str, list[str]] = {s.id: [] for s in spec.stages}
         for s in spec.stages:
             for up in s.upstream:
@@ -305,8 +311,9 @@ def build_world(
             stage_states[s.id] = StageState(
                 spec=s, alloc=alloc, downstream=tuple(sorted(downstream_map[s.id]))
             )
+        chain = tuple(stage_states[sid] for sid in stage_topology(spec))
         states[spec.id] = PipelineState(
-            spec=spec, stages=stage_states, topo=topo, schema=spec.schema
+            spec=spec, stages=stage_states, chain=chain, schema=spec.schema
         )
     return SimWorld(
         pipelines=states,
